@@ -29,15 +29,6 @@ std::vector<Flow> flows_from_region(std::span<const Flow> flows, geo::Region reg
   return out;
 }
 
-std::vector<Flow> flows_from_country(std::span<const Flow> flows,
-                                     std::string_view country) {
-  std::vector<Flow> out;
-  for (const auto& flow : flows) {
-    if (flow.origin_country == country) out.push_back(flow);
-  }
-  return out;
-}
-
 FlowAnalyzer::FlowAnalyzer(const geoloc::GeoService& service, geoloc::Tool tool)
     : service_(&service), tool_(tool) {}
 

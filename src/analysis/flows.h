@@ -34,10 +34,6 @@ struct Flow {
 [[nodiscard]] std::vector<Flow> flows_from_region(std::span<const Flow> flows,
                                                   geo::Region region);
 
-/// Keeps only flows originating in `country`.
-[[nodiscard]] std::vector<Flow> flows_from_country(std::span<const Flow> flows,
-                                                   std::string_view country);
-
 /// Weighted destination-region shares (Fig. 6 / Fig. 7 slices).
 struct RegionBreakdown {
   std::map<geo::Region, double> share;      ///< sums to ~1 over located flows

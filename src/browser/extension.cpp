@@ -189,7 +189,7 @@ class VisitRenderer {
   void run_auction(const std::string& entry_url, world::OrgId ad_network) {
     rtb::BidRequest request;
     request.id = std::to_string(rng_());
-    request.imp.id = "1";
+    request.imp.id.assign(1, '1');  // not = "1": GCC 12 -O3 -Werror=restrict false positive
     request.imp.bidfloor = 0.05 + rng_.next_double() * 0.3;
     request.site_domain = publisher_.domain;
     request.site_topics = publisher_.topics;

@@ -297,8 +297,7 @@ Study::IspRun Study::run_isp_snapshot(const netflow::IspProfile& isp,
 
   std::uint64_t label = 0x15B0 ^ util::mix64(static_cast<std::uint64_t>(snapshot.day));
   for (const char c : isp.name) label = util::mix64(label ^ static_cast<std::uint64_t>(c));
-  // The sharded generator derives its per-shard streams from this seed;
-  // it matches the old serial stage_rng(label) derivation point.
+  // The sharded generator derives its per-shard streams from this seed.
   const std::uint64_t seed = util::mix64(config_.world.seed ^ util::mix64(label));
   IspRun run;
   if (config_.storage.mode == store::Mode::StoreBacked) {
@@ -327,10 +326,7 @@ Study::IspRun Study::run_isp_snapshot(const netflow::IspProfile& isp,
     join_config.spill_directory =
         config_.storage.directory + "/join_" + stem + "_day" +
         std::to_string(snapshot.day);
-    join_config.partitions = config_.storage.join_partitions;
     join_config.chunk_records = config_.storage.chunk_records;
-    join_config.spill_min_shard_records = config_.storage.join_spill_min_shard_records;
-    join_config.spill_max_shards = config_.storage.join_spill_max_shards;
     run.collection = netflow::join_flows(
         store::RecordSource<netflow::WireCodec>(
             netflow::SnapshotReader(path, config_.registry)),

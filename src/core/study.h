@@ -54,18 +54,10 @@ struct StorageConfig {
   /// results equal the straight-through run exactly, at any thread
   /// count.
   std::string resume_from;
-  /// Records per streamed chunk on store-backed paths.
+  /// Records per streamed chunk of the out-of-core NetFlow join
+  /// (netflow/join.h) that StoreBacked run_isp_snapshot uses; every
+  /// other JoinConfig knob keeps its default. Never affects results.
   std::size_t chunk_records = store::kDefaultChunkRecords;
-  /// Radix fan-out of the out-of-core NetFlow join (netflow/join.h)
-  /// that StoreBacked run_isp_snapshot uses in place of the in-memory
-  /// collect walk. Never affects results, only spill-file shape.
-  std::size_t join_partitions = 16;
-  /// Pass-1 spill shard geometry (JoinConfig::spill_min_shard_records /
-  /// spill_max_shards). Never affects results; changes the spill-file
-  /// page layout, so a geometry change silently re-partitions instead
-  /// of resuming.
-  std::size_t join_spill_min_shard_records = 64 * 1024;
-  std::size_t join_spill_max_shards = 256;
 };
 
 struct StudyConfig {

@@ -10,25 +10,6 @@ namespace cbwt::netflow {
 
 void TrackerIpIndex::add(const net::IpAddress& ip) { ips_.insert(ip); }
 
-TrackerIpIndex TrackerIpIndex::from_pdns(const pdns::Store& store, pdns::Day day) {
-  TrackerIpIndex index;
-  for (const auto& ip : store.all_ips()) {
-    for (const auto* record : store.reverse(ip)) {
-      if (record->first_seen <= day && day <= record->last_seen) {
-        index.add(ip);
-        break;
-      }
-    }
-  }
-  return index;
-}
-
-TrackerIpIndex TrackerIpIndex::from_pdns_all_time(const pdns::Store& store) {
-  TrackerIpIndex index;
-  for (const auto& ip : store.all_ips()) index.add(ip);
-  return index;
-}
-
 bool TrackerIpIndex::contains(const net::IpAddress& ip) const noexcept {
   return ips_.contains(ip);
 }

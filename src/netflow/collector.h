@@ -18,22 +18,15 @@
 #include "netflow/profile.h"
 #include "netflow/record.h"
 #include "obs/metrics.h"
-#include "pdns/store.h"
 #include "runtime/thread_pool.h"
 
 namespace cbwt::netflow {
 
-/// The set of known tracking-service IPs, optionally time-bounded.
+/// The set of known tracking-service IPs. core::Study fills it from the
+/// pDNS records of tracker domains whose window covers the snapshot day.
 class TrackerIpIndex {
  public:
   void add(const net::IpAddress& ip);
-
-  /// Builds the index from a pDNS store: every IP with at least one
-  /// (domain, IP) record whose window covers `day`.
-  [[nodiscard]] static TrackerIpIndex from_pdns(const pdns::Store& store, pdns::Day day);
-
-  /// Same, but ignoring validity windows (the no-window ablation).
-  [[nodiscard]] static TrackerIpIndex from_pdns_all_time(const pdns::Store& store);
 
   [[nodiscard]] bool contains(const net::IpAddress& ip) const noexcept;
   [[nodiscard]] std::size_t size() const noexcept { return ips_.size(); }

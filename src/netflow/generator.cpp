@@ -8,6 +8,7 @@
 #include "obs/trace_buffer.h"
 #include "runtime/parallel.h"
 #include "util/contract.h"
+#include "util/prng.h"
 
 namespace cbwt::netflow {
 
@@ -84,13 +85,12 @@ struct EmissionContext {
   }
 
   void emit(const dns::Resolver& resolver, world::DomainId domain_id, util::Rng& rng,
-            std::vector<RawRecord>& out, fault::Retrier* retrier = nullptr,
-            std::uint64_t key = 0) const {
+            std::vector<RawRecord>& out, fault::Retrier& retrier, std::uint64_t key) const {
     const bool third_party_dns = rng.chance(isp.third_party_resolver_share);
-    if (retrier != nullptr && retrier->enabled()) {
+    if (retrier.enabled()) {
       const auto origin = resolver.origin_for(isp.country, third_party_dns);
       const auto answer =
-          resolver.resolve_with_faults(domain_id, origin, rng, *retrier, key);
+          resolver.resolve_with_faults(domain_id, origin, rng, retrier, key);
       if (!answer) return;  // the subscriber's fetch failed: no flow exported
       out.push_back(base_record(config, subscriber_ip(rng), answer->ip, rng));
       return;
@@ -100,15 +100,15 @@ struct EmissionContext {
   }
 
   void emit_tracking(const dns::Resolver& resolver, util::Rng& rng,
-                     std::vector<RawRecord>& out, fault::Retrier* retrier = nullptr,
-                     std::uint64_t key = 0) const {
+                     std::vector<RawRecord>& out, fault::Retrier& retrier,
+                     std::uint64_t key) const {
     emit(resolver, tracking[util::sample_discrete(rng, tracking_weights)], rng, out,
          retrier, key);
   }
 
   void emit_background(const dns::Resolver& resolver, util::Rng& rng,
-                       std::vector<RawRecord>& out, fault::Retrier* retrier = nullptr,
-                       std::uint64_t key = 0) const {
+                       std::vector<RawRecord>& out, fault::Retrier& retrier,
+                       std::uint64_t key) const {
     if (clean.empty()) return;
     emit(resolver, clean[util::sample_discrete(rng, clean_weights)], rng, out, retrier,
          key);
@@ -132,39 +132,12 @@ void intended_volumes(const IspProfile& isp, const Snapshot& snapshot,
       std::llround(tracking_target * config.background_ratio));
 }
 
-// Per-stream RNG labels for the sharded path.
+// Per-stream RNG labels.
 constexpr std::uint64_t kTrackingStream = 0x7F10;
 constexpr std::uint64_t kBackgroundStream = 0x7F11;
 constexpr std::uint64_t kPeeringStream = 0x7F12;
 
 }  // namespace
-
-SnapshotExport generate_snapshot(const world::World& world, const dns::Resolver& resolver,
-                                 const IspProfile& isp, const Snapshot& snapshot,
-                                 const GeneratorConfig& config, util::Rng& rng) {
-  SnapshotExport out;
-  intended_volumes(isp, snapshot, config, out);
-  out.records.reserve(out.tracking_intended + out.background_intended);
-  const EmissionContext context(world, isp, config);
-
-  for (std::uint64_t i = 0; i < out.tracking_intended; ++i) {
-    context.emit_tracking(resolver, rng, out.records);
-  }
-  for (std::uint64_t i = 0; i < out.background_intended; ++i) {
-    context.emit_background(resolver, rng, out.records);
-  }
-
-  // A sprinkle of peering-link records the collector must filter out
-  // (only internal edge routers carry user traffic, §7.2).
-  const std::uint64_t peering = out.records.size() / 50;
-  for (std::uint64_t i = 0; i < peering; ++i) {
-    RawRecord record = base_record(config, context.subscriber_ip(rng),
-                                   context.subscriber_ip(rng), rng);
-    record.internal_interface = false;
-    out.records.push_back(record);
-  }
-  return out;
-}
 
 SnapshotCounts generate_snapshot_stream(
     const world::World& world, const dns::Resolver& resolver, const IspProfile& isp,
@@ -205,22 +178,24 @@ SnapshotCounts generate_snapshot_stream(
           fault::Retrier retrier(fault_plan, fault::sites::kDns, fault::RetryPolicy{},
                                  fault::BreakerPolicy{}, registry);
           for (std::size_t i = range.begin; i < range.end; ++i) {
-            emit_one(rng, part, &retrier, util::mix64(label ^ i));
+            emit_one(rng, part, retrier, util::mix64(label ^ i));
           }
           return part;
         },
         deliver);
   };
   stream(counts.tracking_intended, kTrackingStream,
-         [&](util::Rng& rng, Batch& part, fault::Retrier* retrier, std::uint64_t key) {
+         [&](util::Rng& rng, Batch& part, fault::Retrier& retrier, std::uint64_t key) {
            context.emit_tracking(resolver, rng, part, retrier, key);
          });
   stream(counts.background_intended, kBackgroundStream,
-         [&](util::Rng& rng, Batch& part, fault::Retrier* retrier, std::uint64_t key) {
+         [&](util::Rng& rng, Batch& part, fault::Retrier& retrier, std::uint64_t key) {
            context.emit_background(resolver, rng, part, retrier, key);
          });
 
-  // Peering-link noise is ~2% of the volume; one serial shard suffices.
+  // Peering-link noise the collector must filter out (only internal edge
+  // routers carry user traffic, §7.2) is ~2% of the volume; one serial
+  // shard suffices.
   // Batched to the sink so the streaming path never holds more than one
   // bounded buffer.
   const std::uint64_t peering = counts.records / 50;

@@ -17,7 +17,6 @@
 #include "netflow/record.h"
 #include "obs/metrics.h"
 #include "runtime/thread_pool.h"
-#include "util/prng.h"
 #include "world/world.h"
 
 namespace cbwt::netflow {
@@ -46,16 +45,6 @@ struct SnapshotExport {
   std::uint64_t tracking_intended = 0;   ///< ground-truth tracking records
   std::uint64_t background_intended = 0;
 };
-
-/// Emits the sampled records of `isp` on snapshot `snapshot`, drawing
-/// every record from the single serial `rng` stream (the pre-runtime
-/// code path; kept for ablations that sweep a generator in isolation).
-[[nodiscard]] SnapshotExport generate_snapshot(const world::World& world,
-                                               const dns::Resolver& resolver,
-                                               const IspProfile& isp,
-                                               const Snapshot& snapshot,
-                                               const GeneratorConfig& config,
-                                               util::Rng& rng);
 
 /// Sharded generation: record index space is split by plan_shards and
 /// every shard draws from its own RNG derived from (seed, stream label,

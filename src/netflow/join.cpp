@@ -1,6 +1,5 @@
 #include "netflow/join.h"
 
-#include <array>
 #include <bit>
 #include <filesystem>
 #include <utility>
@@ -39,12 +38,6 @@ constexpr std::uint64_t kJoinSpillStageLabel = 0x5B111;
 
 /// Manifest schema of the pass-1 spill set.
 constexpr std::string_view kManifestKind = "netflow-join-spill";
-
-/// Bucket edges of the per-phase duration histograms (seconds). Wide
-/// log-ish spacing: the smoke run lands in the sub-second buckets, the
-/// paper-scale sweep in the tens of seconds.
-constexpr std::array<double, 8> kPhaseSecondsBounds = {0.001, 0.01, 0.1,  0.5,
-                                                       1.0,   5.0,  30.0, 120.0};
 
 /// Dense open-addressing membership set over one partition's tracker
 /// IPs: power-of-two capacity at most half full, linear probing, empty
@@ -217,8 +210,6 @@ void partition_spill(const store::RecordSource<WireCodec>& source,
                      runtime::ChannelStats* channel_stats, std::uint64_t& dropped,
                      JoinStats& stats) {
   obs::ScopedSpan span(registry, "netflow/join/partition");
-  obs::ScopedHistogramTimer timer(registry, "cbwt_netflow_join_spill_seconds",
-                                  kPhaseSecondsBounds);
   const fault::Site export_site =
       fault_plan != nullptr ? fault_plan->site(fault::sites::kNetflowExport)
                             : fault::Site{};
@@ -367,8 +358,6 @@ CollectionResult join_flows(const store::RecordSource<WireCodec>& source,
   // counter sums and per-IP increments — so the partition-sliced order
   // equals the sequential collect() order bit for bit.
   obs::ScopedSpan probe_span(registry, "netflow/join/probe");
-  obs::ScopedHistogramTimer probe_timer(registry, "cbwt_netflow_join_probe_seconds",
-                                        kPhaseSecondsBounds);
   auto result = runtime::sharded_reduce<CollectionResult>(
       pool, config.partitions, {.min_shard_items = 1, .channel_stats = &channel_stats},
       /*seed=*/0, kJoinStageLabel,

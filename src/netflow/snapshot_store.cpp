@@ -1,9 +1,5 @@
 #include "netflow/snapshot_store.h"
 
-#include "obs/runtime_metrics.h"
-#include "obs/trace.h"
-#include "obs/trace_buffer.h"
-#include "runtime/parallel.h"
 #include "store/superblock.h"
 #include "util/contract.h"
 
@@ -30,56 +26,6 @@ SnapshotCounts generate_snapshot_to_store(
   writer.finalize();
   CBWT_ENSURES(writer.size() == counts.records);
   return counts;
-}
-
-CollectionResult collect_store(const SnapshotReader& reader,
-                               const TrackerIpIndex& trackers, const IspProfile& isp,
-                               std::size_t chunk_records, runtime::ThreadPool* pool,
-                               obs::Registry* registry,
-                               const fault::FaultPlan* fault_plan) {
-  obs::ScopedSpan span(registry, "netflow/collect");
-  runtime::ChannelStats channel_stats;
-  CollectionResult result;
-  reader.for_each_chunk(chunk_records, [&](std::span<const RawRecord> chunk,
-                                           std::uint64_t chunk_base) {
-    obs::ScopedTrace chunk_trace(registry, "netflow/store/read_chunk", chunk_base);
-    // Same shard/reduce discipline as collect_sharded, with every drop
-    // decision anchored to the record's absolute index in the file —
-    // chunking and sharding both disappear from the result.
-    merge_collection(
-        result,
-        runtime::sharded_reduce<CollectionResult>(
-            pool, chunk.size(), {.channel_stats = &channel_stats},
-            /*seed=*/0, /*stage_label=*/0xC011EC7,
-            [&](runtime::ShardRange range, std::size_t shard, util::Rng& /*rng*/) {
-              obs::ScopedTrace trace(registry, "netflow/collect/shard", shard);
-              return collect(chunk.subspan(range.begin, range.size()), trackers, isp,
-                             {.fault_plan = fault_plan,
-                              .base_index = chunk_base + range.begin});
-            },
-            merge_collection));
-  });
-  CBWT_ENSURES(result.matched_records <= result.internal_records);
-  CBWT_ENSURES(result.internal_records <= result.records_seen);
-  CBWT_ENSURES(result.records_seen + result.dropped_records == reader.size());
-
-  span.set_items(result.records_seen);
-  if (registry != nullptr) {
-    registry->counter("cbwt_netflow_records_collected_total").add(result.records_seen);
-    registry->counter("cbwt_netflow_internal_total").add(result.internal_records);
-    registry->counter("cbwt_netflow_matched_total").add(result.matched_records);
-    obs::record_channel_stats(registry, channel_stats);
-  }
-  if (fault_plan != nullptr &&
-      fault_plan->site(fault::sites::kNetflowExport).rates.any()) {
-    const auto metrics =
-        fault::SiteMetrics::resolve(registry, fault::sites::kNetflowExport);
-    if (metrics.injected != nullptr && result.dropped_records > 0) {
-      metrics.injected->add(result.dropped_records);
-    }
-    metrics.count_degraded(result.dropped_records);
-  }
-  return result;
 }
 
 }  // namespace cbwt::netflow

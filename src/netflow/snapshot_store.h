@@ -1,11 +1,10 @@
 // Store-backed NetFlow snapshots: the 57-byte wire codec doubles as the
 // store's on-disk record format, so a snapshot too large for memory
-// streams straight from the generator into a memory-mapped record file
-// and back out through the collector in bounded chunks. Both directions
-// reuse the deterministic in-memory code paths (generate_snapshot_stream
-// with a writer sink; collect() per chunk with absolute base_index), so
-// store-backed results are bit-identical to in-memory ones at any
-// thread count.
+// streams straight from the generator into a memory-mapped record file,
+// which the out-of-core join (netflow/join.h) reads back in bounded
+// chunks. The write reuses the deterministic in-memory generator
+// (generate_snapshot_stream with a writer sink), so store-backed
+// results are bit-identical to in-memory ones at any thread count.
 #pragma once
 
 #include <cstdint>
@@ -13,7 +12,6 @@
 
 #include "dns/resolver.h"
 #include "fault/retry.h"
-#include "netflow/collector.h"
 #include "netflow/generator.h"
 #include "netflow/profile.h"
 #include "netflow/wire.h"
@@ -35,17 +33,6 @@ using SnapshotReader = store::RecordFileReader<WireCodec>;
     const world::World& world, const dns::Resolver& resolver, const IspProfile& isp,
     const Snapshot& snapshot, const GeneratorConfig& config, std::uint64_t seed,
     runtime::ThreadPool* pool, const std::string& path,
-    obs::Registry* registry = nullptr, const fault::FaultPlan* fault_plan = nullptr);
-
-/// Runs the collector over a store-backed snapshot in chunks of
-/// `chunk_records`, sharding each chunk across `pool`. Every drop
-/// decision is keyed by absolute record index (chunk base + offset), so
-/// the result is bit-identical to collect_sharded over the same records
-/// in memory — for any chunk size and any pool size. Registry counters
-/// and fault metrics match collect_sharded's.
-[[nodiscard]] CollectionResult collect_store(
-    const SnapshotReader& reader, const TrackerIpIndex& trackers,
-    const IspProfile& isp, std::size_t chunk_records, runtime::ThreadPool* pool,
     obs::Registry* registry = nullptr, const fault::FaultPlan* fault_plan = nullptr);
 
 }  // namespace cbwt::netflow

@@ -32,19 +32,6 @@ ScopedSpan::ScopedSpan(Registry* registry, std::string_view name) : registry_(re
   thread_cpu_begin_ = thread_cpu_seconds_now();
 }
 
-ScopedHistogramTimer::ScopedHistogramTimer(Registry* registry, std::string_view name,
-                                           std::span<const double> bounds) {
-  if (registry == nullptr) return;
-  histogram_ = &registry->histogram(name, bounds);
-  begin_ = std::chrono::steady_clock::now();
-}
-
-ScopedHistogramTimer::~ScopedHistogramTimer() {
-  if (histogram_ == nullptr) return;
-  histogram_->observe(
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - begin_).count());
-}
-
 ScopedSpan::~ScopedSpan() {
   if (registry_ == nullptr) return;
   if (TraceBuffer* trace = registry_->trace_buffer()) {

@@ -18,7 +18,6 @@
 #include <chrono>
 #include <cstdint>
 #include <ctime>
-#include <span>
 #include <string>
 #include <string_view>
 
@@ -47,29 +46,6 @@ class ScopedSpan {
   std::chrono::steady_clock::time_point wall_begin_{};
   std::clock_t process_cpu_begin_{};
   double thread_cpu_begin_ = 0.0;
-};
-
-/// Observes the enclosing scope's wall time (seconds) into a registry
-/// histogram on exit. Pairs with ScopedSpan when a stage's duration
-/// should also surface as a Prometheus histogram — phase histograms
-/// (e.g. cbwt_netflow_join_spill_seconds) make a speedup visible in
-/// run_report() and on the live inspector's /metrics without diffing
-/// span logs. Purely observational: the timing never feeds back into
-/// results, and a null registry makes it a no-op. Timing lives here
-/// because obs owns every clock read in the tree (cbwt-lint wall-clock
-/// / steady-clock rules).
-class ScopedHistogramTimer {
- public:
-  /// `bounds` is consulted on the histogram's first creation only.
-  ScopedHistogramTimer(Registry* registry, std::string_view name,
-                       std::span<const double> bounds);
-  ~ScopedHistogramTimer();
-  ScopedHistogramTimer(const ScopedHistogramTimer&) = delete;
-  ScopedHistogramTimer& operator=(const ScopedHistogramTimer&) = delete;
-
- private:
-  Histogram* histogram_ = nullptr;
-  std::chrono::steady_clock::time_point begin_{};
 };
 
 }  // namespace cbwt::obs

@@ -36,7 +36,7 @@ class CookieJar {
   [[nodiscard]] std::size_t known_orgs() const noexcept { return ids_.size(); }
   [[nodiscard]] std::size_t sync_edges() const noexcept { return synced_.size(); }
 
-  /// Iterates sync pairs (a < b) — input for the collaboration graph.
+  /// The recorded sync pairs (a < b).
   [[nodiscard]] const std::set<std::pair<world::OrgId, world::OrgId>>& sync_pairs()
       const noexcept {
     return synced_;

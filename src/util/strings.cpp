@@ -40,10 +40,6 @@ bool contains(std::string_view haystack, std::string_view needle) noexcept {
   return haystack.find(needle) != std::string_view::npos;
 }
 
-bool icontains(std::string_view haystack, std::string_view needle) {
-  return contains(to_lower(haystack), to_lower(needle));
-}
-
 std::string_view trim(std::string_view text) noexcept {
   while (!text.empty() && std::isspace(static_cast<unsigned char>(text.front())) != 0) {
     text.remove_prefix(1);

@@ -20,9 +20,6 @@ namespace cbwt::util {
 /// Case-sensitive containment test.
 [[nodiscard]] bool contains(std::string_view haystack, std::string_view needle) noexcept;
 
-/// Case-insensitive (ASCII) containment test.
-[[nodiscard]] bool icontains(std::string_view haystack, std::string_view needle);
-
 [[nodiscard]] std::string_view trim(std::string_view text) noexcept;
 
 /// printf-style double formatting with fixed decimals, e.g. fmt_pct(84.93,2)

@@ -69,13 +69,4 @@ std::string render_bars(const std::vector<Bar>& bars, std::size_t width) {
   return out;
 }
 
-std::string render_cdf(const std::string& name,
-                       const std::vector<std::pair<double, double>>& curve) {
-  std::string out = name + " (x, CDF):\n";
-  for (const auto& [x, f] : curve) {
-    out += "  " + fmt_fixed(x, 2) + "\t" + fmt_fixed(f, 4) + "\n";
-  }
-  return out;
-}
-
 }  // namespace cbwt::util

@@ -36,8 +36,4 @@ struct Bar {
 /// Renders labelled horizontal bars scaled to `width` characters.
 [[nodiscard]] std::string render_bars(const std::vector<Bar>& bars, std::size_t width = 50);
 
-/// Renders an (x, F(x)) CDF series as a fixed set of table rows.
-[[nodiscard]] std::string render_cdf(const std::string& name,
-                                     const std::vector<std::pair<double, double>>& curve);
-
 }  // namespace cbwt::util

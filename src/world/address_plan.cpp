@@ -13,13 +13,6 @@ net::IpPrefix AddressPlan::allocate_server_v4(unsigned length) {
   return net::IpPrefix{net::IpAddress::v4(aligned), length};
 }
 
-net::IpPrefix AddressPlan::allocate_server_v6(unsigned length) {
-  if (length == 0 || length > 64) throw std::invalid_argument("server v6 length must be 1..64");
-  const auto base = net::IpAddress::v6(next_server_v6_hi_, 0);
-  next_server_v6_hi_ += 0x0000'0001'0000'0000ULL;  // stride of /32 blocks
-  return net::IpPrefix{base, length};
-}
-
 net::IpPrefix AddressPlan::eyeball_block(const std::string& country) {
   const auto it = eyeballs_.find(country);
   if (it != eyeballs_.end()) return it->second;

@@ -11,7 +11,8 @@
 namespace cbwt::world {
 
 /// Hands out non-overlapping prefixes. Server space grows upward from
-/// 11.0.0.0 (v4) / 2a01::/32-steps (v6); eyeball space from 89.0.0.0.
+/// 11.0.0.0; eyeball space from 89.0.0.0. (The IPv6 server tail is
+/// numbered under 2a01:: by datacenter id in world.cpp, not here.)
 /// The split mirrors reality enough for the geolocation emulators to
 /// treat the two spaces differently.
 class AddressPlan {
@@ -20,9 +21,6 @@ class AddressPlan {
 
   /// Next free IPv4 server prefix of the given length (<= 24).
   [[nodiscard]] net::IpPrefix allocate_server_v4(unsigned length);
-
-  /// Next free IPv6 server prefix (length <= 64).
-  [[nodiscard]] net::IpPrefix allocate_server_v6(unsigned length);
 
   /// The (memoized) eyeball /12 of a country; allocated on first use.
   [[nodiscard]] net::IpPrefix eyeball_block(const std::string& country);
@@ -36,7 +34,6 @@ class AddressPlan {
 
  private:
   std::uint32_t next_server_v4_ = 0x0B00'0000;  // 11.0.0.0
-  std::uint64_t next_server_v6_hi_ = 0x2A01'0000'0000'0000ULL;
   std::uint32_t next_eyeball_ = 0x5900'0000;    // 89.0.0.0
   std::map<std::string, net::IpPrefix> eyeballs_;
 };

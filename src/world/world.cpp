@@ -657,9 +657,6 @@ class Builder {
   void build_indices() {
     for (const auto& domain : w_.domains_) {
       w_.domain_by_fqdn_.emplace(domain.fqdn, domain.id);
-      for (const ServerId sid : domain.servers) {
-        w_.domains_by_server_[sid].push_back(domain.id);
-      }
     }
     for (const auto& server : w_.servers_) {
       w_.server_by_ip_.emplace(server.ip, server.id);
@@ -712,11 +709,6 @@ std::string World::true_country_of(const net::IpAddress& ip) const {
   const Server* server = find_server(ip);
   if (server == nullptr) return {};
   return datacenters_[server->datacenter].country;
-}
-
-std::vector<DomainId> World::domains_on_server(ServerId id) const {
-  const auto it = domains_by_server_.find(id);
-  return it == domains_by_server_.end() ? std::vector<DomainId>{} : it->second;
 }
 
 std::vector<DomainId> World::tracking_domain_ids() const {

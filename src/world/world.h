@@ -54,9 +54,6 @@ class World {
   /// would report and what validation harnesses compare against.
   [[nodiscard]] std::string true_country_of(const net::IpAddress& ip) const;
 
-  /// All domain ids with at least one deployment on this server.
-  [[nodiscard]] std::vector<DomainId> domains_on_server(ServerId id) const;
-
   /// Tracking domains only (everything except CleanService orgs).
   [[nodiscard]] std::vector<DomainId> tracking_domain_ids() const;
 
@@ -73,7 +70,6 @@ class World {
 
   std::unordered_map<std::string, DomainId> domain_by_fqdn_;
   std::unordered_map<net::IpAddress, ServerId> server_by_ip_;
-  std::unordered_map<ServerId, std::vector<DomainId>> domains_by_server_;
 };
 
 /// Deterministically constructs a World from a config (same config ->

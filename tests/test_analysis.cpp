@@ -155,8 +155,6 @@ TEST_F(AnalysisTest, RegionAndCountryFilters) {
   const auto rest = flows_from_region(flows, geo::Region::RestOfEurope);
   ASSERT_EQ(rest.size(), 1U);
   EXPECT_EQ(rest[0].origin_country, "CH");
-  const auto br = flows_from_country(flows, "BR");
-  ASSERT_EQ(br.size(), 1U);
 }
 
 TEST_F(AnalysisTest, ToolChoiceChangesTheAnswer) {

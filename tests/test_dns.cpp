@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <string>
+#include <tuple>
 
 namespace cbwt::dns {
 namespace {
@@ -214,9 +216,12 @@ TEST(Resolver, TtlFollowsPopularity) {
 }
 
 /// Property sweep over origin countries: resolution invariants must hold
-/// from everywhere, with either resolver type.
+/// from everywhere, with either resolver type. The country is a
+/// std::string, not a const char*: gtest prints a char pointer's address,
+/// which ASLR makes differ between processes, and the listed test names
+/// carry that print.
 class ResolverPerCountry
-    : public ::testing::TestWithParam<std::tuple<const char*, bool>> {};
+    : public ::testing::TestWithParam<std::tuple<std::string, bool>> {};
 
 TEST_P(ResolverPerCountry, AnswersAreAlwaysValidServersOfTheDomain) {
   const auto& [country, third_party] = GetParam();
@@ -249,11 +254,11 @@ TEST_P(ResolverPerCountry, OriginIsWellFormed) {
 
 INSTANTIATE_TEST_SUITE_P(
     CountriesAndResolvers, ResolverPerCountry,
-    ::testing::Combine(::testing::Values("DE", "ES", "GB", "GR", "CY", "PL", "BR",
-                                         "US", "JP", "ZA", "RU", "AU"),
+    ::testing::Combine(::testing::Values<std::string>("DE", "ES", "GB", "GR", "CY", "PL",
+                                                      "BR", "US", "JP", "ZA", "RU", "AU"),
                        ::testing::Bool()),
-    [](const ::testing::TestParamInfo<std::tuple<const char*, bool>>& info) {
-      return std::string(std::get<0>(info.param)) +
+    [](const ::testing::TestParamInfo<std::tuple<std::string, bool>>& info) {
+      return std::get<0>(info.param) +
              (std::get<1>(info.param) ? "_public_dns" : "_isp_dns");
     });
 

@@ -124,12 +124,18 @@ RequestStorage random_request(util::Rng& rng) {
   request.host = pick(rng, hosts());
   request.url = "https://" + request.host;
   const auto segments = rng.next_below(3);
+  // Appended piecewise, not via "/" + ...: GCC 12 at -O3 raises a
+  // -Werror=restrict false positive on a one-char literal + std::string.
   for (std::uint64_t s = 0; s < segments; ++s) {
-    request.url += "/" + pick(rng, tokens());
+    request.url.append(1, '/').append(pick(rng, tokens()));
   }
   if (rng.chance(0.5)) {
-    request.url += "?" + pick(rng, tokens()) + "=" + pick(rng, tokens());
-    if (rng.chance(0.4)) request.url += "&" + pick(rng, tokens()) + "=1";
+    // Value drawn before key: the order GCC evaluated the original
+    // one-expression form in, so the corpus stays the same.
+    const std::string value = pick(rng, tokens());
+    const std::string key = pick(rng, tokens());
+    request.url.append(1, '?').append(key).append(1, '=').append(value);
+    if (rng.chance(0.4)) request.url.append(1, '&').append(pick(rng, tokens())).append("=1");
   }
   request.page_host = pick(rng, hosts());
   request.third_party = rng.chance(0.7);

@@ -54,21 +54,6 @@ TEST(Anonymize, StripsSubscriberSide) {
   EXPECT_EQ(inbound.direction, Direction::Inbound);
 }
 
-TEST(TrackerIpIndex, PdnsWindowing) {
-  pdns::Store store;
-  store.observe("a.t.com", "t.com", net::IpAddress::v4(1), 10);
-  store.observe("a.t.com", "t.com", net::IpAddress::v4(1), 20);
-  store.observe("b.t.com", "t.com", net::IpAddress::v4(2), 50);
-  const auto at15 = TrackerIpIndex::from_pdns(store, 15);
-  EXPECT_TRUE(at15.contains(net::IpAddress::v4(1)));
-  EXPECT_FALSE(at15.contains(net::IpAddress::v4(2)));
-  const auto at50 = TrackerIpIndex::from_pdns(store, 50);
-  EXPECT_FALSE(at50.contains(net::IpAddress::v4(1)));
-  EXPECT_TRUE(at50.contains(net::IpAddress::v4(2)));
-  const auto all = TrackerIpIndex::from_pdns_all_time(store);
-  EXPECT_EQ(all.size(), 2U);
-}
-
 class NetflowPipeline : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
@@ -94,11 +79,12 @@ dns::Resolver* NetflowPipeline::resolver_ = nullptr;
 GeneratorConfig NetflowPipeline::config_;
 
 TEST_F(NetflowPipeline, VolumeScalesWithProfile) {
-  util::Rng rng(1);
   const auto& isps = default_isps();
   const auto& snapshot = default_snapshots()[1];
-  const auto big = generate_snapshot(*world_, *resolver_, isps[0], snapshot, config_, rng);
-  const auto small = generate_snapshot(*world_, *resolver_, isps[2], snapshot, config_, rng);
+  const auto big = generate_snapshot_sharded(*world_, *resolver_, isps[0], snapshot, config_,
+                                             /*seed=*/1, /*pool=*/nullptr);
+  const auto small = generate_snapshot_sharded(*world_, *resolver_, isps[2], snapshot,
+                                               config_, /*seed=*/1, /*pool=*/nullptr);
   // DE-Broadband exports ~75x more than PL (Table 8 volumes).
   EXPECT_GT(big.tracking_intended, small.tracking_intended * 30);
   EXPECT_EQ(big.records.size(),
@@ -107,9 +93,9 @@ TEST_F(NetflowPipeline, VolumeScalesWithProfile) {
 }
 
 TEST_F(NetflowPipeline, RecordsAreWellFormed) {
-  util::Rng rng(2);
-  const auto exported = generate_snapshot(*world_, *resolver_, default_isps()[3],
-                                          default_snapshots()[0], config_, rng);
+  const auto exported =
+      generate_snapshot_sharded(*world_, *resolver_, default_isps()[3],
+                                default_snapshots()[0], config_, /*seed=*/2, /*pool=*/nullptr);
   std::size_t https = 0;
   for (const auto& record : exported.records) {
     EXPECT_LT(record.timestamp_s, 86400U);
@@ -128,10 +114,9 @@ TEST_F(NetflowPipeline, RecordsAreWellFormed) {
 }
 
 TEST_F(NetflowPipeline, CollectorFiltersAndMatches) {
-  util::Rng rng(3);
   const auto& isp = default_isps()[0];
-  const auto exported = generate_snapshot(*world_, *resolver_, isp,
-                                          default_snapshots()[1], config_, rng);
+  const auto exported = generate_snapshot_sharded(
+      *world_, *resolver_, isp, default_snapshots()[1], config_, /*seed=*/3, /*pool=*/nullptr);
 
   // Index over every tracking server IP (ground truth join list).
   TrackerIpIndex index;
@@ -158,10 +143,9 @@ TEST_F(NetflowPipeline, CollectorFiltersAndMatches) {
 }
 
 TEST_F(NetflowPipeline, FlowsCarryTheIspCountry) {
-  util::Rng rng(4);
   const auto& isp = default_isps()[2];  // PL
-  const auto exported = generate_snapshot(*world_, *resolver_, isp,
-                                          default_snapshots()[0], config_, rng);
+  const auto exported = generate_snapshot_sharded(
+      *world_, *resolver_, isp, default_snapshots()[0], config_, /*seed=*/4, /*pool=*/nullptr);
   TrackerIpIndex index;
   for (const auto id : world_->tracking_domain_ids()) {
     for (const auto sid : world_->domain(id).servers) {
@@ -182,7 +166,6 @@ TEST_F(NetflowPipeline, MobileIspsResolveMoreLocally) {
   // Mobile subscribers sit behind the ISP resolver, broadband leans on
   // third-party DNS: generate both flavors for the same country and
   // compare in-country termination (the paper's §7.3 observation).
-  util::Rng rng(5);
   IspProfile broadband = default_isps()[0];
   IspProfile mobile = broadband;
   mobile.access = AccessType::Mobile;
@@ -190,8 +173,9 @@ TEST_F(NetflowPipeline, MobileIspsResolveMoreLocally) {
   broadband.third_party_resolver_share = 0.60;  // exaggerate for a small sample
 
   const auto count_local = [&](const IspProfile& isp) {
-    const auto exported = generate_snapshot(*world_, *resolver_, isp,
-                                            default_snapshots()[1], config_, rng);
+    const auto exported = generate_snapshot_sharded(*world_, *resolver_, isp,
+                                                    default_snapshots()[1], config_,
+                                                    /*seed=*/5, /*pool=*/nullptr);
     std::uint64_t local = 0;
     std::uint64_t total = 0;
     for (const auto& record : exported.records) {

@@ -49,7 +49,7 @@ class AuctionTest : public ::testing::Test {
   static BidRequest request_for(const char* country) {
     BidRequest request;
     request.id = "42";
-    request.imp.id = "1";
+    request.imp.id.assign(1, '1');  // not = "1": GCC 12 -O3 -Werror=restrict false positive
     request.imp.bidfloor = 0.05;
     request.site_domain = "news.example.com";
     request.user_country = country;

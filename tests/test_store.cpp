@@ -4,13 +4,16 @@
 // pipeline bit for bit at any thread count.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <filesystem>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "browser/dataset_store.h"
 #include "core/study.h"
+#include "netflow/join.h"
 #include "netflow/profile.h"
 #include "netflow/snapshot_store.h"
 #include "netflow/wire.h"
@@ -361,7 +364,9 @@ TEST(StoreManifest, RoundTripsExactly) {
 TEST(StorePdnsCheckpoint, RestoredStoreIsIndistinguishable) {
   pdns::Store original;
   for (std::uint32_t i = 0; i < 500; ++i) {
-    const std::string fqdn = "t" + std::to_string(i % 40) + ".track.example";
+    // Appended, not "t" + ...: GCC 12 -O3 -Werror=restrict false positive.
+    std::string fqdn(1, 't');
+    fqdn.append(std::to_string(i % 40)).append(".track.example");
     original.observe(fqdn, "track.example", net::IpAddress::v4(0x0A000000u + i % 60),
                      static_cast<pdns::Day>(i % 30));
     original.observe(fqdn, "track.example", net::IpAddress::v6(0x20010DB8, i % 13),
@@ -506,11 +511,26 @@ TEST(StoreJoinCounters, SpillBytesMatchDiskExactly) {
   const auto run = study.run_isp_snapshot(isp, snapshot);
 
   EXPECT_EQ(registry.counter_value("cbwt_netflow_join_partitions_total"),
-            config.storage.join_partitions);
+            netflow::JoinConfig{}.partitions);
   EXPECT_EQ(registry.counter_value("cbwt_netflow_join_probe_records_total"),
             run.collection.records_seen);
   EXPECT_EQ(registry.counter_value("cbwt_netflow_records_collected_total"),
             run.collection.records_seen);
+
+  // The join's phase timings reach run_report() and /metrics only through
+  // these spans, so each must be recorded with its phase's item count.
+  const auto spans = registry.spans();
+  const auto find_span = [&](std::string_view name) {
+    return std::find_if(spans.begin(), spans.end(),
+                        [&](const obs::SpanRecord& span) { return span.name == name; });
+  };
+  const auto partition = find_span("netflow/join/partition");
+  ASSERT_NE(partition, spans.end());
+  EXPECT_EQ(partition->items,
+            registry.counter_value("cbwt_netflow_join_spill_records_total"));
+  const auto probe = find_span("netflow/join/probe");
+  ASSERT_NE(probe, spans.end());
+  EXPECT_EQ(probe->items, run.collection.records_seen);
 
   std::uint64_t disk_bytes = 0;
   for (const auto& entry : std::filesystem::recursive_directory_iterator(

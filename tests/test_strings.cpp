@@ -41,7 +41,6 @@ TEST(ToLower, Ascii) {
 TEST(Contains, CaseSensitivity) {
   EXPECT_TRUE(contains("tracker.com/rtb", "rtb"));
   EXPECT_FALSE(contains("tracker.com/RTB", "rtb"));
-  EXPECT_TRUE(icontains("tracker.com/RTB", "rtb"));
 }
 
 TEST(Trim, Whitespace) {
@@ -91,12 +90,6 @@ TEST(RenderBars, ScalesToMax) {
 TEST(RenderBars, AllZeroValues) {
   const std::string out = render_bars({{"x", 0.0, ""}}, 10);
   EXPECT_NE(out.find("x"), std::string::npos);
-}
-
-TEST(RenderCdf, FormatsSeries) {
-  const std::string out = render_cdf("test", {{1.0, 0.5}, {2.0, 1.0}});
-  EXPECT_NE(out.find("test"), std::string::npos);
-  EXPECT_NE(out.find("0.5000"), std::string::npos);
 }
 
 }  // namespace
