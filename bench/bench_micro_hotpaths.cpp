@@ -368,8 +368,10 @@ void register_runtime_benchmarks(unsigned max_threads) {
        {std::pair{"BM_ClassifyRun", &BM_ClassifyRun},
         std::pair{"BM_GeolocPanel", &BM_GeolocPanel},
         std::pair{"BM_SnapshotSharded", &BM_SnapshotSharded}}) {
+    // Elapsed time, not the calling thread's CPU time: at /2 and /N the
+    // pool workers do the work while the caller mostly waits.
     auto* bench = benchmark::RegisterBenchmark(name, fn);
-    bench->Unit(benchmark::kMillisecond)->Arg(1);
+    bench->Unit(benchmark::kMillisecond)->UseRealTime()->Arg(1);
     if (max_threads >= 2) bench->Arg(2);
     if (max_threads > 2) bench->Arg(static_cast<std::int64_t>(max_threads));
   }

@@ -32,10 +32,11 @@
 
 namespace {
 
+// Counts the join's per-day spill subdirectory too.
 std::uint64_t directory_bytes(const std::string& dir) {
   std::uint64_t total = 0;
   std::error_code ec;
-  for (const auto& entry : std::filesystem::directory_iterator(dir, ec)) {
+  for (const auto& entry : std::filesystem::recursive_directory_iterator(dir, ec)) {
     if (entry.is_regular_file(ec)) total += entry.file_size(ec);
   }
   return total;

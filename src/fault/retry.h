@@ -172,7 +172,6 @@ class Retrier {
 
   [[nodiscard]] CircuitBreaker& breaker(std::uint64_t endpoint);
   [[nodiscard]] const RetryStats& stats() const noexcept { return stats_; }
-  [[nodiscard]] const RetryPolicy& retry_policy() const noexcept { return retry_; }
 
  private:
   const FaultPlan* plan_ = nullptr;

@@ -16,19 +16,14 @@
 //                          and tests that probe the contracts themselves
 //                          want, because the process survives.
 //
-// Checks compile away entirely when CBWT_CONTRACT_LEVEL is defined to 0
-// (the release preset does this); any other value keeps them. The checks
-// are a single predicted-true branch each, cheap enough for hot paths.
+// Checks are on in every build. Each is a single predicted-true branch,
+// cheap enough for hot paths.
 #pragma once
 
 #include <source_location>
 #include <stdexcept>
 #include <string>
 #include <string_view>
-
-#ifndef CBWT_CONTRACT_LEVEL
-#define CBWT_CONTRACT_LEVEL 1
-#endif
 
 namespace cbwt::util {
 
@@ -63,7 +58,6 @@ void set_contract_policy(ContractPolicy policy) noexcept;
 
 }  // namespace cbwt::util
 
-#if CBWT_CONTRACT_LEVEL
 #define CBWT_CONTRACT_CHECK_(kind, cond)                              \
   do {                                                                \
     if (!(cond)) [[unlikely]] {                                       \
@@ -71,16 +65,6 @@ void set_contract_policy(ContractPolicy policy) noexcept;
                                       ::std::source_location::current());      \
     }                                                                 \
   } while (false)
-#else
-// Checks disabled: the condition is still parsed (so it cannot bit-rot)
-// but never evaluated.
-#define CBWT_CONTRACT_CHECK_(kind, cond) \
-  do {                                   \
-    if (false) {                         \
-      static_cast<void>(cond);           \
-    }                                    \
-  } while (false)
-#endif
 
 #define CBWT_EXPECTS(cond) CBWT_CONTRACT_CHECK_(Precondition, cond)
 #define CBWT_ENSURES(cond) CBWT_CONTRACT_CHECK_(Postcondition, cond)

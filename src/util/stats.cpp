@@ -1,32 +1,10 @@
 #include "util/stats.h"
 
-#include "util/prng.h"
-
 #include <algorithm>
 #include <cmath>
 #include <numeric>
 
 namespace cbwt::util {
-
-void OnlineStats::add(double x) noexcept {
-  if (count_ == 0) {
-    min_ = x;
-    max_ = x;
-  } else {
-    min_ = std::min(min_, x);
-    max_ = std::max(max_, x);
-  }
-  ++count_;
-  const double delta = x - mean_;
-  mean_ += delta / static_cast<double>(count_);
-  m2_ += delta * (x - mean_);
-}
-
-double OnlineStats::variance() const noexcept {
-  return count_ < 2 ? 0.0 : m2_ / static_cast<double>(count_ - 1);
-}
-
-double OnlineStats::stddev() const noexcept { return std::sqrt(variance()); }
 
 EmpiricalCdf::EmpiricalCdf(std::vector<double> samples) : sorted_(std::move(samples)) {
   std::sort(sorted_.begin(), sorted_.end());
@@ -59,28 +37,6 @@ std::vector<std::pair<double, double>> EmpiricalCdf::curve(std::size_t points) c
     out.emplace_back(x, at(x));
   }
   return out;
-}
-
-Histogram::Histogram(double lo, double hi, std::size_t bins)
-    : lo_(lo), width_((hi - lo) / static_cast<double>(bins == 0 ? 1 : bins)),
-      counts_(bins == 0 ? 1 : bins, 0) {}
-
-void Histogram::add(double x) noexcept {
-  ++total_;
-  double pos = (x - lo_) / width_;
-  if (pos < 0.0) pos = 0.0;
-  auto bin = static_cast<std::size_t>(pos);
-  if (bin >= counts_.size()) bin = counts_.size() - 1;
-  ++counts_[bin];
-}
-
-std::size_t Histogram::bin_count(std::size_t bin) const noexcept {
-  return bin < counts_.size() ? counts_[bin] : 0;
-}
-
-std::pair<double, double> Histogram::bin_range(std::size_t bin) const noexcept {
-  const double start = lo_ + width_ * static_cast<double>(bin);
-  return {start, start + width_};
 }
 
 void Tally::add(const std::string& key, std::uint64_t weight) {
@@ -157,37 +113,6 @@ double spearman(std::span<const double> xs, std::span<const double> ys) {
 
 double percent(double part, double whole) noexcept {
   return whole == 0.0 ? 0.0 : 100.0 * part / whole;
-}
-
-ConfidenceInterval bootstrap_mean_ci(std::span<const double> sample, double level,
-                                     std::size_t resamples, Rng& rng) {
-  ConfidenceInterval ci;
-  if (sample.empty()) return ci;
-  double total = 0.0;
-  for (const double v : sample) total += v;
-  ci.point = total / static_cast<double>(sample.size());
-  if (sample.size() < 2 || resamples == 0) {
-    ci.lower = ci.upper = ci.point;
-    return ci;
-  }
-  std::vector<double> means;
-  means.reserve(resamples);
-  for (std::size_t r = 0; r < resamples; ++r) {
-    double sum = 0.0;
-    for (std::size_t i = 0; i < sample.size(); ++i) {
-      sum += sample[static_cast<std::size_t>(rng.next_below(sample.size()))];
-    }
-    means.push_back(sum / static_cast<double>(sample.size()));
-  }
-  std::sort(means.begin(), means.end());
-  const double alpha = (1.0 - std::clamp(level, 0.0, 1.0)) / 2.0;
-  const auto pick = [&](double q) {
-    const auto index = static_cast<std::size_t>(q * static_cast<double>(means.size() - 1));
-    return means[index];
-  };
-  ci.lower = pick(alpha);
-  ci.upper = pick(1.0 - alpha);
-  return ci;
 }
 
 }  // namespace cbwt::util

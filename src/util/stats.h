@@ -1,5 +1,5 @@
 // Small statistics toolkit used by the analysis and reporting layers:
-// running moments, empirical CDFs, histograms, quantiles, correlation.
+// empirical CDFs, quantiles, tallies, correlation.
 #pragma once
 
 #include <cstdint>
@@ -9,27 +9,6 @@
 #include <vector>
 
 namespace cbwt::util {
-
-/// Welford running mean / variance accumulator.
-class OnlineStats {
- public:
-  void add(double x) noexcept;
-
-  [[nodiscard]] std::size_t count() const noexcept { return count_; }
-  [[nodiscard]] double mean() const noexcept { return mean_; }
-  /// Sample variance (n-1 denominator); 0 for fewer than two samples.
-  [[nodiscard]] double variance() const noexcept;
-  [[nodiscard]] double stddev() const noexcept;
-  [[nodiscard]] double min() const noexcept { return min_; }
-  [[nodiscard]] double max() const noexcept { return max_; }
-
- private:
-  std::size_t count_ = 0;
-  double mean_ = 0.0;
-  double m2_ = 0.0;
-  double min_ = 0.0;
-  double max_ = 0.0;
-};
 
 /// Empirical CDF over a sample; sorted once at construction.
 class EmpiricalCdf {
@@ -49,25 +28,6 @@ class EmpiricalCdf {
 
  private:
   std::vector<double> sorted_;
-};
-
-/// Fixed-bin linear histogram.
-class Histogram {
- public:
-  Histogram(double lo, double hi, std::size_t bins);
-
-  void add(double x) noexcept;
-  [[nodiscard]] std::size_t bin_count(std::size_t bin) const noexcept;
-  [[nodiscard]] std::size_t bins() const noexcept { return counts_.size(); }
-  [[nodiscard]] std::size_t total() const noexcept { return total_; }
-  /// Inclusive-exclusive bounds of a bin.
-  [[nodiscard]] std::pair<double, double> bin_range(std::size_t bin) const noexcept;
-
- private:
-  double lo_;
-  double width_;
-  std::vector<std::size_t> counts_;
-  std::size_t total_ = 0;
 };
 
 /// Counter keyed by string: the workhorse for per-domain / per-country
@@ -101,19 +61,5 @@ class Tally {
 
 /// Percentage helper: 100 * part / whole, 0 when whole == 0.
 [[nodiscard]] double percent(double part, double whole) noexcept;
-
-/// Two-sided bootstrap confidence interval for the mean of a sample.
-struct ConfidenceInterval {
-  double lower = 0.0;
-  double upper = 0.0;
-  double point = 0.0;  ///< sample mean
-};
-
-/// Percentile bootstrap with `resamples` draws at confidence `level`
-/// (e.g. 0.95). Degenerate inputs return a zero-width interval at the
-/// mean. Deterministic given the rng.
-[[nodiscard]] ConfidenceInterval bootstrap_mean_ci(std::span<const double> sample,
-                                                   double level, std::size_t resamples,
-                                                   class Rng& rng);
 
 }  // namespace cbwt::util

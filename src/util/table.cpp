@@ -14,8 +14,6 @@ void TextTable::add_row(std::vector<std::string> row) {
   rows_.push_back(std::move(row));
 }
 
-void TextTable::set_title(std::string title) { title_ = std::move(title); }
-
 std::string TextTable::render() const {
   std::vector<std::size_t> widths(header_.size(), 0);
   for (std::size_t c = 0; c < header_.size(); ++c) widths[c] = header_[c].size();
@@ -36,7 +34,6 @@ std::string TextTable::render() const {
   };
 
   std::string out;
-  if (!title_.empty()) out += title_ + "\n";
   out += render_row(header_);
   std::size_t rule = 0;
   for (std::size_t c = 0; c < widths.size(); ++c) rule += widths[c] + (c + 1 < widths.size() ? 2 : 0);

@@ -7,13 +7,12 @@
 
 namespace cbwt::util {
 
-/// Column-aligned text table with a header row and optional title.
+/// Column-aligned text table with a header row.
 class TextTable {
  public:
   explicit TextTable(std::vector<std::string> header);
 
   void add_row(std::vector<std::string> row);
-  void set_title(std::string title);
 
   /// Renders with a box-drawing-free ASCII layout (padded columns).
   [[nodiscard]] std::string render() const;
@@ -21,7 +20,6 @@ class TextTable {
   [[nodiscard]] std::size_t rows() const noexcept { return rows_.size(); }
 
  private:
-  std::string title_;
   std::vector<std::string> header_;
   std::vector<std::vector<std::string>> rows_;
 };

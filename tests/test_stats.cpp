@@ -1,39 +1,9 @@
 #include "util/stats.h"
 
-#include "util/prng.h"
-
 #include <gtest/gtest.h>
-
-#include <cmath>
 
 namespace cbwt::util {
 namespace {
-
-TEST(OnlineStats, EmptyDefaults) {
-  OnlineStats stats;
-  EXPECT_EQ(stats.count(), 0U);
-  EXPECT_DOUBLE_EQ(stats.mean(), 0.0);
-  EXPECT_DOUBLE_EQ(stats.variance(), 0.0);
-}
-
-TEST(OnlineStats, SingleValue) {
-  OnlineStats stats;
-  stats.add(5.0);
-  EXPECT_EQ(stats.count(), 1U);
-  EXPECT_DOUBLE_EQ(stats.mean(), 5.0);
-  EXPECT_DOUBLE_EQ(stats.variance(), 0.0);
-  EXPECT_DOUBLE_EQ(stats.min(), 5.0);
-  EXPECT_DOUBLE_EQ(stats.max(), 5.0);
-}
-
-TEST(OnlineStats, KnownMoments) {
-  OnlineStats stats;
-  for (const double v : {2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0}) stats.add(v);
-  EXPECT_DOUBLE_EQ(stats.mean(), 5.0);
-  EXPECT_NEAR(stats.variance(), 32.0 / 7.0, 1e-12);  // sample variance
-  EXPECT_DOUBLE_EQ(stats.min(), 2.0);
-  EXPECT_DOUBLE_EQ(stats.max(), 9.0);
-}
 
 TEST(EmpiricalCdf, AtAndQuantile) {
   EmpiricalCdf cdf({1.0, 2.0, 3.0, 4.0});
@@ -61,27 +31,6 @@ TEST(EmpiricalCdf, CurveIsMonotone) {
     EXPECT_LE(curve[i - 1].first, curve[i].first);
     EXPECT_LE(curve[i - 1].second, curve[i].second + 1e-12);
   }
-}
-
-TEST(Histogram, BinningAndClamping) {
-  Histogram hist(0.0, 10.0, 5);
-  hist.add(-1.0);   // clamps into bin 0
-  hist.add(0.5);
-  hist.add(3.0);
-  hist.add(9.9);
-  hist.add(42.0);   // clamps into last bin
-  EXPECT_EQ(hist.total(), 5U);
-  EXPECT_EQ(hist.bin_count(0), 2U);
-  EXPECT_EQ(hist.bin_count(1), 1U);
-  EXPECT_EQ(hist.bin_count(4), 2U);
-  EXPECT_EQ(hist.bin_count(99), 0U);
-}
-
-TEST(Histogram, BinRange) {
-  Histogram hist(0.0, 10.0, 5);
-  const auto [lo, hi] = hist.bin_range(1);
-  EXPECT_DOUBLE_EQ(lo, 2.0);
-  EXPECT_DOUBLE_EQ(hi, 4.0);
 }
 
 TEST(Tally, CountsAndShares) {
@@ -139,42 +88,6 @@ TEST(Spearman, HandlesTies) {
   const std::vector<double> xs = {1, 2, 2, 3};
   const std::vector<double> ys = {10, 20, 20, 30};
   EXPECT_NEAR(spearman(xs, ys), 1.0, 1e-12);
-}
-
-TEST(Bootstrap, DegenerateInputs) {
-  Rng rng(1);
-  const std::vector<double> empty;
-  const auto none = bootstrap_mean_ci(empty, 0.95, 100, rng);
-  EXPECT_DOUBLE_EQ(none.point, 0.0);
-  const std::vector<double> one = {5.0};
-  const auto single = bootstrap_mean_ci(one, 0.95, 100, rng);
-  EXPECT_DOUBLE_EQ(single.point, 5.0);
-  EXPECT_DOUBLE_EQ(single.lower, 5.0);
-  EXPECT_DOUBLE_EQ(single.upper, 5.0);
-}
-
-TEST(Bootstrap, CoversTheMeanAndOrdersBounds) {
-  Rng rng(2);
-  std::vector<double> sample;
-  for (int i = 0; i < 200; ++i) sample.push_back(rng.next_normal(10.0, 2.0));
-  const auto ci = bootstrap_mean_ci(sample, 0.95, 500, rng);
-  EXPECT_LE(ci.lower, ci.point);
-  EXPECT_GE(ci.upper, ci.point);
-  EXPECT_NEAR(ci.point, 10.0, 0.5);
-  // 95% CI of a 200-point normal(10,2) sample: roughly +-0.28 wide.
-  EXPECT_LT(ci.upper - ci.lower, 1.5);
-  EXPECT_GT(ci.upper - ci.lower, 0.1);
-}
-
-TEST(Bootstrap, TighterWithMoreData) {
-  Rng rng(3);
-  std::vector<double> small_sample;
-  std::vector<double> big_sample;
-  for (int i = 0; i < 50; ++i) small_sample.push_back(rng.next_normal(0.0, 1.0));
-  for (int i = 0; i < 5000; ++i) big_sample.push_back(rng.next_normal(0.0, 1.0));
-  const auto wide = bootstrap_mean_ci(small_sample, 0.95, 400, rng);
-  const auto narrow = bootstrap_mean_ci(big_sample, 0.95, 400, rng);
-  EXPECT_LT(narrow.upper - narrow.lower, wide.upper - wide.lower);
 }
 
 TEST(Percent, Basics) {
