@@ -3,12 +3,16 @@
 // the single methodological choice that flips the paper's conclusion.
 #include "bench_common.h"
 
-int main() {
+int main(int argc, char** argv) {
   using namespace cbwt;
-  const auto config = bench::bench_config();
+  const auto options = bench::parse_options(argc, argv);
+  obs::Registry registry;
+  auto config = bench::bench_config(options);
+  config.registry = &registry;
   bench::print_header("Fig. 7: EU28 tracking-flow destinations, MaxMind vs IPmap",
                       config);
   core::Study study(config);
+  bench::JsonReport report("fig7_eu28_geolocation", config);
 
   const auto eu_flows = analysis::flows_from_region(study.flows(), geo::Region::EU28);
   const auto print_breakdown = [&](geoloc::Tool tool) {
@@ -40,5 +44,13 @@ int main() {
       "EU28 84.93%, N.America 10.75%, Rest of Europe 3.07%. Reproduced shape:\n"
       "under the commercial DB most flows appear to leak to N. America; under\n"
       "active geolocation the large majority terminates inside EU28.");
+
+  report.metric("maxmind_eu28_pct", share(maxmind, geo::Region::EU28));
+  report.metric("maxmind_north_america_pct", share(maxmind, geo::Region::NorthAmerica));
+  report.metric("ipmap_eu28_pct", share(ipmap, geo::Region::EU28));
+  report.metric("ipmap_north_america_pct", share(ipmap, geo::Region::NorthAmerica));
+  report.metrics_from(registry);
+  report.write(options.json_path);
+  bench::write_run_report(study, options.report_path);
   return 0;
 }

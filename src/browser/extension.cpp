@@ -261,12 +261,12 @@ class VisitRenderer {
   dns::QueryOrigin origin_;
 };
 
-/// Publisher choice: popularity-weighted with an interest boost.
-world::PublisherId pick_publisher(const world::World& world,
-                                  const world::ExtensionUser& user, util::Rng& rng,
-                                  std::vector<double>& scratch) {
+}  // namespace
+
+std::vector<double> publisher_weights(const world::World& world,
+                                      const world::ExtensionUser& user) {
   const auto& publishers = world.publishers();
-  scratch.resize(publishers.size());
+  std::vector<double> weights(publishers.size());
   for (std::size_t i = 0; i < publishers.size(); ++i) {
     double weight = publishers[i].popularity;
     for (const auto topic : publishers[i].topics) {
@@ -278,12 +278,10 @@ world::PublisherId pick_publisher(const world::World& world,
     }
     // Locality of attention: users over-visit sites of their own country.
     if (publishers[i].country == user.country) weight *= 5.0;
-    scratch[i] = weight;
+    weights[i] = weight;
   }
-  return static_cast<world::PublisherId>(util::sample_discrete(rng, scratch));
+  return weights;
 }
-
-}  // namespace
 
 void render_visit(const world::World& world, const dns::Resolver& resolver,
                   const world::ExtensionUser& user, const world::Publisher& publisher,
@@ -303,14 +301,15 @@ ExtensionDataset collect_extension_dataset(const world::World& world,
   ExtensionDataset dataset;
   std::unordered_set<world::PublisherId> visited;
   std::unordered_map<world::UserId, rtb::CookieJar> jars;  // user state persists
-  std::vector<double> scratch;
   const double visits_mean = world.config().visits_per_user();
   const auto window = static_cast<double>(config.window_end - config.window_start + 1);
 
   for (const auto& user : world.users()) {
     const auto n_visits = rng.next_poisson(visits_mean * user.activity);
+    if (n_visits == 0) continue;
+    const util::DiscreteSampler publishers(publisher_weights(world, user));
     for (std::uint64_t v = 0; v < n_visits; ++v) {
-      const auto publisher_id = pick_publisher(world, user, rng, scratch);
+      const auto publisher_id = static_cast<world::PublisherId>(publishers.sample(rng));
       const auto day = static_cast<pdns::Day>(
           config.window_start +
           static_cast<pdns::Day>(rng.next_below(static_cast<std::uint64_t>(window))));

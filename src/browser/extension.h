@@ -66,6 +66,12 @@ struct CollectorConfig {
                                                          util::Rng& rng,
                                                          pdns::Store* pdns_feed = nullptr);
 
+/// Publisher choice weights of one user: popularity, tripled for a topic
+/// the user is interested in and quintupled for the user's own country.
+/// A user's visits draw their publishers from these weights.
+[[nodiscard]] std::vector<double> publisher_weights(const world::World& world,
+                                                    const world::ExtensionUser& user);
+
 /// Renders a single visit (exposed for tests and examples). `jar` holds
 /// the user's cookie/sync state and persists across visits; pass nullptr
 /// for a throwaway jar.

@@ -10,13 +10,17 @@
 #pragma once
 
 #include <cstdint>
+#include <map>
 #include <optional>
 #include <string>
 #include <string_view>
+#include <unordered_map>
+#include <vector>
 
 #include "fault/retry.h"
 #include "net/ip.h"
 #include "util/prng.h"
+#include "util/thread_annotations.h"
 #include "world/world.h"
 
 namespace cbwt::dns {
@@ -57,7 +61,16 @@ struct ResolverOptions {
   double ecs_adoption = 0.0;
 };
 
-/// Stateless view over a World performing policy-based server selection.
+/// Policy-based server selection over a World.
+///
+/// The per-query work that depends only on the world is memoized on first
+/// use: a NearestPop domain seen from one effective location keeps its
+/// serving-radius sites, their latency weights and their member servers,
+/// and an HqOnly domain keeps a DiscreteSampler over its HQ weights. The
+/// memo holds the exact doubles the uncached computation produces and is
+/// sampled with the same draws, so every answer and every rng state is
+/// the same as without it. The memo is filled under an internal mutex:
+/// resolve() is safe to call from many threads on one Resolver.
 class Resolver {
  public:
   explicit Resolver(const world::World& world, ResolverOptions options = {});
@@ -72,10 +85,6 @@ class Resolver {
   /// the Rng state.
   [[nodiscard]] Resolution resolve(world::DomainId domain, const QueryOrigin& origin,
                                    util::Rng& rng) const;
-
-  /// Convenience: origin_for + resolve.
-  [[nodiscard]] Resolution resolve_from(world::DomainId domain, std::string_view country,
-                                        bool third_party_resolver, util::Rng& rng) const;
 
   /// Fault-aware resolve: consults `retrier` (endpoint = the queried
   /// domain, so breaker state tracks each zone) before answering. The
@@ -95,8 +104,43 @@ class Resolver {
   [[nodiscard]] const world::World& world() const noexcept { return *world_; }
 
  private:
+  /// The serving-radius sites of one NearestPop domain from one location,
+  /// nearest first: a slice of site_weights_ / site_members_ holding
+  /// max(radius, 1) sites (a zero radius still answers from the nearest).
+  struct NearRoute {
+    static constexpr std::uint32_t kUnbuilt = ~std::uint32_t{0};
+    std::uint32_t first_site = kUnbuilt;
+    std::uint32_t radius = 0;
+  };
+  /// The servers of one site, a slice of members_ (indices into the
+  /// domain's server list).
+  struct SiteMembers {
+    std::uint32_t begin = 0;
+    std::uint32_t count = 0;
+  };
+
+  [[nodiscard]] std::size_t pick_nearest_pop(world::DomainId domain,
+                                             const geo::LatLon& location,
+                                             util::Rng& rng) const CBWT_EXCLUDES(mutex_);
+  [[nodiscard]] std::size_t pick_hq_only(world::DomainId domain, util::Rng& rng) const
+      CBWT_EXCLUDES(mutex_);
+  [[nodiscard]] NearRoute build_near_route(world::DomainId domain,
+                                           const geo::LatLon& location) const
+      CBWT_REQUIRES(mutex_);
+
   const world::World* world_;
   ResolverOptions options_;
+
+  mutable util::Mutex mutex_;
+  /// Effective location -> row of near_routes_.
+  mutable std::map<geo::LatLon, std::size_t> location_rows_ CBWT_GUARDED_BY(mutex_);
+  /// One row per location, one entry per domain id.
+  mutable std::vector<std::vector<NearRoute>> near_routes_ CBWT_GUARDED_BY(mutex_);
+  mutable std::vector<double> site_weights_ CBWT_GUARDED_BY(mutex_);
+  mutable std::vector<SiteMembers> site_members_ CBWT_GUARDED_BY(mutex_);
+  mutable std::vector<std::uint32_t> members_ CBWT_GUARDED_BY(mutex_);
+  mutable std::unordered_map<world::DomainId, util::DiscreteSampler> hq_routes_
+      CBWT_GUARDED_BY(mutex_);
 };
 
 /// TTL assignment: the busiest orgs re-map quickly (300 s, like Google),

@@ -1,6 +1,7 @@
 #include "netflow/generator.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 
 #include "obs/runtime_metrics.h"
@@ -57,24 +58,30 @@ RawRecord base_record(const GeneratorConfig& config, const net::IpAddress& subsc
 
 /// Read-only emission state shared by every shard of one snapshot.
 struct EmissionContext {
-  EmissionContext(const world::World& world, const IspProfile& isp_profile,
-                  const GeneratorConfig& generator_config)
-      : isp(isp_profile), config(generator_config),
-        eyeball(world.addresses().eyeball_blocks().at(std::string(isp_profile.country))) {
+  EmissionContext(const world::World& world, const dns::Resolver& dns_resolver,
+                  const IspProfile& isp_profile, const GeneratorConfig& generator_config)
+      : resolver(dns_resolver), isp(isp_profile), config(generator_config),
+        eyeball(world.addresses().eyeball_blocks().at(std::string(isp_profile.country))),
+        origins{dns_resolver.origin_for(isp_profile.country, false),
+                dns_resolver.origin_for(isp_profile.country, true)} {
     // Popularity-weighted tracking domains (per-domain DNS then applies
     // the org's policy with the subscriber's resolver situation).
     tracking = world.tracking_domain_ids();
-    tracking_weights.reserve(tracking.size());
+    std::vector<double> weights;
+    weights.reserve(tracking.size());
     for (const auto id : tracking) {
-      tracking_weights.push_back(world.org(world.domain(id).org).popularity);
+      weights.push_back(world.org(world.domain(id).org).popularity);
     }
+    tracking_sampler = util::DiscreteSampler(weights);
     // Clean third-party services make up the background web flows.
+    weights.clear();
     for (const auto& domain : world.domains()) {
       if (world.org(domain.org).role == world::OrgRole::CleanService) {
         clean.push_back(domain.id);
-        clean_weights.push_back(world.org(domain.org).popularity);
+        weights.push_back(world.org(domain.org).popularity);
       }
     }
+    clean_sampler = util::DiscreteSampler(weights);
   }
 
   /// Subscriber addresses come from the ISP country's eyeball block; the
@@ -84,43 +91,36 @@ struct EmissionContext {
     return eyeball.at(rng.next_below(1ULL << 20));
   }
 
-  void emit(const dns::Resolver& resolver, world::DomainId domain_id, util::Rng& rng,
-            std::vector<RawRecord>& out, fault::Retrier& retrier, std::uint64_t key) const {
+  void emit(world::DomainId domain_id, util::Rng& rng, std::vector<RawRecord>& out,
+            fault::Retrier& retrier, std::uint64_t key) const {
     const bool third_party_dns = rng.chance(isp.third_party_resolver_share);
-    if (retrier.enabled()) {
-      const auto origin = resolver.origin_for(isp.country, third_party_dns);
-      const auto answer =
-          resolver.resolve_with_faults(domain_id, origin, rng, retrier, key);
-      if (!answer) return;  // the subscriber's fetch failed: no flow exported
-      out.push_back(base_record(config, subscriber_ip(rng), answer->ip, rng));
-      return;
-    }
-    const auto answer = resolver.resolve_from(domain_id, isp.country, third_party_dns, rng);
-    out.push_back(base_record(config, subscriber_ip(rng), answer.ip, rng));
+    const auto answer = resolver.resolve_with_faults(
+        domain_id, origins[third_party_dns ? 1 : 0], rng, retrier, key);
+    if (!answer) return;  // the subscriber's fetch failed: no flow exported
+    out.push_back(base_record(config, subscriber_ip(rng), answer->ip, rng));
   }
 
-  void emit_tracking(const dns::Resolver& resolver, util::Rng& rng,
-                     std::vector<RawRecord>& out, fault::Retrier& retrier,
+  void emit_tracking(util::Rng& rng, std::vector<RawRecord>& out, fault::Retrier& retrier,
                      std::uint64_t key) const {
-    emit(resolver, tracking[util::sample_discrete(rng, tracking_weights)], rng, out,
-         retrier, key);
+    emit(tracking[tracking_sampler.sample(rng)], rng, out, retrier, key);
   }
 
-  void emit_background(const dns::Resolver& resolver, util::Rng& rng,
-                       std::vector<RawRecord>& out, fault::Retrier& retrier,
-                       std::uint64_t key) const {
+  void emit_background(util::Rng& rng, std::vector<RawRecord>& out,
+                       fault::Retrier& retrier, std::uint64_t key) const {
     if (clean.empty()) return;
-    emit(resolver, clean[util::sample_discrete(rng, clean_weights)], rng, out, retrier,
-         key);
+    emit(clean[clean_sampler.sample(rng)], rng, out, retrier, key);
   }
 
+  const dns::Resolver& resolver;
   const IspProfile& isp;
   const GeneratorConfig& config;
   net::IpPrefix eyeball;
+  /// The ISP country's query origins: its own resolver, a public one.
+  std::array<dns::QueryOrigin, 2> origins;
   std::vector<world::DomainId> tracking;
-  std::vector<double> tracking_weights;
+  util::DiscreteSampler tracking_sampler;
   std::vector<world::DomainId> clean;
-  std::vector<double> clean_weights;
+  util::DiscreteSampler clean_sampler;
 };
 
 void intended_volumes(const IspProfile& isp, const Snapshot& snapshot,
@@ -151,7 +151,7 @@ SnapshotCounts generate_snapshot_stream(
   SnapshotCounts counts;
   counts.tracking_intended = intended.tracking_intended;
   counts.background_intended = intended.background_intended;
-  const EmissionContext context(world, isp, config);
+  const EmissionContext context(world, resolver, isp, config);
 
   // Each stream (tracking, background) shards its record-index space;
   // shard outputs reach the sink in shard order, so the record sequence
@@ -186,11 +186,11 @@ SnapshotCounts generate_snapshot_stream(
   };
   stream(counts.tracking_intended, kTrackingStream,
          [&](util::Rng& rng, Batch& part, fault::Retrier& retrier, std::uint64_t key) {
-           context.emit_tracking(resolver, rng, part, retrier, key);
+           context.emit_tracking(rng, part, retrier, key);
          });
   stream(counts.background_intended, kBackgroundStream,
          [&](util::Rng& rng, Batch& part, fault::Retrier& retrier, std::uint64_t key) {
-           context.emit_background(resolver, rng, part, retrier, key);
+           context.emit_background(rng, part, retrier, key);
          });
 
   // Peering-link noise the collector must filter out (only internal edge

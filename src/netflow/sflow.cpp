@@ -1,5 +1,6 @@
 #include "netflow/sflow.h"
 
+#include <array>
 #include <cmath>
 
 #include "net/domain.h"
@@ -18,23 +19,27 @@ SflowExport generate_sflow_snapshot(const world::World& world,
 
   const auto eyeball = world.addresses().eyeball_blocks().at(std::string(isp.country));
   const auto tracking = world.tracking_domain_ids();
-  std::vector<double> tracking_weights;
-  tracking_weights.reserve(tracking.size());
+  std::vector<double> weights;
+  weights.reserve(tracking.size());
   for (const auto id : tracking) {
-    tracking_weights.push_back(world.org(world.domain(id).org).popularity);
+    weights.push_back(world.org(world.domain(id).org).popularity);
   }
+  const util::DiscreteSampler tracking_sampler(weights);
   std::vector<world::DomainId> clean;
-  std::vector<double> clean_weights;
+  weights.clear();
   for (const auto& domain : world.domains()) {
     if (world.org(domain.org).role == world::OrgRole::CleanService) {
       clean.push_back(domain.id);
-      clean_weights.push_back(world.org(domain.org).popularity);
+      weights.push_back(world.org(domain.org).popularity);
     }
   }
+  const util::DiscreteSampler clean_sampler(weights);
+  const std::array<dns::QueryOrigin, 2> origins = {resolver.origin_for(isp.country, false),
+                                                   resolver.origin_for(isp.country, true)};
 
   const auto emit = [&](world::DomainId domain_id) {
     const bool third_party_dns = rng.chance(isp.third_party_resolver_share);
-    const auto answer = resolver.resolve_from(domain_id, isp.country, third_party_dns, rng);
+    const auto answer = resolver.resolve(domain_id, origins[third_party_dns ? 1 : 0], rng);
     SflowSample sample;
     sample.src = eyeball.at(rng.next_below(1ULL << 20));
     sample.dst = answer.ip;
@@ -52,11 +57,11 @@ SflowExport generate_sflow_snapshot(const world::World& world,
   };
 
   for (std::uint64_t i = 0; i < out.tracking_intended; ++i) {
-    emit(tracking[util::sample_discrete(rng, tracking_weights)]);
+    emit(tracking[tracking_sampler.sample(rng)]);
   }
   const std::uint64_t background = out.tracking_intended / 4;
   for (std::uint64_t i = 0; i < background && !clean.empty(); ++i) {
-    emit(clean[util::sample_discrete(rng, clean_weights)]);
+    emit(clean[clean_sampler.sample(rng)]);
   }
   return out;
 }

@@ -32,11 +32,19 @@ void replicate_background(Store& store, const dns::Resolver& resolver,
       fault_plan != nullptr ? fault_plan->site(fault::sites::kPdns) : fault::Site{};
 
   // Query origins: any country, weighted by population (pDNS collectors
-  // sit in production networks around the world).
+  // sit in production networks around the world), each through its ISP's
+  // resolver (origins[2c]) or a public one (origins[2c + 1]).
   const auto countries = geo::all_countries();
   std::vector<double> country_weights;
   country_weights.reserve(countries.size());
-  for (const auto& country : countries) country_weights.push_back(country.population_m);
+  std::vector<dns::QueryOrigin> origins;
+  origins.reserve(2 * countries.size());
+  for (const auto& country : countries) {
+    country_weights.push_back(country.population_m);
+    origins.push_back(resolver.origin_for(country.code, false));
+    origins.push_back(resolver.origin_for(country.code, true));
+  }
+  const util::DiscreteSampler country_sampler(country_weights);
 
   // Queried domains: tracking domains weighted by their org popularity.
   const auto tracking = world.tracking_domain_ids();
@@ -45,17 +53,18 @@ void replicate_background(Store& store, const dns::Resolver& resolver,
   for (const auto id : tracking) {
     domain_weights.push_back(world.org(world.domain(id).org).popularity);
   }
+  const util::DiscreteSampler domain_sampler(domain_weights);
 
   for (Day day = config.window_start; day <= config.window_end; day += config.sample_every) {
     for (std::uint32_t q = 0; q < config.queries_per_sample; ++q) {
-      const auto& country = countries[util::sample_discrete(rng, country_weights)];
-      const auto domain_id = tracking[util::sample_discrete(rng, domain_weights)];
+      const std::size_t country = country_sampler.sample(rng);
+      const auto domain_id = tracking[domain_sampler.sample(rng)];
       const bool third_party = rng.chance(0.25);
       // Resolve unconditionally — the rng consumption must not depend on
       // the fault decision, or surviving observations would diverge from
       // the fault-free stream.
       const auto answer =
-          resolver.resolve_from(domain_id, country.code, third_party, rng);
+          resolver.resolve(domain_id, origins[2 * country + (third_party ? 1 : 0)], rng);
       const auto& domain = world.domain(domain_id);
       Day observed_day = day;
       if (retrier.enabled()) {

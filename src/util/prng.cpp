@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <numbers>
 
 namespace cbwt::util {
@@ -89,11 +90,17 @@ Rng Rng::fork(std::uint64_t label) noexcept {
   return Rng{seed};
 }
 
-std::size_t sample_discrete(Rng& rng, std::span<const double> weights) noexcept {
+namespace {
+
+double clamped_total(std::span<const double> weights) noexcept {
   double total = 0.0;
   for (const double w : weights) total += std::max(w, 0.0);
-  if (total <= 0.0 || weights.empty()) return 0;
-  double target = rng.next_double() * total;
+  return total;
+}
+
+/// The reference walk: subtracts the clamped weights from `target` in
+/// order and returns the index that spends it.
+std::size_t walk(std::span<const double> weights, double target) noexcept {
   for (std::size_t i = 0; i < weights.size(); ++i) {
     target -= std::max(weights[i], 0.0);
     if (target <= 0.0) return i;
@@ -101,29 +108,67 @@ std::size_t sample_discrete(Rng& rng, std::span<const double> weights) noexcept 
   return weights.size() - 1;
 }
 
-ZipfSampler::ZipfSampler(std::size_t n, double s) {
-  cdf_.reserve(n);
+}  // namespace
+
+std::size_t sample_discrete(Rng& rng, std::span<const double> weights) noexcept {
+  const double total = clamped_total(weights);
+  if (total <= 0.0 || weights.empty()) return 0;
+  return walk(weights, rng.next_double() * total);
+}
+
+std::size_t pick_discrete(std::span<const double> weights, double u) noexcept {
+  const double total = clamped_total(weights);
+  if (total <= 0.0 || weights.empty()) return 0;
+  return walk(weights, u * total);
+}
+
+DiscreteSampler::DiscreteSampler(std::span<const double> weights) {
+  weights_.reserve(weights.size());
+  cumulative_.reserve(weights.size());
+  for (const double w : weights) {
+    weights_.push_back(std::max(w, 0.0));
+    total_ += weights_.back();
+    cumulative_.push_back(total_);
+  }
+  // The running sums and the sequential walk each round once per weight,
+  // every time by at most half an ulp of the total, so the walk's value
+  // after index i and target - cumulative_[i] differ by under (2n + 1)
+  // such half-ulps. The margin is at least 8(n + 1) of them, which also
+  // covers sums that pass through subnormals.
+  margin_ = total_ * (4.0 * std::numeric_limits<double>::epsilon() *
+                      static_cast<double>(weights_.size() + 1));
+}
+
+std::size_t DiscreteSampler::sample(Rng& rng) const noexcept {
+  // Like sample_discrete, an all-zero or empty sampler draws nothing.
+  if (total_ <= 0.0) return 0;
+  return pick(rng.next_double());
+}
+
+std::size_t DiscreteSampler::pick(double u) const noexcept {
+  if (total_ <= 0.0) return 0;
+  const double target = u * total_;
+  const auto it = std::lower_bound(cumulative_.begin(), cumulative_.end(), target);
+  if (it != cumulative_.end()) {
+    const auto j = static_cast<std::size_t>(it - cumulative_.begin());
+    const double below = j == 0 ? 0.0 : cumulative_[j - 1];
+    // Written so a NaN or infinite total fails the test and falls back.
+    if (target - below > margin_ && *it - target > margin_) return j;
+  }
+  return walk(weights_, target);
+}
+
+std::vector<double> zipf_masses(std::size_t n, double s) {
+  std::vector<double> masses;
+  masses.reserve(n);
   double running = 0.0;
   for (std::size_t rank = 0; rank < n; ++rank) {
     running += 1.0 / std::pow(static_cast<double>(rank + 1), s);
-    cdf_.push_back(running);
+    masses.push_back(running);
   }
-  for (double& value : cdf_) value /= running;
-}
-
-std::size_t ZipfSampler::sample(Rng& rng) const noexcept {
-  if (cdf_.empty()) return 0;
-  const double u = rng.next_double();
-  const auto it = std::lower_bound(cdf_.begin(), cdf_.end(), u);
-  return static_cast<std::size_t>(std::distance(cdf_.begin(), it) ==
-                                          static_cast<std::ptrdiff_t>(cdf_.size())
-                                      ? cdf_.size() - 1
-                                      : std::distance(cdf_.begin(), it));
-}
-
-double ZipfSampler::mass(std::size_t rank) const noexcept {
-  if (rank >= cdf_.size()) return 0.0;
-  return rank == 0 ? cdf_[0] : cdf_[rank] - cdf_[rank - 1];
+  for (double& value : masses) value /= running;
+  for (std::size_t rank = n; rank-- > 1;) masses[rank] -= masses[rank - 1];
+  return masses;
 }
 
 }  // namespace cbwt::util

@@ -116,26 +116,46 @@ class Rng {
 
 /// Samples an index from unnormalized non-negative weights.
 ///
-/// Linear scan; intended for setup-time sampling over modest alphabets.
-/// Returns weights.size() - 1 if rounding leaves residual mass; returns 0
-/// for an all-zero weight vector.
+/// The reference sampler and the one-shot draw: it sums the clamped
+/// weights, draws one next_double() and subtracts weights in order until
+/// the target is spent, O(n) per call. Hot loops that draw many times from
+/// the same weights use DiscreteSampler, which returns the same index for
+/// every rng state. Returns weights.size() - 1 if rounding leaves residual
+/// mass; returns 0 without drawing for an all-zero or empty weight vector.
 [[nodiscard]] std::size_t sample_discrete(Rng& rng, std::span<const double> weights) noexcept;
 
-/// Zipf sampler over ranks {0, ..., n-1} with exponent s (>= 0).
+/// The index sample_discrete returns when its uniform draw is `u` in [0, 1).
+[[nodiscard]] std::size_t pick_discrete(std::span<const double> weights, double u) noexcept;
+
+/// Build-once discrete sampler, O(log n) per draw.
 ///
-/// Precomputes the CDF once; sampling is O(log n). Used for publisher and
-/// tracker popularity, which the measurement literature finds heavy-tailed.
-class ZipfSampler {
+/// Holds the cumulative sums of the clamped weights, summed in the order
+/// sample_discrete sums them, so the target u * total is the same double.
+/// A draw takes the lower_bound index when both neighbouring boundaries lie
+/// farther from the target than the worst rounding gap between the two
+/// summation orders; otherwise it reruns sample_discrete's sequential walk
+/// from the same target. It therefore returns sample_discrete's index, and
+/// consumes the same draws, for every rng state.
+class DiscreteSampler {
  public:
-  ZipfSampler(std::size_t n, double s);
+  DiscreteSampler() = default;
+  explicit DiscreteSampler(std::span<const double> weights);
 
   [[nodiscard]] std::size_t sample(Rng& rng) const noexcept;
-  [[nodiscard]] std::size_t size() const noexcept { return cdf_.size(); }
-  /// Probability mass of a given rank.
-  [[nodiscard]] double mass(std::size_t rank) const noexcept;
+  /// The index sample() returns when its uniform draw is `u` in [0, 1).
+  [[nodiscard]] std::size_t pick(double u) const noexcept;
 
  private:
-  std::vector<double> cdf_;
+  std::vector<double> weights_;     ///< clamped to >= 0
+  std::vector<double> cumulative_;  ///< running sums of weights_
+  double total_ = 0.0;
+  double margin_ = 0.0;  ///< bound on |cumulative - sequential| rounding
 };
+
+/// Zipf probability masses of ranks {0, ..., n-1} with exponent s (>= 0):
+/// the normalised cumulative sums of 1/(rank+1)^s, differenced. Used for
+/// publisher and tracker popularity, which the measurement literature
+/// finds heavy-tailed.
+[[nodiscard]] std::vector<double> zipf_masses(std::size_t n, double s);
 
 }  // namespace cbwt::util

@@ -279,13 +279,13 @@ class Builder {
   }
 
   void make_orgs_for_role(Rng& rng, OrgRole role, std::uint32_t count, double zipf_s) {
-    const util::ZipfSampler zipf(count, zipf_s);
+    const auto zipf = util::zipf_masses(count, zipf_s);
     for (std::uint32_t i = 0; i < count; ++i) {
       Organization org;
       org.id = static_cast<OrgId>(w_.orgs_.size());
       org.role = role;
       org.name = make_org_name(rng, role, org.id);
-      org.popularity = zipf.mass(i);
+      org.popularity = zipf[i];
 
       // The market leaders all run European PoPs (the paper's Googles and
       // Facebooks); US-only deployments live in the mid/long tail.
@@ -506,7 +506,7 @@ class Builder {
     // the paper's ~3% despite being ~19% of domains. rank_of[i] is the
     // zipf rank of publisher i; sensitive publishers (ids < sensitive_count)
     // draw shuffled tail ranks, everyone else takes the rest in order.
-    const util::ZipfSampler zipf(total, config_.publisher_zipf);
+    const auto zipf = util::zipf_masses(total, config_.publisher_zipf);
     const std::uint32_t tail_start = total - total * 3 / 10;
     std::vector<std::uint32_t> tail_ranks;
     for (std::uint32_t r = tail_start; r < total; ++r) tail_ranks.push_back(r);
@@ -561,7 +561,7 @@ class Builder {
       Publisher pub;
       pub.id = i;
       const bool is_sensitive = i < sensitive_count;
-      pub.popularity = zipf.mass(rank_of[i]);
+      pub.popularity = zipf[rank_of[i]];
 
       // Audience country follows the user mix so extension users find
       // local and global sites alike.

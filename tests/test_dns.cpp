@@ -2,9 +2,18 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <map>
+#include <numeric>
+#include <span>
 #include <string>
 #include <tuple>
+#include <vector>
+
+#include "geo/country.h"
+#include "runtime/parallel.h"
+#include "runtime/thread_pool.h"
 
 namespace cbwt::dns {
 namespace {
@@ -22,6 +31,103 @@ const World& test_world() {
     return world::build_world(config);
   }();
   return world;
+}
+
+/// The uncached resolve: the executable spec of Resolver::resolve, which
+/// memoizes the world-dependent half of this computation. Every query
+/// rebuilds, sorts and weights the domain's sites from scratch.
+Resolution reference_resolve(const World& world, const ResolverOptions& options,
+                             world::DomainId domain, const QueryOrigin& origin,
+                             util::Rng& rng) {
+  const auto& dom = world.domain(domain);
+  const auto& org = world.org(dom.org);
+
+  QueryOrigin effective = origin;
+  if (origin.via_third_party && options.ecs_adoption > 0.0 && options.ecs_adoption < 1.0 &&
+      rng.chance(options.ecs_adoption)) {
+    if (const geo::Country* home = geo::find_country(origin.client_country)) {
+      effective.effective_location = home->centroid;
+    }
+  }
+
+  std::size_t chosen = 0;
+  switch (org.dns_policy) {
+    case DnsPolicy::RandomPop: {
+      chosen = static_cast<std::size_t>(rng.next_below(dom.servers.size()));
+      break;
+    }
+    case DnsPolicy::HqOnly: {
+      std::vector<double> weights(dom.servers.size(), 0.0);
+      bool any = false;
+      for (std::size_t i = 0; i < dom.servers.size(); ++i) {
+        const auto& server = world.server(dom.servers[i]);
+        if (world.datacenter(server.datacenter).country == org.hq_country) {
+          weights[i] = 1.0;
+          any = true;
+        }
+      }
+      if (!any) {
+        for (auto& w : weights) w = 1.0;
+      }
+      chosen = util::sample_discrete(rng, weights);
+      break;
+    }
+    case DnsPolicy::NearestPop: {
+      struct Site {
+        world::DatacenterId dc;
+        double delay = 0.0;
+        bool exchange_only = true;
+        std::vector<std::size_t> member_indices;
+      };
+      std::vector<Site> sites;
+      for (std::size_t i = 0; i < dom.servers.size(); ++i) {
+        const auto& server = world.server(dom.servers[i]);
+        auto it = std::find_if(sites.begin(), sites.end(), [&](const Site& site) {
+          return site.dc == server.datacenter;
+        });
+        if (it == sites.end()) {
+          Site site;
+          site.dc = server.datacenter;
+          site.delay = geo::propagation_delay_ms(
+              effective.effective_location, world.datacenter(server.datacenter).location);
+          sites.push_back(std::move(site));
+          it = sites.end() - 1;
+        }
+        it->member_indices.push_back(i);
+        if (!server.shared_exchange) it->exchange_only = false;
+      }
+      std::sort(sites.begin(), sites.end(),
+                [](const Site& a, const Site& b) { return a.delay < b.delay; });
+      const std::size_t radius = std::min(options.serving_radius, sites.size());
+      std::vector<double> site_weights(radius, 0.0);
+      for (std::size_t i = 0; i < radius; ++i) {
+        site_weights[i] =
+            1.0 / std::pow(sites[i].delay + options.delay_floor_ms, options.gamma);
+        if (sites[i].exchange_only) site_weights[i] *= options.exchange_damping;
+      }
+      const Site& picked = sites[util::sample_discrete(rng, site_weights)];
+      chosen = picked.member_indices[static_cast<std::size_t>(
+          rng.next_below(picked.member_indices.size()))];
+      break;
+    }
+  }
+
+  Resolution result;
+  result.server = dom.servers[chosen];
+  result.ip = world.server(result.server).ip;
+  result.ttl_s = ttl_for(org);
+  return result;
+}
+
+/// Every country's two query origins: through its ISP's resolver and
+/// through a public one.
+std::vector<QueryOrigin> all_origins(const Resolver& resolver) {
+  std::vector<QueryOrigin> origins;
+  for (const auto& country : geo::all_countries()) {
+    origins.push_back(resolver.origin_for(country.code, false));
+    origins.push_back(resolver.origin_for(country.code, true));
+  }
+  return origins;
 }
 
 TEST(Resolver, OriginForIspResolverIsHomeCountry) {
@@ -51,8 +157,9 @@ TEST(Resolver, ResolveReturnsServerOfTheDomain) {
   const auto& world = test_world();
   const Resolver resolver(world);
   util::Rng rng(1);
+  const auto origin = resolver.origin_for("DE", false);
   for (const auto& domain : world.domains()) {
-    const auto answer = resolver.resolve_from(domain.id, "DE", false, rng);
+    const auto answer = resolver.resolve(domain.id, origin, rng);
     const bool known = std::find(domain.servers.begin(), domain.servers.end(),
                                  answer.server) != domain.servers.end();
     EXPECT_TRUE(known) << domain.fqdn;
@@ -65,6 +172,7 @@ TEST(Resolver, HqOnlyPolicyStaysAtHeadquarters) {
   const auto& world = test_world();
   const Resolver resolver(world);
   util::Rng rng(2);
+  const auto origin = resolver.origin_for("JP", false);
   for (const auto& org : world.orgs()) {
     if (org.dns_policy != DnsPolicy::HqOnly) continue;
     // Skip orgs that genuinely have no HQ deployment (fallback case).
@@ -87,7 +195,7 @@ TEST(Resolver, HqOnlyPolicyStaysAtHeadquarters) {
     }
     if (!domain_has_home) continue;
     for (int i = 0; i < 10; ++i) {
-      const auto answer = resolver.resolve_from(domain_id, "JP", false, rng);
+      const auto answer = resolver.resolve(domain_id, origin, rng);
       EXPECT_EQ(world.datacenter(world.server(answer.server).datacenter).country,
                 org.hq_country);
     }
@@ -98,6 +206,7 @@ TEST(Resolver, NearestPopPrefersCloseSites) {
   const auto& world = test_world();
   const Resolver resolver(world);
   util::Rng rng(3);
+  const auto origin = resolver.origin_for("DE", false);
   // Aggregate over popular multi-pop orgs: German users should terminate
   // in/near Germany far more often than in North America.
   std::uint64_t near = 0;
@@ -105,7 +214,7 @@ TEST(Resolver, NearestPopPrefersCloseSites) {
   for (const auto& org : world.orgs()) {
     if (org.dns_policy != DnsPolicy::NearestPop || org.servers.size() < 5) continue;
     for (int i = 0; i < 30; ++i) {
-      const auto answer = resolver.resolve_from(org.domains.front(), "DE", false, rng);
+      const auto answer = resolver.resolve(org.domains.front(), origin, rng);
       const auto country =
           world.datacenter(world.server(answer.server).datacenter).country;
       const auto* info = geo::find_country(country);
@@ -156,11 +265,12 @@ TEST(Resolver, DeterministicGivenRngState) {
   const Resolver resolver(world);
   util::Rng rng_a(9);
   util::Rng rng_b(9);
+  const auto origin = resolver.origin_for("ES", false);
   for (int i = 0; i < 50; ++i) {
     const auto domain_id = world.domains()[static_cast<std::size_t>(i) %
                                            world.domains().size()].id;
-    const auto a = resolver.resolve_from(domain_id, "ES", false, rng_a);
-    const auto b = resolver.resolve_from(domain_id, "ES", false, rng_b);
+    const auto a = resolver.resolve(domain_id, origin, rng_a);
+    const auto b = resolver.resolve(domain_id, origin, rng_b);
     EXPECT_EQ(a.server, b.server);
   }
 }
@@ -184,6 +294,7 @@ TEST(Resolver, PartialEcsImprovesLocalityForPublicResolverUsers) {
     options.ecs_adoption = adoption;
     const Resolver resolver(world, options);
     util::Rng rng(77);
+    const auto origin = resolver.origin_for("ES", true);
     std::uint64_t local = 0;
     std::uint64_t total = 0;
     for (const auto& org : world.orgs()) {
@@ -191,7 +302,7 @@ TEST(Resolver, PartialEcsImprovesLocalityForPublicResolverUsers) {
         continue;
       }
       for (int i = 0; i < 20; ++i) {
-        const auto answer = resolver.resolve_from(org.domains.front(), "ES", true, rng);
+        const auto answer = resolver.resolve(org.domains.front(), origin, rng);
         ++total;
         if (world.datacenter(world.server(answer.server).datacenter).country == "ES") {
           ++local;
@@ -215,6 +326,75 @@ TEST(Resolver, TtlFollowsPopularity) {
   EXPECT_EQ(ttl_for(tail), 7200U);
 }
 
+/// The memoized resolver against the uncached reference, at one ECS
+/// adoption level: every (domain, origin) pair, first on a cold memo and
+/// then again on the warm one, with the same answer and the same rng
+/// state after every query.
+class ResolverMemo : public ::testing::TestWithParam<double> {};
+
+TEST_P(ResolverMemo, MatchesTheUncachedReferenceColdAndWarm) {
+  const auto& world = test_world();
+  ResolverOptions options;
+  options.ecs_adoption = GetParam();
+  const Resolver resolver(world, options);
+  const auto origins = all_origins(resolver);
+  for (const std::string pass : {"cold", "warm"}) {
+    std::uint64_t key = 0;
+    for (const auto& origin : origins) {
+      for (const auto& domain : world.domains()) {
+        util::Rng want_rng(util::mix64(++key));
+        util::Rng got_rng = want_rng;
+        const auto want = reference_resolve(world, options, domain.id, origin, want_rng);
+        const auto got = resolver.resolve(domain.id, origin, got_rng);
+        const auto where = pass + " memo, " + domain.fqdn + " from " +
+                           origin.client_country +
+                           (origin.via_third_party ? " (public DNS)" : " (ISP DNS)");
+        ASSERT_EQ(got.server, want.server) << where;
+        ASSERT_EQ(got.ip, want.ip) << where;
+        ASSERT_EQ(got.ttl_s, want.ttl_s) << where;
+        ASSERT_EQ(got_rng(), want_rng()) << where;
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(EcsAdoption, ResolverMemo, ::testing::Values(0.0, 0.5, 1.0),
+                         [](const ::testing::TestParamInfo<double>& info) {
+                           return "ecs" + std::to_string(static_cast<int>(
+                                              std::lround(info.param * 100)));
+                         });
+
+TEST(ResolverMemoThreads, ConcurrentColdFillMatchesSerialAnswers) {
+  // Four pool workers fill one cold memo at once, racing on the same
+  // routes (the query order is shuffled); every answer must equal the
+  // one a serial resolver gives for the same query and rng seed.
+  const auto& world = test_world();
+  ResolverOptions options;
+  options.ecs_adoption = 0.5;
+  const Resolver serial(world, options);
+  const auto origins = all_origins(serial);
+  std::vector<std::size_t> order(origins.size() * world.domains().size());
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  util::Rng shuffler(17);
+  shuffler.shuffle(std::span<std::size_t>(order));
+  const auto answer = [&](const Resolver& resolver, std::size_t i) {
+    const std::size_t query = order[i];
+    util::Rng rng(util::mix64(query));
+    const auto& origin = origins[query / world.domains().size()];
+    const auto domain = static_cast<world::DomainId>(query % world.domains().size());
+    return resolver.resolve(domain, origin, rng).server;
+  };
+  std::vector<world::ServerId> want(order.size());
+  for (std::size_t i = 0; i < order.size(); ++i) want[i] = answer(serial, i);
+
+  const Resolver shared(world, options);
+  runtime::ThreadPool pool(4);
+  const auto got = runtime::parallel_map<world::ServerId>(
+      &pool, order.size(), {.min_shard_items = 256},
+      [&](std::size_t i) { return answer(shared, i); });
+  EXPECT_EQ(got, want);
+}
+
 /// Property sweep over origin countries: resolution invariants must hold
 /// from everywhere, with either resolver type. The country is a
 /// std::string, not a const char*: gtest prints a char pointer's address,
@@ -228,11 +408,12 @@ TEST_P(ResolverPerCountry, AnswersAreAlwaysValidServersOfTheDomain) {
   const auto& world = test_world();
   const Resolver resolver(world);
   util::Rng rng(util::mix64(static_cast<std::uint64_t>(country[0]) + third_party));
+  const auto origin = resolver.origin_for(country, third_party);
   const auto tracking = world.tracking_domain_ids();
   for (int i = 0; i < 40; ++i) {
     const auto domain_id = tracking[static_cast<std::size_t>(
         rng.next_below(tracking.size()))];
-    const auto answer = resolver.resolve_from(domain_id, country, third_party, rng);
+    const auto answer = resolver.resolve(domain_id, origin, rng);
     const auto& domain = world.domain(domain_id);
     EXPECT_NE(std::find(domain.servers.begin(), domain.servers.end(), answer.server),
               domain.servers.end());

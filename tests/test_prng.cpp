@@ -3,10 +3,17 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <numeric>
 #include <set>
+#include <string>
+#include <utility>
 #include <vector>
+
+#include "browser/extension.h"
+#include "geo/country.h"
+#include "world/world.h"
 
 namespace cbwt::util {
 namespace {
@@ -191,35 +198,198 @@ TEST(SampleDiscrete, NegativeWeightsTreatedAsZero) {
   for (int i = 0; i < 100; ++i) EXPECT_EQ(sample_discrete(rng, weights), 1U);
 }
 
-TEST(ZipfSampler, MassSumsToOne) {
-  const ZipfSampler zipf(100, 1.0);
-  double total = 0.0;
-  for (std::size_t i = 0; i < zipf.size(); ++i) total += zipf.mass(i);
-  EXPECT_NEAR(total, 1.0, 1e-9);
+// --- DiscreteSampler vs sample_discrete --------------------------------
+
+/// Draws `draws` indices through sample_discrete and through a
+/// DiscreteSampler on twin rngs: every index and the final rng states
+/// must agree.
+void expect_same_draws(std::span<const double> weights, std::uint64_t seed, int draws) {
+  const DiscreteSampler sampler(weights);
+  Rng reference(seed);
+  Rng candidate(seed);
+  for (int i = 0; i < draws; ++i) {
+    const std::size_t want = sample_discrete(reference, weights);
+    const std::size_t got = sampler.sample(candidate);
+    if (want != got) {
+      ADD_FAILURE() << "draw " << i << ": sample_discrete " << want << ", sampler " << got;
+      return;
+    }
+  }
+  EXPECT_EQ(reference(), candidate());
 }
 
-TEST(ZipfSampler, MassIsMonotoneDecreasing) {
-  const ZipfSampler zipf(50, 1.1);
-  for (std::size_t i = 1; i < zipf.size(); ++i) {
-    EXPECT_LE(zipf.mass(i), zipf.mass(i - 1) + 1e-12);
+/// Uniform draws that put the target on, and a few ulps either side of,
+/// every cumulative boundary: where the two summation orders can round
+/// apart and DiscreteSampler must fall back to the sequential walk.
+std::vector<double> boundary_draws(std::span<const double> weights) {
+  double total = 0.0;
+  for (const double w : weights) total += std::max(w, 0.0);
+  std::vector<double> draws = {0.0, std::nextafter(1.0, 0.0)};
+  if (!(total > 0.0) || !std::isfinite(total)) return draws;
+  double running = 0.0;
+  for (const double w : weights) {
+    running += std::max(w, 0.0);
+    double u = running / total;
+    for (int step = 0; step < 4; ++step) u = std::nextafter(u, 0.0);
+    for (int step = 0; step < 9; ++step, u = std::nextafter(u, 1.0)) {
+      if (u >= 0.0 && u < 1.0) draws.push_back(u);
+    }
+  }
+  return draws;
+}
+
+void expect_same_boundary_picks(std::span<const double> weights) {
+  const DiscreteSampler sampler(weights);
+  for (const double u : boundary_draws(weights)) {
+    ASSERT_EQ(sampler.pick(u), pick_discrete(weights, u)) << "u = " << u;
   }
 }
 
-TEST(ZipfSampler, SamplingMatchesMass) {
+/// Weights in [1e-3, 1e3) with a log-uniform spread.
+std::vector<double> spread_weights(std::size_t n, std::uint64_t seed) {
+  Rng rng(seed);
+  std::vector<double> weights(n);
+  for (auto& w : weights) w = std::pow(10.0, rng.next_double_in(-3.0, 3.0));
+  return weights;
+}
+
+TEST(DiscreteSampler, MatchesSampleDiscreteOnEdgeWeights) {
+  std::vector<double> extreme;  // 1e-300 .. 1e300, every tenth decade
+  for (int e = -300; e <= 300; e += 10) extreme.push_back(std::pow(10.0, e));
+  std::vector<double> extreme_shuffled = extreme;
+  Rng shuffler(5);
+  shuffler.shuffle(std::span<double>(extreme_shuffled));
+  const std::vector<std::vector<double>> cases = {
+      {0.0, 1.0, 0.0, 2.0, 0.0},           // zeros
+      {-5.0, 1.0, -0.0, 3.0, -1e300},      // negatives
+      {0.0, 0.0, 0.0},                     // all zero: no draw
+      {},                                  // empty: no draw
+      {7.5},                               // single element
+      {-1.0},                              // single non-positive
+      extreme,
+      extreme_shuffled,
+      {1e308, 1e308, 1.0},                 // total overflows to inf
+      {0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7}, // non-representable decimals
+      spread_weights(1000, 11),
+  };
+  for (std::size_t c = 0; c < cases.size(); ++c) {
+    SCOPED_TRACE("case " + std::to_string(c));
+    expect_same_draws(cases[c], 100 + c, 100000);
+    expect_same_boundary_picks(cases[c]);
+  }
+}
+
+TEST(DiscreteSampler, BoundaryTargetsReachTheFallback) {
+  // Boundary draws where the lower_bound index alone differs from the
+  // sequential walk: the sampler must still return the walk's index.
+  std::size_t disagreements = 0;
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    const auto weights = spread_weights(200, seed);
+    std::vector<double> cumulative;
+    double total = 0.0;
+    for (const double w : weights) cumulative.push_back(total += w);
+    const DiscreteSampler sampler(weights);
+    for (const double u : boundary_draws(weights)) {
+      const std::size_t want = pick_discrete(weights, u);
+      const auto it = std::lower_bound(cumulative.begin(), cumulative.end(), u * total);
+      const auto naive = std::min<std::size_t>(
+          static_cast<std::size_t>(it - cumulative.begin()), weights.size() - 1);
+      if (naive != want) ++disagreements;
+      ASSERT_EQ(sampler.pick(u), want) << "seed " << seed << ", u = " << u;
+    }
+  }
+  EXPECT_GT(disagreements, 0U);
+}
+
+TEST(DiscreteSampler, MatchesSampleDiscreteOnWorldWeights) {
+  // The weight vectors the hot loops draw from, in a scale-0.02 world.
+  world::WorldConfig config;
+  config.seed = 1001;
+  config.scale = 0.02;
+  const world::World world = world::build_world(config);
+
+  std::vector<double> countries;  // pDNS query origins
+  for (const auto& country : geo::all_countries()) countries.push_back(country.population_m);
+  std::vector<double> tracking;   // pDNS and NetFlow tracking domains
+  for (const auto id : world.tracking_domain_ids()) {
+    tracking.push_back(world.org(world.domain(id).org).popularity);
+  }
+  std::vector<double> clean;      // NetFlow background domains
+  for (const auto& domain : world.domains()) {
+    if (world.org(domain.org).role == world::OrgRole::CleanService) {
+      clean.push_back(world.org(domain.org).popularity);
+    }
+  }
+  ASSERT_FALSE(tracking.empty());
+  ASSERT_FALSE(clean.empty());
+  const std::vector<std::pair<std::string, std::vector<double>>> cases = {
+      {"countries", countries},
+      {"tracking", tracking},
+      {"clean", clean},
+      {"publishers of user 0", browser::publisher_weights(world, world.users().front())},
+      {"publishers of the last user", browser::publisher_weights(world, world.users().back())},
+  };
+  std::uint64_t seed = 1;
+  for (const auto& [name, weights] : cases) {
+    SCOPED_TRACE(name);
+    expect_same_draws(weights, seed++, name.starts_with("publishers") ? 50000 : 200000);
+    expect_same_boundary_picks(weights);
+  }
+}
+
+// --- zipf_masses ----------------------------------------------------------
+
+TEST(ZipfMasses, MassSumsToOne) {
+  const auto masses = zipf_masses(100, 1.0);
+  ASSERT_EQ(masses.size(), 100U);
+  double total = 0.0;
+  for (const double mass : masses) total += mass;
+  EXPECT_NEAR(total, 1.0, 1e-9);
+}
+
+TEST(ZipfMasses, MassIsMonotoneDecreasing) {
+  const auto masses = zipf_masses(50, 1.1);
+  for (std::size_t i = 1; i < masses.size(); ++i) {
+    EXPECT_LE(masses[i], masses[i - 1] + 1e-12);
+  }
+}
+
+TEST(ZipfMasses, SamplingMatchesMass) {
   Rng rng(61);
-  const ZipfSampler zipf(10, 1.0);
+  const auto masses = zipf_masses(10, 1.0);
+  const DiscreteSampler zipf(masses);
   std::array<int, 10> counts{};
   const int n = 50000;
   for (int i = 0; i < n; ++i) ++counts[zipf.sample(rng)];
   for (std::size_t r = 0; r < 10; ++r) {
-    EXPECT_NEAR(static_cast<double>(counts[r]) / n, zipf.mass(r), 0.01) << "rank " << r;
+    EXPECT_NEAR(static_cast<double>(counts[r]) / n, masses[r], 0.01) << "rank " << r;
   }
 }
 
-TEST(ZipfSampler, ZeroExponentIsUniform) {
-  Rng rng(67);
-  const ZipfSampler zipf(4, 0.0);
-  for (std::size_t r = 0; r < 4; ++r) EXPECT_NEAR(zipf.mass(r), 0.25, 1e-9);
+TEST(ZipfMasses, ZeroExponentIsUniform) {
+  const auto masses = zipf_masses(4, 0.0);
+  for (const double mass : masses) EXPECT_NEAR(mass, 0.25, 1e-9);
+}
+
+TEST(ZipfMasses, DifferencesOfTheNormalisedCdf) {
+  // Bit for bit what the world's popularities were built from: the
+  // normalised running sums of 1/(rank+1)^s, differenced.
+  for (const double s : {0.0, 0.9, 1.0, 1.3}) {
+    const std::size_t n = 997;
+    std::vector<double> cdf;
+    double running = 0.0;
+    for (std::size_t rank = 0; rank < n; ++rank) {
+      running += 1.0 / std::pow(static_cast<double>(rank + 1), s);
+      cdf.push_back(running);
+    }
+    for (double& value : cdf) value /= running;
+    const auto masses = zipf_masses(n, s);
+    ASSERT_EQ(masses.size(), n);
+    for (std::size_t rank = 0; rank < n; ++rank) {
+      const double want = rank == 0 ? cdf[0] : cdf[rank] - cdf[rank - 1];
+      ASSERT_EQ(masses[rank], want) << "s " << s << ", rank " << rank;
+    }
+  }
 }
 
 TEST(Mix64, IsDeterministicAndSpreads) {
