@@ -14,7 +14,6 @@
 #include <string_view>
 #include <vector>
 
-#include "classify/match_cache.h"
 #include "core/study.h"
 #include "filterlist/generate.h"
 #include "filterlist/reference.h"
@@ -70,9 +69,8 @@ BENCHMARK(BM_FilterEngineMatch);
 
 // --- engine variants over one shared corpus --------------------------
 // Naive = ReferenceEngine (the pre-optimization matcher, kept as the
-// executable spec), Indexed = the token-indexed Engine, Cached = the
-// Engine behind the classifier's sharded LRU. Same lists, same probe
-// mix, so the three are directly comparable.
+// executable spec), Indexed = the token-indexed Engine. Same lists, same
+// probe mix, so the two are directly comparable.
 
 struct EngineCorpus {
   filterlist::Engine indexed;
@@ -184,29 +182,6 @@ void BM_EngineMatchIndexed(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
 BENCHMARK(BM_EngineMatchIndexed);
-
-void BM_EngineMatchCached(benchmark::State& state) {
-  const auto& corpus = engine_corpus();
-  classify::MatchCache cache(/*capacity=*/4096, /*shards=*/8);
-  std::size_t i = 0;
-  std::size_t matched = 0;
-  for (auto _ : state) {
-    const auto context = corpus_context(corpus, i++ % corpus.urls.size());
-    std::uint64_t key = util::fnv1a(context.url);
-    key = util::mix64(key ^ util::fnv1a(context.page_host));
-    filterlist::MatchResult hit;
-    if (const auto cached = cache.lookup(key)) {
-      hit = *cached;
-    } else {
-      hit = corpus.indexed.match(context);
-      cache.insert(key, hit);
-    }
-    matched += hit.matched ? 1 : 0;
-  }
-  benchmark::DoNotOptimize(matched);
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
-}
-BENCHMARK(BM_EngineMatchCached);
 
 void BM_PrefixTrieLookup(benchmark::State& state) {
   net::PrefixTrie<int> trie;

@@ -1,9 +1,7 @@
 #include "classify/classifier.h"
 
-#include <memory>
 #include <unordered_set>
 
-#include "classify/match_cache.h"
 #include "net/domain.h"
 #include "net/url.h"
 #include "obs/runtime_metrics.h"
@@ -42,16 +40,6 @@ bool url_has_arguments(std::string_view url) noexcept {
   return q != std::string_view::npos && q + 1 < url.size();
 }
 
-/// Match-cache key over the full engine input tuple. host/page_host are
-/// derived from url/referrer today, but hashing all four keeps the key
-/// honest if a caller ever widens the context.
-std::uint64_t match_cache_key(const filterlist::RequestContext& context) noexcept {
-  std::uint64_t h = hash_text(context.url);
-  h = util::mix64(h ^ hash_text(context.host));
-  h = util::mix64(h ^ hash_text(context.page_host));
-  return util::mix64(h ^ (context.third_party ? 0x9E3779B97F4A7C15ULL : 0));
-}
-
 }  // namespace
 
 std::string_view to_string(Method method) noexcept {
@@ -82,14 +70,6 @@ std::vector<Outcome> Classifier::run(const browser::ExtensionDataset& dataset,
   // Channel throughput of the sharded stages, surfaced after the run.
   runtime::ChannelStats channel_stats;
 
-  // Optional stage-1 verdict cache; per-run so cached rule pointers can
-  // never dangle across an add_list().
-  std::unique_ptr<MatchCache> cache;
-  if (config_.match_cache_capacity > 0) {
-    cache = std::make_unique<MatchCache>(config_.match_cache_capacity,
-                                         config_.match_cache_shards);
-  }
-
   // ---- Stage 1: filter lists --------------------------------------
   // Request-local: each shard writes its own outcome slots and returns
   // the URL hashes it classified; hashes land in the LTF set in shard
@@ -114,21 +94,7 @@ std::vector<Outcome> Classifier::run(const browser::ExtensionDataset& dataset,
             context.host = host;
             context.page_host = page_host;
             context.third_party = true;
-            filterlist::MatchResult hit;
-            if (cache != nullptr) {
-              const std::uint64_t key = match_cache_key(context);
-              if (const auto cached = cache->lookup(key)) {
-                hit = *cached;
-              } else {
-                // Matching runs outside any shard lock; a racing thread
-                // may redundantly match the same key, which only costs
-                // one extra insert.
-                hit = engine_.match(context);
-                cache->insert(key, hit);
-              }
-            } else {
-              hit = engine_.match(context);
-            }
+            const filterlist::MatchResult hit = engine_.match(context);
             if (hit.matched) {
               outcomes[i] = {Method::AbpList, hit.list};
               local.insert(hash_text(request.url));
@@ -213,10 +179,6 @@ std::vector<Outcome> Classifier::run(const browser::ExtensionDataset& dataset,
     registry->counter("cbwt_classify_referrer_promotions_total")
         .add(referrer_promotions);
     registry->counter("cbwt_classify_keyword_promotions_total").add(keyword_promotions);
-    if (cache != nullptr) {
-      registry->counter("cbwt_classify_cache_hits_total").add(cache->hits());
-      registry->counter("cbwt_classify_cache_misses_total").add(cache->misses());
-    }
     obs::record_channel_stats(registry, channel_stats);
   }
 

@@ -50,13 +50,6 @@ struct ClassifierConfig {
                                        "idsync",    "cm",         "rtb"};
   /// Maximum fixpoint iterations of the referrer stage.
   std::size_t max_iterations = 6;
-  /// Stage-1 match-cache entry budget; 0 disables the cache. Off by
-  /// default so determinism sweeps exercise the raw engine path (the
-  /// cache's hit/miss *counter split* is timing-dependent across
-  /// threads, though outcomes are identical either way).
-  std::size_t match_cache_capacity = 0;
-  /// Lock shards of the match cache (concurrency knob, not semantics).
-  std::size_t match_cache_shards = 8;
 };
 
 /// Per-request classification outcome, parallel to the dataset. `list`

@@ -45,10 +45,6 @@ util::Rng Study::stage_rng(std::uint64_t label) const {
   return util::Rng(util::mix64(config_.world.seed ^ util::mix64(label)));
 }
 
-const fault::FaultPlan* Study::fault_plan() const noexcept {
-  return config_.fault_plan.enabled() ? &config_.fault_plan : nullptr;
-}
-
 Study::~Study() {
   // The inspector thread calls run_report(), which touches the pool and
   // registry: stop it before any other member goes away.
@@ -148,7 +144,7 @@ const pdns::Store& Study::pdns_store() {
     const auto& dns = resolver();
     obs::ScopedSpan span(config_.registry, "study/pdns_replication");
     auto rng = stage_rng(0x9D45);
-    pdns::replicate_background(*pdns_, dns, config_.replication, rng, fault_plan(),
+    pdns::replicate_background(*pdns_, dns, config_.replication, rng, &config_.fault_plan,
                                config_.registry);
     pdns_replicated_ = true;
     span.set_items(pdns_->all_ips().size());
@@ -238,7 +234,7 @@ const geoloc::GeoService& Study::geo() {
     auto ipapi = geoloc::build_ipapi_like(built_world, maxmind, 0.93, db_rng);
     geo_.emplace(built_world, std::move(maxmind), std::move(ipapi), *mesh_,
                  config_.active, config_.world.seed ^ 0xAC7173ULL, workers,
-                 config_.registry, fault_plan());
+                 config_.registry, &config_.fault_plan);
   }
   return *geo_;
 }
@@ -316,7 +312,7 @@ Study::IspRun Study::run_isp_snapshot(const netflow::IspProfile& isp,
                              std::to_string(snapshot.day) + ".rec";
     const auto counts = netflow::generate_snapshot_to_store(
         built_world, dns, isp, snapshot, config_.netflow, seed, workers, path,
-        config_.registry, fault_plan());
+        config_.registry, &config_.fault_plan);
     run.exported_records = counts.records;
     // The collect leg is the out-of-core radix join: partition the
     // snapshot into compressed flow pages beside the record file, probe
@@ -326,18 +322,17 @@ Study::IspRun Study::run_isp_snapshot(const netflow::IspProfile& isp,
     join_config.spill_directory =
         config_.storage.directory + "/join_" + stem + "_day" +
         std::to_string(snapshot.day);
-    join_config.chunk_records = config_.storage.chunk_records;
     run.collection = netflow::join_flows(
         store::RecordSource<netflow::WireCodec>(
             netflow::SnapshotReader(path, config_.registry)),
-        index, isp, join_config, workers, config_.registry, fault_plan());
+        index, isp, join_config, workers, config_.registry, &config_.fault_plan);
   } else {
     const auto exported = netflow::generate_snapshot_sharded(
         built_world, dns, isp, snapshot, config_.netflow, seed, workers,
-        config_.registry, fault_plan());
+        config_.registry, &config_.fault_plan);
     run.exported_records = exported.records.size();
     run.collection = netflow::collect_sharded(exported.records, index, isp, workers,
-                                              config_.registry, fault_plan());
+                                              config_.registry, &config_.fault_plan);
   }
   run.flows = run.collection.flows(std::string(isp.country));
   span.set_items(run.exported_records);

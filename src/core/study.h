@@ -54,10 +54,6 @@ struct StorageConfig {
   /// results equal the straight-through run exactly, at any thread
   /// count.
   std::string resume_from;
-  /// Records per streamed chunk of the out-of-core NetFlow join
-  /// (netflow/join.h) that StoreBacked run_isp_snapshot uses; every
-  /// other JoinConfig knob keeps its default. Never affects results.
-  std::size_t chunk_records = store::kDefaultChunkRecords;
 };
 
 struct StudyConfig {
@@ -192,10 +188,6 @@ class Study {
   void maybe_resume();
 
   [[nodiscard]] util::Rng stage_rng(std::uint64_t label) const;
-
-  /// The plan handed to the fault-aware stages: null unless enabled, so
-  /// the default config takes every stage's fault-free branch.
-  [[nodiscard]] const fault::FaultPlan* fault_plan() const noexcept;
 
   /// Registrable domains of classified tracking requests, shared by pDNS
   /// completion and the per-day tracker index of run_isp_snapshot.

@@ -184,18 +184,6 @@ Resolver::NearRoute Resolver::build_near_route(world::DomainId domain,
   return route;
 }
 
-std::optional<Resolution> Resolver::resolve_with_faults(
-    world::DomainId domain, const QueryOrigin& origin, util::Rng& rng,
-    fault::Retrier& retrier, std::uint64_t key) const {
-  if (!retrier.enabled()) return resolve(domain, origin, rng);
-  const fault::CallFate fate = retrier.call(/*endpoint=*/domain, key);
-  if (!fate.ok()) {
-    retrier.count_degraded();
-    return std::nullopt;
-  }
-  return resolve(domain, origin, rng);
-}
-
 std::uint32_t ttl_for(const world::Organization& org) noexcept {
   if (org.popularity > 0.02) return 300;
   if (org.popularity > 0.005) return 3600;

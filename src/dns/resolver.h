@@ -11,13 +11,11 @@
 
 #include <cstdint>
 #include <map>
-#include <optional>
 #include <string>
 #include <string_view>
 #include <unordered_map>
 #include <vector>
 
-#include "fault/retry.h"
 #include "net/ip.h"
 #include "util/prng.h"
 #include "util/thread_annotations.h"
@@ -85,21 +83,6 @@ class Resolver {
   /// the Rng state.
   [[nodiscard]] Resolution resolve(world::DomainId domain, const QueryOrigin& origin,
                                    util::Rng& rng) const;
-
-  /// Fault-aware resolve: consults `retrier` (endpoint = the queried
-  /// domain, so breaker state tracks each zone) before answering. The
-  /// call's fate — retries, backoff, breaker rejection — is decided
-  /// first; only a surviving call performs resolve(), so its rng draws
-  /// are exactly those of the fault-free path and a zero-rate plan
-  /// leaves the stream untouched. nullopt = the lookup failed after all
-  /// retries (or the zone's breaker is open) and the caller degrades;
-  /// `key` must identify the logical query stably across thread counts
-  /// (e.g. an absolute record index). A stale answer still resolves
-  /// normally: in this model the zone data changes slower than the
-  /// stale window, so staleness surfaces in the pDNS layer instead.
-  [[nodiscard]] std::optional<Resolution> resolve_with_faults(
-      world::DomainId domain, const QueryOrigin& origin, util::Rng& rng,
-      fault::Retrier& retrier, std::uint64_t key) const;
 
   [[nodiscard]] const world::World& world() const noexcept { return *world_; }
 

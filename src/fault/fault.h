@@ -73,8 +73,8 @@ inline constexpr std::string_view kNetflowExport = "netflow_export";
 }  // namespace sites
 
 /// A site's compiled fault model: the label hash the stateless decision
-/// mixes in, plus the rates in force there. Resolve once per stage or
-/// shard, not per call.
+/// mixes in, plus the rates in force there. Resolve once per stage
+/// (fault::StageSite::resolve in fault/retry.h), not per call.
 struct Site {
   std::uint64_t hash = 0;
   SiteRates rates;
@@ -88,9 +88,10 @@ struct FaultPlan {
   SiteRates default_rates;
   std::map<std::string, SiteRates, std::less<>> site_rates;
 
-  /// True when any site can inject anything. Every integration point
-  /// checks this first; a disabled plan costs one branch and leaves the
-  /// metrics registry untouched (the zero-cost-default contract).
+  /// True when any site can inject anything. Stages do not consult it:
+  /// each resolves its own site, which a disabled plan leaves not live
+  /// (one branch per call, no metrics registered — the zero-cost-default
+  /// contract).
   [[nodiscard]] bool enabled() const noexcept;
 
   /// Rates in force at `label` (the override, else the defaults).

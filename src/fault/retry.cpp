@@ -83,126 +83,51 @@ CallFate fate_of(const FaultPlan& plan, const Site& site, std::uint64_t key,
   return fate;  // exhausted: failure holds the last attempt's kind
 }
 
-bool CircuitBreaker::allow() noexcept {
-  switch (state_) {
-    case State::Closed:
-    case State::HalfOpen:
-      return true;
-    case State::Open:
-      if (++rejected_while_open_ >= policy_.open_calls) {
-        // Cooldown served: arm the half-open probe for the next call.
-        state_ = State::HalfOpen;
-        rejected_while_open_ = 0;
-      }
-      return false;
-  }
-  return true;
-}
-
-void CircuitBreaker::on_success() noexcept {
-  consecutive_failures_ = 0;
-  state_ = State::Closed;
-}
-
-void CircuitBreaker::on_failure() noexcept {
-  if (state_ == State::HalfOpen) {
-    // The probe failed: straight back to open for another cooldown.
-    state_ = State::Open;
-    rejected_while_open_ = 0;
-    return;
-  }
-  if (++consecutive_failures_ >= policy_.failure_threshold) {
-    state_ = State::Open;
-    rejected_while_open_ = 0;
-  }
-}
-
-std::string_view to_string(CircuitBreaker::State state) noexcept {
-  switch (state) {
-    case CircuitBreaker::State::Closed: return "closed";
-    case CircuitBreaker::State::Open: return "open";
-    case CircuitBreaker::State::HalfOpen: return "half-open";
-  }
-  return "?";
-}
-
-SiteMetrics SiteMetrics::resolve(obs::Registry* registry, std::string_view site) {
-  SiteMetrics metrics;
-  if (registry == nullptr) return metrics;
-  const std::string prefix = "cbwt_fault_" + std::string(site);
-  metrics.injected = &registry->counter(prefix + "_injected_total");
-  metrics.retried = &registry->counter(prefix + "_retried_total");
-  metrics.exhausted = &registry->counter(prefix + "_exhausted_total");
-  metrics.degraded = &registry->counter(prefix + "_degraded_total");
-  metrics.breaker_rejected = &registry->counter(prefix + "_breaker_rejected_total");
-  metrics.retry_latency_seconds =
-      &registry->histogram(prefix + "_retry_latency_seconds", kLatencyBoundsSeconds);
-  return metrics;
-}
-
 void SiteMetrics::count(const CallFate& fate) const noexcept {
   if (injected == nullptr) return;
-  if (fate.breaker_rejected) {
-    breaker_rejected->add(1);
-    return;
-  }
   if (fate.injected > 0) injected->add(fate.injected);
   if (fate.attempts > 1) retried->add(fate.attempts - 1);
   if (!fate.ok()) exhausted->add(1);
   if (fate.attempts > 1) retry_latency_seconds->observe(fate.latency_ms / 1000.0);
 }
 
+void SiteMetrics::count_injected(std::uint64_t n) const noexcept {
+  if (injected != nullptr && n > 0) injected->add(n);
+}
+
 void SiteMetrics::count_degraded(std::uint64_t n) const noexcept {
   if (degraded != nullptr && n > 0) degraded->add(n);
 }
 
-Retrier::Retrier(const FaultPlan* plan, std::string_view site_label, RetryPolicy retry,
-                 BreakerPolicy breaker, obs::Registry* registry)
-    : plan_(plan), retry_(retry), breaker_policy_(breaker) {
-  if (plan_ != nullptr) {
-    site_ = plan_->site(site_label);
-    // Handles resolve only for a live site: a zero-rate plan must leave
-    // the registry's name set untouched (byte-identical contract).
-    if (site_.rates.any()) metrics_ = SiteMetrics::resolve(registry, site_label);
-  }
+StageSite StageSite::resolve(const FaultPlan* plan, std::string_view label,
+                             obs::Registry* registry) {
+  StageSite stage;
+  if (plan == nullptr) return stage;
+  const Site site = plan->site(label);
+  if (!site.rates.any()) return stage;
+  stage.plan = plan;
+  stage.site = site;
+  if (registry == nullptr) return stage;
+  const std::string prefix = "cbwt_fault_" + std::string(label);
+  stage.metrics.injected = &registry->counter(prefix + "_injected_total");
+  stage.metrics.retried = &registry->counter(prefix + "_retried_total");
+  stage.metrics.exhausted = &registry->counter(prefix + "_exhausted_total");
+  stage.metrics.degraded = &registry->counter(prefix + "_degraded_total");
+  stage.metrics.retry_latency_seconds =
+      &registry->histogram(prefix + "_retry_latency_seconds", kLatencyBoundsSeconds);
+  return stage;
 }
 
-CallFate Retrier::call(std::uint64_t endpoint, std::uint64_t key) {
-  CallFate fate;
-  if (!enabled()) return fate;
-  ++stats_.calls;
-  CircuitBreaker& endpoint_breaker = breaker(endpoint);
-  if (!endpoint_breaker.allow()) {
-    fate.breaker_rejected = true;
-    fate.failure = FaultKind::Error;
-    fate.attempts = 0;
-    ++stats_.breaker_rejected;
-    metrics_.count(fate);
-    return fate;
-  }
-  fate = fate_of(*plan_, site_, key, retry_);
-  if (fate.ok()) {
-    endpoint_breaker.on_success();
-  } else {
-    endpoint_breaker.on_failure();
-    ++stats_.exhausted;
-  }
-  stats_.injected += fate.injected;
-  stats_.retried += fate.attempts > 1 ? fate.attempts - 1 : 0;
-  stats_.latency_ms += fate.latency_ms;
-  metrics_.count(fate);
+CallFate StageSite::call(std::uint64_t key) const noexcept {
+  CBWT_EXPECTS(live());
+  const CallFate fate = fate_of(*plan, site, key, RetryPolicy{});
+  metrics.count(fate);
   return fate;
 }
 
-void Retrier::count_degraded(std::uint64_t n) noexcept {
-  stats_.degraded += n;
-  metrics_.count_degraded(n);
-}
-
-CircuitBreaker& Retrier::breaker(std::uint64_t endpoint) {
-  const auto it = breakers_.find(endpoint);
-  if (it != breakers_.end()) return it->second;
-  return breakers_.emplace(endpoint, CircuitBreaker(breaker_policy_)).first->second;
+FaultKind StageSite::decide(std::uint64_t key, std::uint32_t attempt) const noexcept {
+  CBWT_EXPECTS(live());
+  return fault::decide(plan->seed, site, key, attempt);
 }
 
 }  // namespace cbwt::fault

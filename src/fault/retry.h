@@ -1,26 +1,17 @@
-// Resilience policies over the fault layer: bounded retries with
-// deterministic exponential backoff (seeded jitter), per-call virtual
-// deadlines, and a per-endpoint circuit breaker.
+// Resilience policy over the fault layer: bounded retries with
+// deterministic exponential backoff (seeded jitter) and per-call virtual
+// deadlines.
 //
 // Time here is *virtual*: an attempt that "times out" charges its budget
 // to the call's latency account instead of sleeping, so chaos sweeps run
 // at full speed and a fate is a pure function of (plan, site, key,
-// policy). That purity is what `fate_of` exposes — concurrent callers
-// (GeoService measurements) can compute fates with no shared state,
-// while sequential stages wrap fate_of in a `Retrier` to add breaker
-// state and metrics.
-//
-// Determinism discipline for breakers: a CircuitBreaker is driven by the
-// order of calls it sees, so a Retrier must only ever be owned by a
-// deterministic unit of work — a serial stage, or one shard of a stable
-// shard plan (serial execution runs the same shards inline in shard
-// order, so per-shard breaker trajectories are identical at any thread
-// count). Never share a Retrier across shards.
+// policy). Nothing in this layer holds state between calls, so any
+// number of threads can compute fates against one resolved StageSite
+// and get the same answers in any order.
 #pragma once
 
 #include <cstdint>
 #include <string_view>
-#include <unordered_map>
 
 #include "fault/fault.h"
 #include "obs/metrics.h"
@@ -52,8 +43,7 @@ struct RetryPolicy {
 struct CallFate {
   FaultKind failure = FaultKind::None;  ///< None = the call succeeded
   bool stale = false;                   ///< success carried stale data
-  bool breaker_rejected = false;        ///< refused without an attempt
-  std::uint32_t attempts = 1;           ///< attempts consumed (>= 1 unless rejected)
+  std::uint32_t attempts = 1;           ///< attempts consumed (>= 1)
   std::uint32_t injected = 0;           ///< faulted attempts along the way
   double latency_ms = 0.0;              ///< virtual latency incl. backoff
 
@@ -69,118 +59,55 @@ struct CallFate {
 [[nodiscard]] CallFate fate_of(const FaultPlan& plan, const Site& site,
                                std::uint64_t key, const RetryPolicy& policy) noexcept;
 
-struct BreakerPolicy {
-  /// Consecutive failed calls (exhausted retries) that open the breaker.
-  std::uint32_t failure_threshold = 5;
-  /// Calls rejected while open before one half-open probe is let through.
-  std::uint32_t open_calls = 16;
-};
-
-/// Classic three-state breaker, driven by call order (see the file
-/// comment for where that order is allowed to come from). There is no
-/// wall clock in the model, so the open->half-open transition counts
-/// rejected calls instead of elapsed time.
-class CircuitBreaker {
- public:
-  enum class State : std::uint8_t { Closed, Open, HalfOpen };
-
-  explicit CircuitBreaker(BreakerPolicy policy = {}) : policy_(policy) {}
-
-  /// Consumes one call slot. False = rejected (breaker open); while
-  /// open, the `open_calls`-th rejection arms a half-open probe, so the
-  /// next call is allowed through as the trial request.
-  [[nodiscard]] bool allow() noexcept;
-  /// Reports the allowed call's result, driving the state machine.
-  void on_success() noexcept;
-  void on_failure() noexcept;
-
-  [[nodiscard]] State state() const noexcept { return state_; }
-  [[nodiscard]] std::uint32_t consecutive_failures() const noexcept {
-    return consecutive_failures_;
-  }
-
- private:
-  BreakerPolicy policy_;
-  State state_ = State::Closed;
-  std::uint32_t consecutive_failures_ = 0;
-  std::uint32_t rejected_while_open_ = 0;
-};
-
-[[nodiscard]] std::string_view to_string(CircuitBreaker::State state) noexcept;
-
-/// Aggregate counters of one Retrier (one site within one stage/shard).
-struct RetryStats {
-  std::uint64_t calls = 0;
-  std::uint64_t injected = 0;   ///< faulted attempts
-  std::uint64_t retried = 0;    ///< attempts beyond the first
-  std::uint64_t exhausted = 0;  ///< calls that failed after all retries
-  std::uint64_t breaker_rejected = 0;
-  std::uint64_t degraded = 0;   ///< calls whose caller served degraded output
-  double latency_ms = 0.0;      ///< total virtual latency
-};
-
-/// Per-site metric handles, resolved once (registry mutex) and updated
-/// via relaxed atomics. All-null when no registry is attached or the
-/// plan is disabled — which is what keeps a zero-rate run's registry
-/// byte-identical to a no-fault-layer run: the cbwt_fault_* names are
-/// never even created.
+/// Per-site metric handles — cbwt_fault_<site>_{injected,retried,
+/// exhausted,degraded}_total and cbwt_fault_<site>_retry_latency_seconds
+/// (virtual latency, observed in seconds per the obs `_seconds` duration
+/// convention) — resolved once by StageSite::resolve and updated via
+/// relaxed atomics. All-null handles make every update a null check.
 struct SiteMetrics {
   obs::Counter* injected = nullptr;
   obs::Counter* retried = nullptr;
   obs::Counter* exhausted = nullptr;
   obs::Counter* degraded = nullptr;
-  obs::Counter* breaker_rejected = nullptr;
   obs::Histogram* retry_latency_seconds = nullptr;
-
-  /// Resolves cbwt_fault_<site>_{injected,retried,exhausted,degraded,
-  /// breaker_rejected}_total and cbwt_fault_<site>_retry_latency_seconds
-  /// (virtual latency, observed in seconds per the obs `_seconds`
-  /// duration convention; RetryStats keeps its millisecond field).
-  /// Null registry -> all-null handles (every update is a null check).
-  [[nodiscard]] static SiteMetrics resolve(obs::Registry* registry,
-                                           std::string_view site);
 
   /// Publishes one fate (thread-safe; counters are atomic).
   void count(const CallFate& fate) const noexcept;
+  void count_injected(std::uint64_t n) const noexcept;
   void count_degraded(std::uint64_t n = 1) const noexcept;
 };
 
-/// Sequential resilience wrapper for one site: fate_of + per-endpoint
-/// circuit breakers + stats + metrics. NOT thread-safe — own one per
-/// serial stage or per shard (see file comment).
-class Retrier {
- public:
-  /// Disabled: every call() is a 1-attempt success with no bookkeeping.
-  Retrier() = default;
-  /// `plan` may be null (disabled). Metrics resolve only when the plan
-  /// is live, preserving the zero-cost default.
-  Retrier(const FaultPlan* plan, std::string_view site_label, RetryPolicy retry = {},
-          BreakerPolicy breaker = {}, obs::Registry* registry = nullptr);
+/// One injection site as a pipeline stage sees it, resolved once per
+/// stage and shared read-only by all of its shards. `plan` is null —
+/// and every metric handle with it — unless a plan is attached *and*
+/// injects something at this site, which is what keeps a zero-rate run's
+/// registry byte-identical to a no-plan run: the cbwt_fault_<site>_*
+/// names are never even created. The handles are also null when no
+/// registry is attached.
+struct StageSite {
+  const FaultPlan* plan = nullptr;
+  Site site;
+  SiteMetrics metrics;
 
-  [[nodiscard]] bool enabled() const noexcept {
-    return plan_ != nullptr && site_.rates.any();
-  }
+  /// The one place the null-plan / live-site rule is written.
+  [[nodiscard]] static StageSite resolve(const FaultPlan* plan, std::string_view label,
+                                         obs::Registry* registry);
 
-  /// Decides call `key` against `endpoint`'s breaker: rejected calls
-  /// fail fast (breaker_rejected fate), allowed calls get their fate_of
-  /// trajectory and drive the breaker with the result.
-  [[nodiscard]] CallFate call(std::uint64_t endpoint, std::uint64_t key);
+  [[nodiscard]] bool live() const noexcept { return plan != nullptr; }
 
-  /// Caller accounting: the call's consumer served degraded output
-  /// (dropped a flow, reported unlocated, fell back to stale data).
-  void count_degraded(std::uint64_t n = 1) noexcept;
+  /// Fate of retried call `key` under the default RetryPolicy, published
+  /// to the site's metrics. Requires live().
+  [[nodiscard]] CallFate call(std::uint64_t key) const noexcept;
 
-  [[nodiscard]] CircuitBreaker& breaker(std::uint64_t endpoint);
-  [[nodiscard]] const RetryStats& stats() const noexcept { return stats_; }
-
- private:
-  const FaultPlan* plan_ = nullptr;
-  Site site_;
-  RetryPolicy retry_;
-  BreakerPolicy breaker_policy_;
-  SiteMetrics metrics_;
-  std::unordered_map<std::uint64_t, CircuitBreaker> breakers_;
-  RetryStats stats_;
+  /// Single-shot decision for attempt `attempt` of call `key` (no retry,
+  /// nothing published). Requires live().
+  [[nodiscard]] FaultKind decide(std::uint64_t key, std::uint32_t attempt) const noexcept;
 };
+
+/// True for the kinds that lose a single-shot call outright: no answer
+/// arrives (Timeout) or the call fails (Error).
+[[nodiscard]] constexpr bool is_loss(FaultKind kind) noexcept {
+  return kind == FaultKind::Timeout || kind == FaultKind::Error;
+}
 
 }  // namespace cbwt::fault

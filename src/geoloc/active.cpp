@@ -4,6 +4,8 @@
 #include <cmath>
 #include <map>
 
+#include "fault/retry.h"
+
 namespace cbwt::geoloc {
 
 ProbeMesh::ProbeMesh(MeshConfig config, util::Rng& rng) {
@@ -82,10 +84,9 @@ GeoEstimate ActiveGeolocator::locate(const net::IpAddress& ip, util::Rng& rng,
     samples.push_back({measure_rtt(probe, dc.location, rng), &probe});
   }
   GeoEstimate estimate;
-  const fault::Site probe_site = fault_plan != nullptr
-                                     ? fault_plan->site(fault::sites::kGeoProbe)
-                                     : fault::Site{};
-  if (probe_site.rates.any()) {
+  const auto probe_site =
+      fault::StageSite::resolve(fault_plan, fault::sites::kGeoProbe, /*registry=*/nullptr);
+  if (probe_site.live()) {
     // Faults are applied to the *collected* dataset: every probe above
     // was measured exactly as in the fault-free run (same rng draws),
     // and the loss decision per panel slot is stateless, so the
@@ -96,9 +97,8 @@ GeoEstimate ActiveGeolocator::locate(const net::IpAddress& ip, util::Rng& rng,
     std::size_t kept = 0;
     for (std::size_t slot = 0; slot < samples.size(); ++slot) {
       const fault::FaultKind kind =
-          fault::decide(fault_plan->seed, probe_site, ip.hash(),
-                        static_cast<std::uint32_t>(slot));
-      if (kind == fault::FaultKind::Timeout || kind == fault::FaultKind::Error) {
+          probe_site.decide(ip.hash(), static_cast<std::uint32_t>(slot));
+      if (fault::is_loss(kind)) {
         ++estimate.lost_probes;
         continue;  // no response: the slot never enters the voting set
       }

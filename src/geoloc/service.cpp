@@ -37,17 +37,9 @@ GeoService::GeoService(const world::World& world, CommercialDb maxmind_like,
                        obs::Registry* registry, const fault::FaultPlan* fault_plan)
     : world_(&world), maxmind_like_(std::move(maxmind_like)),
       ipapi_like_(std::move(ipapi_like)), active_(world, mesh, active_options),
-      measurement_seed_(measurement_seed), pool_(pool) {
-  if (fault_plan != nullptr && fault_plan->enabled()) {
-    fault_plan_ = fault_plan;
-    measure_site_ = fault_plan->site(fault::sites::kGeoMeasure);
-    if (measure_site_.rates.any()) {
-      measure_metrics_ = fault::SiteMetrics::resolve(registry, fault::sites::kGeoMeasure);
-    }
-    if (fault_plan->site(fault::sites::kGeoProbe).rates.any()) {
-      probe_metrics_ = fault::SiteMetrics::resolve(registry, fault::sites::kGeoProbe);
-    }
-  }
+      measurement_seed_(measurement_seed), pool_(pool),
+      measure_(fault::StageSite::resolve(fault_plan, fault::sites::kGeoMeasure, registry)),
+      probe_(fault::StageSite::resolve(fault_plan, fault::sites::kGeoProbe, registry)) {
   if (registry != nullptr) {
     registry_ = registry;
     batches_ = &registry->counter("cbwt_geoloc_probe_batches_total");
@@ -63,16 +55,14 @@ GeoService::GeoService(const world::World& world, CommercialDb maxmind_like,
 
 std::string GeoService::measure_active(const net::IpAddress& ip) const {
   std::uint32_t attempt = 0;
-  if (fault_plan_ != nullptr && measure_site_.rates.any()) {
+  if (measure_.live()) {
     // Whole-measurement fate: pure in (plan, ip), so concurrent and
     // repeated measurements of the same IP agree without coordination.
-    const fault::CallFate fate =
-        fault::fate_of(*fault_plan_, measure_site_, ip.hash(), measure_retry_);
-    measure_metrics_.count(fate);
+    const fault::CallFate fate = measure_.call(ip.hash());
     if (!fate.ok()) {
       // The engine never returned a verdict: cache the IP as unlocated
       // and let the analysis tables degrade gracefully.
-      measure_metrics_.count_degraded();
+      measure_.metrics.count_degraded();
       if (located_ != nullptr) unlocated_->add(1);
       return {};
     }
@@ -82,17 +72,17 @@ std::string GeoService::measure_active(const net::IpAddress& ip) const {
   GeoEstimate estimate;
   if (measure_seconds_ != nullptr) {
     const auto begin = std::chrono::steady_clock::now();
-    estimate = active_.locate(ip, rng, fault_plan_);
+    estimate = active_.locate(ip, rng, probe_.plan);
     const std::chrono::duration<double> elapsed =
         std::chrono::steady_clock::now() - begin;
     measure_seconds_->observe(elapsed.count());
   } else {
-    estimate = active_.locate(ip, rng, fault_plan_);
+    estimate = active_.locate(ip, rng, probe_.plan);
   }
-  if (estimate.lost_probes > 0 && probe_metrics_.injected != nullptr) {
-    probe_metrics_.injected->add(estimate.lost_probes);
+  if (estimate.lost_probes > 0) {
+    probe_.metrics.count_injected(estimate.lost_probes);
     // An empty verdict here means the surviving panel missed quorum.
-    if (estimate.country.empty()) probe_metrics_.count_degraded();
+    if (estimate.country.empty()) probe_.metrics.count_degraded();
   }
   if (located_ != nullptr) {
     (estimate.country.empty() ? *unlocated_ : *located_).add(1);

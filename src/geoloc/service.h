@@ -101,15 +101,10 @@ class GeoService {
   ActiveGeolocator active_;
   std::uint64_t measurement_seed_;
   runtime::ThreadPool* pool_;
-  /// Null unless a live (enabled) plan was attached — one branch on the
-  /// fault-free path. Fates use fate_of directly (no Retrier): lookups
-  /// run concurrently and a per-IP fate must not depend on any shared
-  /// breaker state.
-  const fault::FaultPlan* fault_plan_ = nullptr;
-  fault::Site measure_site_;
-  fault::RetryPolicy measure_retry_;
-  fault::SiteMetrics measure_metrics_;
-  fault::SiteMetrics probe_metrics_;
+  /// Whole-measurement and per-probe injection; not live unless the
+  /// plan injects at that site — one branch on the fault-free path.
+  fault::StageSite measure_;
+  fault::StageSite probe_;
   mutable util::Mutex cache_mutex_;
   mutable std::unordered_map<net::IpAddress, std::string> active_cache_
       CBWT_GUARDED_BY(cache_mutex_);

@@ -40,21 +40,15 @@ void merge_collection(CollectionResult& acc, CollectionResult&& part) {
 CollectionResult collect(std::span<const RawRecord> records, const TrackerIpIndex& trackers,
                          const IspProfile& isp, const CollectOptions& options) {
   CollectionResult result;
-  const fault::Site export_site =
-      options.fault_plan != nullptr
-          ? options.fault_plan->site(fault::sites::kNetflowExport)
-          : fault::Site{};
-  const bool inject = export_site.rates.any();
+  const auto export_site = fault::StageSite::resolve(
+      options.fault_plan, fault::sites::kNetflowExport, /*registry=*/nullptr);
   for (std::size_t i = 0; i < records.size(); ++i) {
     const auto& record = records[i];
-    if (inject) {
+    if (export_site.live()) {
       // One export datagram, one stateless drop decision on its absolute
       // index. Slow/stale exports still arrive (the collector is not
       // latency-sensitive); only Timeout/Error lose the record.
-      const fault::FaultKind kind =
-          fault::decide(options.fault_plan->seed, export_site,
-                        options.base_index + i, /*attempt=*/0);
-      if (kind == fault::FaultKind::Timeout || kind == fault::FaultKind::Error) {
+      if (fault::is_loss(export_site.decide(options.base_index + i, /*attempt=*/0))) {
         ++result.dropped_records;
         continue;
       }
@@ -113,15 +107,10 @@ CollectionResult collect_sharded(std::span<const RawRecord> records,
     registry->counter("cbwt_netflow_matched_total").add(result.matched_records);
     obs::record_channel_stats(registry, channel_stats);
   }
-  if (fault_plan != nullptr &&
-      fault_plan->site(fault::sites::kNetflowExport).rates.any()) {
-    const auto metrics =
-        fault::SiteMetrics::resolve(registry, fault::sites::kNetflowExport);
-    if (metrics.injected != nullptr && result.dropped_records > 0) {
-      metrics.injected->add(result.dropped_records);
-    }
-    metrics.count_degraded(result.dropped_records);
-  }
+  const auto export_metrics =
+      fault::StageSite::resolve(fault_plan, fault::sites::kNetflowExport, registry).metrics;
+  export_metrics.count_injected(result.dropped_records);
+  export_metrics.count_degraded(result.dropped_records);
   return result;
 }
 

@@ -59,8 +59,10 @@ RawRecord base_record(const GeneratorConfig& config, const net::IpAddress& subsc
 /// Read-only emission state shared by every shard of one snapshot.
 struct EmissionContext {
   EmissionContext(const world::World& world, const dns::Resolver& dns_resolver,
-                  const IspProfile& isp_profile, const GeneratorConfig& generator_config)
+                  const IspProfile& isp_profile, const GeneratorConfig& generator_config,
+                  fault::StageSite dns_site)
       : resolver(dns_resolver), isp(isp_profile), config(generator_config),
+        dns_faults(dns_site),
         eyeball(world.addresses().eyeball_blocks().at(std::string(isp_profile.country))),
         origins{dns_resolver.origin_for(isp_profile.country, false),
                 dns_resolver.origin_for(isp_profile.country, true)} {
@@ -91,29 +93,36 @@ struct EmissionContext {
     return eyeball.at(rng.next_below(1ULL << 20));
   }
 
+  /// The subscriber's lookup is decided before it is resolved, so a
+  /// failed lookup draws nothing more and a surviving one draws exactly
+  /// what the fault-free path draws. A stale answer still resolves
+  /// normally: zone data changes slower than the stale window, so
+  /// staleness surfaces in the pDNS layer instead.
   void emit(world::DomainId domain_id, util::Rng& rng, std::vector<RawRecord>& out,
-            fault::Retrier& retrier, std::uint64_t key) const {
+            std::uint64_t key) const {
     const bool third_party_dns = rng.chance(isp.third_party_resolver_share);
-    const auto answer = resolver.resolve_with_faults(
-        domain_id, origins[third_party_dns ? 1 : 0], rng, retrier, key);
-    if (!answer) return;  // the subscriber's fetch failed: no flow exported
-    out.push_back(base_record(config, subscriber_ip(rng), answer->ip, rng));
+    if (dns_faults.live() && !dns_faults.call(key).ok()) {
+      dns_faults.metrics.count_degraded();
+      return;  // the subscriber's fetch failed: no flow exported
+    }
+    const auto answer = resolver.resolve(domain_id, origins[third_party_dns ? 1 : 0], rng);
+    out.push_back(base_record(config, subscriber_ip(rng), answer.ip, rng));
   }
 
-  void emit_tracking(util::Rng& rng, std::vector<RawRecord>& out, fault::Retrier& retrier,
-                     std::uint64_t key) const {
-    emit(tracking[tracking_sampler.sample(rng)], rng, out, retrier, key);
+  void emit_tracking(util::Rng& rng, std::vector<RawRecord>& out, std::uint64_t key) const {
+    emit(tracking[tracking_sampler.sample(rng)], rng, out, key);
   }
 
   void emit_background(util::Rng& rng, std::vector<RawRecord>& out,
-                       fault::Retrier& retrier, std::uint64_t key) const {
+                       std::uint64_t key) const {
     if (clean.empty()) return;
-    emit(clean[clean_sampler.sample(rng)], rng, out, retrier, key);
+    emit(clean[clean_sampler.sample(rng)], rng, out, key);
   }
 
   const dns::Resolver& resolver;
   const IspProfile& isp;
   const GeneratorConfig& config;
+  fault::StageSite dns_faults;
   net::IpPrefix eyeball;
   /// The ISP country's query origins: its own resolver, a public one.
   std::array<dns::QueryOrigin, 2> origins;
@@ -151,7 +160,9 @@ SnapshotCounts generate_snapshot_stream(
   SnapshotCounts counts;
   counts.tracking_intended = intended.tracking_intended;
   counts.background_intended = intended.background_intended;
-  const EmissionContext context(world, resolver, isp, config);
+  const EmissionContext context(
+      world, resolver, isp, config,
+      fault::StageSite::resolve(fault_plan, fault::sites::kDns, registry));
 
   // Each stream (tracking, background) shards its record-index space;
   // shard outputs reach the sink in shard order, so the record sequence
@@ -172,25 +183,20 @@ SnapshotCounts generate_snapshot_stream(
           obs::ScopedTrace trace(registry, "netflow/generate/shard", shard);
           Batch part;
           part.reserve(range.size());
-          // One Retrier per shard: the breaker's call order follows the
-          // stable shard plan, which the serial path replays inline in
-          // shard order — identical trajectories at any pool size.
-          fault::Retrier retrier(fault_plan, fault::sites::kDns, fault::RetryPolicy{},
-                                 fault::BreakerPolicy{}, registry);
           for (std::size_t i = range.begin; i < range.end; ++i) {
-            emit_one(rng, part, retrier, util::mix64(label ^ i));
+            emit_one(rng, part, util::mix64(label ^ i));
           }
           return part;
         },
         deliver);
   };
   stream(counts.tracking_intended, kTrackingStream,
-         [&](util::Rng& rng, Batch& part, fault::Retrier& retrier, std::uint64_t key) {
-           context.emit_tracking(rng, part, retrier, key);
+         [&](util::Rng& rng, Batch& part, std::uint64_t key) {
+           context.emit_tracking(rng, part, key);
          });
   stream(counts.background_intended, kBackgroundStream,
-         [&](util::Rng& rng, Batch& part, fault::Retrier& retrier, std::uint64_t key) {
-           context.emit_background(rng, part, retrier, key);
+         [&](util::Rng& rng, Batch& part, std::uint64_t key) {
+           context.emit_background(rng, part, key);
          });
 
   // Peering-link noise the collector must filter out (only internal edge

@@ -57,11 +57,10 @@ struct SnapshotExport {
 /// streams' channel throughput; never affects the exported records.
 ///
 /// `fault_plan` (optional) subjects each record's subscriber DNS lookup
-/// to the `dns` injection site: a lookup that exhausts its retries (or
-/// hits an open per-domain circuit breaker) emits no flow — the
-/// subscriber's fetch simply failed. Each shard owns its own Retrier,
-/// so breaker trajectories follow the stable shard plan and the export
-/// stays bit-identical across pool sizes.
+/// to the `dns` injection site: a lookup that exhausts its retries emits
+/// no flow — the subscriber's fetch simply failed. The lookup's fate is
+/// a pure function of the record's stream index, so the export stays
+/// bit-identical across pool sizes.
 [[nodiscard]] SnapshotExport generate_snapshot_sharded(const world::World& world,
                                                        const dns::Resolver& resolver,
                                                        const IspProfile& isp,

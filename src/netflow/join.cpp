@@ -36,6 +36,10 @@ constexpr std::uint64_t kJoinStageLabel = 0x101AD;
 /// — spill is deterministic — but part of the ordered_stream contract).
 constexpr std::uint64_t kJoinSpillStageLabel = 0x5B111;
 
+/// Spill pages per streamed chunk in pass 2: 2048 pages = 8 MiB of page
+/// file per probe step, the store's residency unit.
+constexpr std::size_t kProbeChunkPages = 2048;
+
 /// Manifest schema of the pass-1 spill set.
 constexpr std::string_view kManifestKind = "netflow-join-spill";
 
@@ -102,11 +106,10 @@ class DenseIpSet {
 /// four rates — into one value. Two runs whose signatures match drop
 /// exactly the same absolute record indices, so a spill set written
 /// under one plan is reusable under the other.
-[[nodiscard]] std::uint64_t fault_signature(const fault::FaultPlan* plan) {
-  if (plan == nullptr) return 0;
-  const fault::Site site = plan->site(fault::sites::kNetflowExport);
-  if (!site.rates.any()) return 0;
-  std::uint64_t sig = util::mix64(plan->seed ^ 0xFA017901AULL);
+[[nodiscard]] std::uint64_t fault_signature(const fault::StageSite& export_site) {
+  if (!export_site.live()) return 0;
+  const fault::Site& site = export_site.site;
+  std::uint64_t sig = util::mix64(export_site.plan->seed ^ 0xFA017901AULL);
   sig = util::mix64(sig ^ site.hash);
   sig = util::mix64(sig ^ std::bit_cast<std::uint64_t>(site.rates.timeout));
   sig = util::mix64(sig ^ std::bit_cast<std::uint64_t>(site.rates.error));
@@ -206,14 +209,10 @@ struct SpillRun {
 /// equals the in-memory collector's.
 void partition_spill(const store::RecordSource<WireCodec>& source,
                      const JoinConfig& config, runtime::ThreadPool* pool,
-                     const fault::FaultPlan* fault_plan, obs::Registry* registry,
+                     const fault::StageSite& export_site, obs::Registry* registry,
                      runtime::ChannelStats* channel_stats, std::uint64_t& dropped,
                      JoinStats& stats) {
   obs::ScopedSpan span(registry, "netflow/join/partition");
-  const fault::Site export_site =
-      fault_plan != nullptr ? fault_plan->site(fault::sites::kNetflowExport)
-                            : fault::Site{};
-  const bool inject = fault_plan != nullptr && export_site.rates.any();
 
   // Incremental checksums: the writer folds each page into the running
   // FNV-1a while it is cache-hot, so finalize() below stamps the
@@ -239,14 +238,10 @@ void partition_spill(const store::RecordSource<WireCodec>& source,
             range.begin, range.end, config.chunk_records,
             [&](std::span<const RawRecord> chunk, std::uint64_t base) {
               for (std::size_t i = 0; i < chunk.size(); ++i) {
-                if (inject) {
-                  const fault::FaultKind kind = fault::decide(
-                      fault_plan->seed, export_site, base + i, /*attempt=*/0);
-                  if (kind == fault::FaultKind::Timeout ||
-                      kind == fault::FaultKind::Error) {
-                    ++run.dropped;
-                    continue;  // lost between router and collector; never spilled
-                  }
+                if (export_site.live() &&
+                    fault::is_loss(export_site.decide(base + i, /*attempt=*/0))) {
+                  ++run.dropped;
+                  continue;  // lost between router and collector; never spilled
                 }
                 const RawRecord& record = chunk[i];
                 const std::size_t p = join_partition_of(record.dst, config.partitions);
@@ -292,7 +287,7 @@ void partition_spill(const store::RecordSource<WireCodec>& source,
   manifest.set_u64("input_records", source.size());
   manifest.set_u64("input_checksum",
                    source.store_backed() ? source.reader()->checksum() : 0);
-  manifest.set_u64("fault_signature", fault_signature(fault_plan));
+  manifest.set_u64("fault_signature", fault_signature(export_site));
   manifest.set_u64("spill_min_shard_records", config.spill_min_shard_records);
   manifest.set_u64("spill_max_shards", config.spill_max_shards);
   manifest.set_u64("dropped_records", dropped);
@@ -318,22 +313,23 @@ CollectionResult join_flows(const store::RecordSource<WireCodec>& source,
   CBWT_EXPECTS(config.partitions > 0);
   CBWT_EXPECTS(!config.spill_directory.empty());
   CBWT_EXPECTS(config.chunk_records > 0);
-  CBWT_EXPECTS(config.probe_chunk_pages > 0);
   CBWT_EXPECTS(config.spill_min_shard_records > 0);
   CBWT_EXPECTS(config.spill_max_shards > 0);
   obs::ScopedSpan span(registry, "netflow/join");
   std::filesystem::create_directories(config.spill_directory);
+  const auto export_site =
+      fault::StageSite::resolve(fault_plan, fault::sites::kNetflowExport, registry);
 
   std::uint64_t dropped = 0;
   JoinStats run_stats;
   runtime::ChannelStats channel_stats;  // shared by spill + probe streams
   const bool resumed =
-      config.resume && source.store_backed() &&
+      source.store_backed() &&
       try_resume(config.spill_directory + "/join_manifest.txt", config, source.size(),
-                 source.reader()->checksum(), fault_signature(fault_plan), dropped,
+                 source.reader()->checksum(), fault_signature(export_site), dropped,
                  run_stats);
   if (!resumed) {
-    partition_spill(source, config, pool, fault_plan, registry, &channel_stats, dropped,
+    partition_spill(source, config, pool, export_site, registry, &channel_stats, dropped,
                     run_stats);
   }
 
@@ -368,7 +364,7 @@ CollectionResult join_flows(const store::RecordSource<WireCodec>& source,
           const store::RecordFileReader<FlowPageCodec> reader(partition_path(config, p),
                                                              registry);
           reader.for_each_chunk(
-              config.probe_chunk_pages,
+              kProbeChunkPages,
               [&](std::span<const FlowPage> pages, std::uint64_t /*page_base*/) {
                 for (const FlowPage& page : pages) {
                   for (const RawRecord& record : page.records) {
@@ -423,15 +419,8 @@ CollectionResult join_flows(const store::RecordSource<WireCodec>& source,
     registry->counter("cbwt_netflow_join_probe_records_total").add(result.records_seen);
     obs::record_channel_stats(registry, channel_stats);
   }
-  if (fault_plan != nullptr &&
-      fault_plan->site(fault::sites::kNetflowExport).rates.any()) {
-    const auto metrics =
-        fault::SiteMetrics::resolve(registry, fault::sites::kNetflowExport);
-    if (metrics.injected != nullptr && result.dropped_records > 0) {
-      metrics.injected->add(result.dropped_records);
-    }
-    metrics.count_degraded(result.dropped_records);
-  }
+  export_site.metrics.count_injected(result.dropped_records);
+  export_site.metrics.count_degraded(result.dropped_records);
   if (stats != nullptr) *stats = run_stats;
   return result;
 }

@@ -41,7 +41,9 @@
 // directory) binds the spill files to the input file's superblock
 // checksum *and* the shard-plan geometry that shaped the page layout;
 // re-running the join over the same store-backed input reuses the
-// spill set and goes straight to pass 2 (resume-mid-join). A manifest
+// spill set and goes straight to pass 2 (resume-mid-join; in-memory
+// inputs have no superblock checksum to bind to, so they always
+// re-partition). A manifest
 // written under different geometry — or by a pre-geometry build —
 // silently falls back to re-partitioning.
 #pragma once
@@ -73,9 +75,6 @@ struct JoinConfig {
   std::size_t partitions = 16;
   /// Input records per streamed chunk in pass 1.
   std::size_t chunk_records = store::kDefaultChunkRecords;
-  /// Spill pages per streamed chunk in pass 2 (2048 pages = 8 MiB of
-  /// page file per probe step, the store's residency unit).
-  std::size_t probe_chunk_pages = 2048;
   /// Floor on input records per pass-1 spill shard. Together with
   /// spill_max_shards this fixes the shard plan — and therefore the
   /// page layout — as a pure function of the input size: page
@@ -87,10 +86,6 @@ struct JoinConfig {
   /// Cap on pass-1 spill shards; bounds the in-flight sealed-run
   /// memory (ordered_stream's channel holds O(threads) runs).
   std::size_t spill_max_shards = 256;
-  /// Reuse an existing spill set whose manifest matches this input
-  /// (store-backed sources only — in-memory inputs have no superblock
-  /// checksum to bind to, so they always re-partition).
-  bool resume = true;
 };
 
 /// What one join run did, beyond the CollectionResult.

@@ -82,19 +82,20 @@ void TraceBuffer::emit(TracePhase phase, std::string_view name, std::uint64_t ar
   }
   const std::uint64_t index = ring->head.load(std::memory_order_relaxed);
   Slot& slot = ring->slots[index & (capacity_ - 1)];
-  // Seqlock write: mark the slot in-flight (odd), publish the mark
-  // before any payload store via the release fence, write the payload
-  // with relaxed atomics, then stamp the stable generation (even).
+  // Seqlock write: mark the slot in-flight (odd), write the payload with
+  // release stores — each one orders the odd mark before itself, so a
+  // reader that acquires any new payload value also sees the mark — then
+  // stamp the stable generation (even). No standalone fence: GCC's
+  // -fsanitize=thread rejects atomic_thread_fence.
   slot.seq.store(2 * index + 1, std::memory_order_relaxed);
-  std::atomic_thread_fence(std::memory_order_release);
-  slot.phase.store(static_cast<std::uint8_t>(phase), std::memory_order_relaxed);
-  slot.ts_ns.store(now_ns(), std::memory_order_relaxed);
-  slot.arg.store(arg, std::memory_order_relaxed);
+  slot.phase.store(static_cast<std::uint8_t>(phase), std::memory_order_release);
+  slot.ts_ns.store(now_ns(), std::memory_order_release);
+  slot.arg.store(arg, std::memory_order_release);
   const std::size_t n = std::min(name.size(), kTraceNameBytes - 1);
   for (std::size_t i = 0; i < n; ++i) {
-    slot.name[i].store(name[i], std::memory_order_relaxed);
+    slot.name[i].store(name[i], std::memory_order_release);
   }
-  slot.name[n].store('\0', std::memory_order_relaxed);
+  slot.name[n].store('\0', std::memory_order_release);
   slot.seq.store(2 * (index + 1), std::memory_order_release);
   ring->head.store(index + 1, std::memory_order_release);
 }
@@ -115,18 +116,19 @@ std::vector<TraceBuffer::ThreadTrace> TraceBuffer::snapshot() const {
       const std::uint64_t want = 2 * (i + 1);
       if (slot.seq.load(std::memory_order_acquire) != want) continue;
       TraceEvent event;
-      event.phase = static_cast<TracePhase>(slot.phase.load(std::memory_order_relaxed));
-      event.ts_ns = slot.ts_ns.load(std::memory_order_relaxed);
-      event.arg = slot.arg.load(std::memory_order_relaxed);
+      // Acquire payload loads keep the validating seq load below from
+      // moving above them.
+      event.phase = static_cast<TracePhase>(slot.phase.load(std::memory_order_acquire));
+      event.ts_ns = slot.ts_ns.load(std::memory_order_acquire);
+      event.arg = slot.arg.load(std::memory_order_acquire);
       char name[kTraceNameBytes];
       for (std::size_t j = 0; j < kTraceNameBytes; ++j) {
-        name[j] = slot.name[j].load(std::memory_order_relaxed);
+        name[j] = slot.name[j].load(std::memory_order_acquire);
         if (name[j] == '\0') break;
       }
       name[kTraceNameBytes - 1] = '\0';
       // Seqlock read validation: if the writer lapped us mid-read the
       // generation changed; drop the torn event.
-      std::atomic_thread_fence(std::memory_order_acquire);
       if (slot.seq.load(std::memory_order_relaxed) != want) continue;
       event.name.assign(name);
       trace.events.push_back(std::move(event));

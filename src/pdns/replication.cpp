@@ -10,9 +10,8 @@ namespace {
 
 /// Stale-window lag in days for a stale-data fault: 30..119, derived
 /// statelessly from the query key so it is stable across runs.
-Day stale_lag_days(const fault::FaultPlan& plan, const fault::Site& site,
-                   std::uint64_t key) noexcept {
-  const double u = fault::stateless_uniform(plan.seed, site.hash, key,
+Day stale_lag_days(const fault::StageSite& pdns, std::uint64_t key) noexcept {
+  const double u = fault::stateless_uniform(pdns.plan->seed, pdns.site.hash, key,
                                             /*salt=*/0x57A1E0000000000ULL);
   return 30 + static_cast<Day>(u * 90.0);
 }
@@ -24,12 +23,7 @@ void replicate_background(Store& store, const dns::Resolver& resolver,
                           const fault::FaultPlan* fault_plan, obs::Registry* registry) {
   const world::World& world = resolver.world();
 
-  // Replication is one serial stage, so a single Retrier legitimately
-  // owns the site's breaker state for the whole window.
-  fault::Retrier retrier(fault_plan, fault::sites::kPdns, fault::RetryPolicy{},
-                         fault::BreakerPolicy{}, registry);
-  const fault::Site fault_site =
-      fault_plan != nullptr ? fault_plan->site(fault::sites::kPdns) : fault::Site{};
+  const auto pdns = fault::StageSite::resolve(fault_plan, fault::sites::kPdns, registry);
 
   // Query origins: any country, weighted by population (pDNS collectors
   // sit in production networks around the world), each through its ISP's
@@ -67,20 +61,20 @@ void replicate_background(Store& store, const dns::Resolver& resolver,
           resolver.resolve(domain_id, origins[2 * country + (third_party ? 1 : 0)], rng);
       const auto& domain = world.domain(domain_id);
       Day observed_day = day;
-      if (retrier.enabled()) {
+      if (pdns.live()) {
         const std::uint64_t key =
             (static_cast<std::uint64_t>(static_cast<std::uint32_t>(day)) << 32) | q;
-        const fault::CallFate fate = retrier.call(/*endpoint=*/domain_id, key);
+        const fault::CallFate fate = pdns.call(key);
         if (!fate.ok()) {
           // The feed never delivered this observation to the collector.
-          retrier.count_degraded();
+          pdns.metrics.count_degraded();
           continue;
         }
         if (fate.stale) {
           // Stale-window fallback: the pair is real but its observation
           // timestamp lags, the churn failure mode validity windows absorb.
-          observed_day = day - stale_lag_days(*fault_plan, fault_site, key);
-          retrier.count_degraded();
+          observed_day = day - stale_lag_days(pdns, key);
+          pdns.metrics.count_degraded();
         }
       }
       store.observe(domain.fqdn, domain.registrable, answer.ip, observed_day);

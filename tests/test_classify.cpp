@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include "classify/match_cache.h"
 #include "filterlist/generate.h"
 
 namespace cbwt::classify {
@@ -193,75 +192,6 @@ TEST_F(PipelineClassification, HighPrecisionGoodRecallAgainstTruth) {
   const auto score = score_against_truth(*world_, *dataset_, *outcomes_);
   EXPECT_GT(score.precision(), 0.98);  // clean services almost never flagged
   EXPECT_GT(score.recall(), 0.90);     // most tracking flows caught
-}
-
-// ------------------------------------------------------------- match cache
-
-TEST(MatchCache, LruEvictsOldestWithinShard) {
-  MatchCache cache(/*capacity=*/2, /*shards=*/1);
-  filterlist::MatchResult miss;
-  filterlist::MatchResult hit;
-  hit.matched = true;
-  hit.list = "easylist";
-
-  cache.insert(1, hit);
-  cache.insert(2, miss);
-  ASSERT_TRUE(cache.lookup(1).has_value());  // refresh: 2 is now LRU
-  cache.insert(3, miss);                     // evicts 2
-  EXPECT_TRUE(cache.lookup(1).has_value());
-  EXPECT_FALSE(cache.lookup(2).has_value());
-  EXPECT_TRUE(cache.lookup(3).has_value());
-
-  const auto cached = cache.lookup(1);
-  ASSERT_TRUE(cached.has_value());
-  EXPECT_TRUE(cached->matched);
-  EXPECT_EQ(cached->list, "easylist");
-  EXPECT_EQ(cache.hits(), 4U);
-  EXPECT_EQ(cache.misses(), 1U);
-}
-
-TEST(MatchCache, InsertRefreshesExistingKey) {
-  MatchCache cache(/*capacity=*/8, /*shards=*/4);
-  filterlist::MatchResult first;
-  first.matched = false;
-  filterlist::MatchResult second;
-  second.matched = true;
-  cache.insert(42, first);
-  cache.insert(42, second);
-  const auto cached = cache.lookup(42);
-  ASSERT_TRUE(cached.has_value());
-  EXPECT_TRUE(cached->matched);
-}
-
-TEST_F(PipelineClassification, MatchCacheDoesNotChangeOutcomes) {
-  ClassifierConfig config;
-  config.match_cache_capacity = 4096;
-  util::Rng list_rng(2);
-  const auto lists = filterlist::generate_lists(*world_, list_rng);
-  filterlist::Engine engine;
-  engine.add_list(filterlist::FilterList("easylist", lists.easylist));
-  engine.add_list(filterlist::FilterList("easyprivacy", lists.easyprivacy));
-  const Classifier cached(std::move(engine), config);
-
-  obs::Registry registry;
-  const auto serial = cached.run(*dataset_, nullptr, &registry);
-  ASSERT_EQ(serial.size(), outcomes_->size());
-  for (std::size_t i = 0; i < serial.size(); ++i) {
-    EXPECT_EQ(serial[i].method, (*outcomes_)[i].method) << "request " << i;
-    EXPECT_EQ(serial[i].list, (*outcomes_)[i].list) << "request " << i;
-  }
-  // Every stage-1 probe is either a hit or a miss, and the dataset's URL
-  // repetition must produce actual hits for the cache to be worth it.
-  const auto hits = registry.counter("cbwt_classify_cache_hits_total").value();
-  const auto misses = registry.counter("cbwt_classify_cache_misses_total").value();
-  EXPECT_EQ(hits + misses, dataset_->requests.size());
-  EXPECT_GT(hits, 0U);
-
-  runtime::ThreadPool pool(4);
-  const auto threaded = cached.run(*dataset_, &pool);
-  for (std::size_t i = 0; i < threaded.size(); ++i) {
-    ASSERT_EQ(threaded[i].method, (*outcomes_)[i].method) << "request " << i;
-  }
 }
 
 TEST_F(PipelineClassification, ListOnlyRecallIsMuchLower) {

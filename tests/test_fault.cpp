@@ -6,7 +6,9 @@
 #include <array>
 #include <cstdlib>
 #include <fstream>
+#include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "fault_check.h"
@@ -177,91 +179,44 @@ TEST(FateOf, DeadlineBoundsRetries) {
   EXPECT_LT(fate.attempts, 10u);  // the budget ran out first
 }
 
-// --- CircuitBreaker --------------------------------------------------
+// --- StageSite: the one null-plan / live-site rule --------------------
 
-TEST(CircuitBreaker, ClosedToOpenToHalfOpenToClosed) {
-  CircuitBreaker breaker(BreakerPolicy{.failure_threshold = 3, .open_calls = 2});
-  EXPECT_EQ(breaker.state(), CircuitBreaker::State::Closed);
-  for (int i = 0; i < 3; ++i) {
-    EXPECT_TRUE(breaker.allow());
-    breaker.on_failure();
-  }
-  EXPECT_EQ(breaker.state(), CircuitBreaker::State::Open);
-  // Two rejections serve the cooldown; the second arms the probe.
-  EXPECT_FALSE(breaker.allow());
-  EXPECT_FALSE(breaker.allow());
-  EXPECT_EQ(breaker.state(), CircuitBreaker::State::HalfOpen);
-  // The half-open probe is allowed through; success closes the breaker.
-  EXPECT_TRUE(breaker.allow());
-  breaker.on_success();
-  EXPECT_EQ(breaker.state(), CircuitBreaker::State::Closed);
-  EXPECT_EQ(breaker.consecutive_failures(), 0u);
-}
-
-TEST(CircuitBreaker, FailedProbeReopens) {
-  CircuitBreaker breaker(BreakerPolicy{.failure_threshold = 1, .open_calls = 1});
-  EXPECT_TRUE(breaker.allow());
-  breaker.on_failure();
-  EXPECT_EQ(breaker.state(), CircuitBreaker::State::Open);
-  EXPECT_FALSE(breaker.allow());  // cooldown served, probe armed
-  EXPECT_EQ(breaker.state(), CircuitBreaker::State::HalfOpen);
-  EXPECT_TRUE(breaker.allow());
-  breaker.on_failure();  // probe failed: straight back to open
-  EXPECT_EQ(breaker.state(), CircuitBreaker::State::Open);
-  EXPECT_EQ(to_string(breaker.state()), "open");
-}
-
-// --- Retrier ---------------------------------------------------------
-
-TEST(Retrier, DisabledIsAFreeSuccessPath) {
-  Retrier retrier;  // no plan at all
-  const auto fate = retrier.call(1, 2);
-  EXPECT_TRUE(fate.ok());
-  EXPECT_EQ(retrier.stats().calls, 0u);
-
-  // A zero-rate plan with a registry attached must not register any
-  // cbwt_fault_* metric names: byte-identical-registry contract.
+TEST(FaultSiteMetrics, NullHandlesUnlessThePlanIsLiveAtTheSite) {
   obs::Registry registry;
-  const auto disabled_plan = FaultPlan::uniform(1, 0.0);
-  Retrier zero(&disabled_plan, sites::kDns, {}, {}, &registry);
-  EXPECT_FALSE(zero.enabled());
-  (void)zero.call(1, 2);
+  const auto zero = FaultPlan::uniform(1, 0.0);
+  FaultPlan dns_only;
+  dns_only.site_rates[std::string(sites::kDns)] = {.error = 1.0};
+  // No plan, a zero-rate plan, and a plan live only at another site all
+  // resolve to null handles and leave the registry's name set untouched.
+  const std::array<const FaultPlan*, 3> idle_plans = {nullptr, &zero, &dns_only};
+  for (const FaultPlan* plan : idle_plans) {
+    const auto stage = StageSite::resolve(plan, sites::kPdns, &registry);
+    EXPECT_FALSE(stage.live());
+    EXPECT_EQ(stage.metrics.injected, nullptr);
+    EXPECT_EQ(stage.metrics.retried, nullptr);
+    EXPECT_EQ(stage.metrics.exhausted, nullptr);
+    EXPECT_EQ(stage.metrics.degraded, nullptr);
+    EXPECT_EQ(stage.metrics.retry_latency_seconds, nullptr);
+  }
   EXPECT_TRUE(registry.counters().empty());
   EXPECT_TRUE(registry.histograms().empty());
-}
 
-TEST(Retrier, BreakerOpensUnderPersistentFailureAndCounts) {
-  FaultPlan plan;
-  plan.default_rates.error = 1.0;
-  obs::Registry registry;
-  const BreakerPolicy breaker{.failure_threshold = 2, .open_calls = 3};
-  Retrier retrier(&plan, sites::kDns, RetryPolicy{.max_attempts = 2}, breaker,
-                  &registry);
-  ASSERT_TRUE(retrier.enabled());
-
-  // Two exhausted calls open the endpoint's breaker...
-  EXPECT_FALSE(retrier.call(/*endpoint=*/7, /*key=*/0).ok());
-  EXPECT_FALSE(retrier.call(7, 1).ok());
-  EXPECT_EQ(retrier.breaker(7).state(), CircuitBreaker::State::Open);
-  // ...the next three calls are rejected without consuming attempts...
-  for (std::uint64_t key = 2; key < 5; ++key) {
-    const auto fate = retrier.call(7, key);
-    EXPECT_TRUE(fate.breaker_rejected);
-    EXPECT_EQ(fate.attempts, 0u);
+  // The live site resolves once and publishes every fate it computes.
+  const auto dns = StageSite::resolve(&dns_only, sites::kDns, &registry);
+  ASSERT_TRUE(dns.live());
+  const auto fate = dns.call(/*key=*/7);
+  EXPECT_FALSE(fate.ok());
+  EXPECT_EQ(fate.attempts, RetryPolicy{}.max_attempts);
+  EXPECT_DOUBLE_EQ(fate.latency_ms,
+                   fate_of(dns_only, dns_only.site(sites::kDns), 7, RetryPolicy{}).latency_ms);
+  dns.metrics.count_degraded();
+  EXPECT_EQ(registry.counter_value("cbwt_fault_dns_injected_total"), 3u);
+  EXPECT_EQ(registry.counter_value("cbwt_fault_dns_retried_total"), 2u);
+  EXPECT_EQ(registry.counter_value("cbwt_fault_dns_exhausted_total"), 1u);
+  EXPECT_EQ(registry.counter_value("cbwt_fault_dns_degraded_total"), 1u);
+  for (const auto& [name, value] : registry.counters()) {
+    EXPECT_TRUE(name.starts_with("cbwt_fault_dns_")) << name;
   }
-  // ...while an unrelated endpoint still gets full service.
-  EXPECT_EQ(retrier.call(8, 0).attempts, 2u);
-
-  const auto& stats = retrier.stats();
-  EXPECT_EQ(stats.calls, 6u);
-  EXPECT_EQ(stats.exhausted, 3u);
-  EXPECT_EQ(stats.breaker_rejected, 3u);
-  EXPECT_EQ(stats.retried, 3u);   // one retry per non-rejected call
-  EXPECT_EQ(stats.injected, 6u);  // two faulted attempts per non-rejected call
-  EXPECT_EQ(registry.counter_value("cbwt_fault_dns_exhausted_total"), 3u);
-  EXPECT_EQ(registry.counter_value("cbwt_fault_dns_breaker_rejected_total"), 3u);
-  retrier.count_degraded(3);
-  EXPECT_EQ(registry.counter_value("cbwt_fault_dns_degraded_total"), 3u);
 }
 
 // --- Probe-loss properties (geolocation) ------------------------------
@@ -390,6 +345,42 @@ TEST(ChaosStudy, RateZeroIsByteIdenticalToNoPlan) {
   // structural claim only: both runs report the fault layer as disabled.
   EXPECT_NE(zero.run_report.find("\"fault\":{\"enabled\":false}"), std::string::npos);
   EXPECT_NE(without.run_report.find("\"fault\":{\"enabled\":false}"), std::string::npos);
+}
+
+TEST(ChaosStudy, PdnsDegradationNestsAcrossRates) {
+  // Every replication query's fate is pure in (plan seed, site, key), so
+  // an observation the feed loses at one rate is lost at every higher
+  // rate: per (fqdn, ip) pair, the observation count never grows with
+  // the rate. Stale answers keep the pair and only move its day.
+  using PairCounts = std::map<std::pair<std::string, net::IpAddress>, std::uint64_t>;
+  const std::array<double, 5> rates = {0.0, 0.2, 0.5, 0.8, 1.0};
+  std::vector<PairCounts> runs;
+  for (const double rate : rates) {
+    core::Study study(
+        fault_check::chaos_config(20180901, 1, FaultPlan::uniform(0xFA017, rate)));
+    PairCounts counts;
+    for (const auto& record : study.pdns_store().records()) {
+      counts[{record.fqdn, record.ip}] += record.observations;
+    }
+    runs.push_back(std::move(counts));
+  }
+  for (std::size_t lo = 0; lo < rates.size(); ++lo) {
+    for (std::size_t hi = lo + 1; hi < rates.size(); ++hi) {
+      for (const auto& [pair, count] : runs[hi]) {
+        const auto it = runs[lo].find(pair);
+        const std::uint64_t low_count = it == runs[lo].end() ? 0 : it->second;
+        EXPECT_LE(count, low_count) << pair.first << " " << pair.second.to_string()
+                                    << " rates " << rates[lo] << " < " << rates[hi];
+      }
+    }
+  }
+  // The sweep degrades: total loss keeps fewer observations than none.
+  const auto total = [](const PairCounts& counts) {
+    std::uint64_t sum = 0;
+    for (const auto& [pair, count] : counts) sum += count;
+    return sum;
+  };
+  EXPECT_LT(total(runs.back()), total(runs.front()));
 }
 
 TEST(ChaosStudy, GracefulDegradationEndToEnd) {

@@ -148,6 +148,11 @@ class Layering(unittest.TestCase):
         self.assertEqual(rules_for("src/obs/x.cpp", ok), set())
         self.assertEqual(rules_for("src/obs/x.cpp", bad), {"layering"})
 
+    def test_dns_may_not_use_fault(self):
+        text = '#include "fault/retry.h"\n'
+        self.assertEqual(rules_for("src/dns/x.cpp", text), {"layering"})
+        self.assertEqual(rules_for("src/netflow/x.cpp", text), set())
+
     def test_files_outside_src_skip_layering(self):
         text = '#include "classify/match_cache.h"\n'
         self.assertEqual(rules_for("tests/test_x.cpp", text), set())

@@ -471,9 +471,6 @@ TEST_P(StoreBackedDeterminism, MatchesInMemoryBitForBit) {
   store_config.storage.mode = store::Mode::StoreBacked;
   store_config.storage.directory =
       temp_dir("backed_t" + std::to_string(GetParam()));
-  // An odd chunk size exercises chunk-boundary handling; results must
-  // not depend on it.
-  store_config.storage.chunk_records = 30'000;
   core::Study memory(memory_config);
   core::Study backed(store_config);
 
