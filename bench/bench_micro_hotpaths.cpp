@@ -309,11 +309,14 @@ void BM_GeolocPanel(benchmark::State& state) {
   for (auto _ : state) {
     // The GeoService::prefetch hot loop without its cache: one derived
     // RNG per IP, one probe panel per IP.
-    auto countries = runtime::parallel_map<std::string>(
-        pool, ips.size(), {.min_shard_items = 8}, [&](std::size_t i) {
-          auto rng = util::Rng(util::mix64(0xAC7173ULL ^ ips[i].hash()));
-          return locator.locate(ips[i], rng).country;
-        });
+    std::vector<std::string> countries(ips.size());
+    runtime::parallel_for(pool, ips.size(), {.min_shard_items = 8},
+                          [&](runtime::ShardRange range, std::size_t /*shard*/) {
+                            for (std::size_t i = range.begin; i < range.end; ++i) {
+                              auto rng = util::Rng(util::mix64(0xAC7173ULL ^ ips[i].hash()));
+                              countries[i] = locator.locate(ips[i], rng).country;
+                            }
+                          });
     benchmark::DoNotOptimize(countries.data());
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *

@@ -77,10 +77,9 @@ std::vector<Outcome> Classifier::run(const browser::ExtensionDataset& dataset,
   {
     obs::ScopedSpan span(registry, "classify/stage1_abp");
     span.set_items(requests.size());
-    ltf_urls = runtime::sharded_reduce<std::unordered_set<std::uint64_t>>(
+    runtime::ordered_stream(
         pool, requests.size(), {.channel_stats = &channel_stats},
-        /*seed=*/0, /*stage_label=*/0xC1A551F1,
-        [&](runtime::ShardRange range, std::size_t shard, util::Rng& /*rng*/) {
+        [&](runtime::ShardRange range, std::size_t shard) {
           obs::ScopedTrace trace(registry, "classify/stage1/shard", shard);
           std::unordered_set<std::uint64_t> local;
           for (std::size_t i = range.begin; i < range.end; ++i) {
@@ -102,9 +101,9 @@ std::vector<Outcome> Classifier::run(const browser::ExtensionDataset& dataset,
           }
           return local;
         },
-        [](std::unordered_set<std::uint64_t>& acc,
-           std::unordered_set<std::uint64_t>&& part) { acc.merge(part); },
-        std::move(ltf_urls));
+        [&](std::size_t /*shard*/, std::unordered_set<std::uint64_t>&& part) {
+          ltf_urls.merge(part);
+        });
   }
 
   // ---- Stage 2: referrer chaining to fixpoint ----------------------

@@ -322,10 +322,9 @@ Study::IspRun Study::run_isp_snapshot(const netflow::IspProfile& isp,
     join_config.spill_directory =
         config_.storage.directory + "/join_" + stem + "_day" +
         std::to_string(snapshot.day);
-    run.collection = netflow::join_flows(
-        store::RecordSource<netflow::WireCodec>(
-            netflow::SnapshotReader(path, config_.registry)),
-        index, isp, join_config, workers, config_.registry, &config_.fault_plan);
+    run.collection = netflow::join_flows(netflow::SnapshotReader(path, config_.registry),
+                                         index, isp, join_config, workers,
+                                         config_.registry, &config_.fault_plan);
   } else {
     const auto exported = netflow::generate_snapshot_sharded(
         built_world, dns, isp, snapshot, config_.netflow, seed, workers,

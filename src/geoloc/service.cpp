@@ -134,12 +134,14 @@ void GeoService::prefetch(std::span<const net::IpAddress> ips) const {
     batches_->add(1);
     batch_ips_->add(missing.size());
   }
-  const auto countries = runtime::parallel_map<std::string>(
-      pool_, missing.size(), {.min_shard_items = 8},
-      [&](std::size_t i) {
-        obs::ScopedTrace trace(registry_, "geoloc/active_probe", i);
-        return measure_active(missing[i]);
-      });
+  std::vector<std::string> countries(missing.size());
+  runtime::parallel_for(pool_, missing.size(), {.min_shard_items = 8},
+                        [&](runtime::ShardRange range, std::size_t /*shard*/) {
+                          for (std::size_t i = range.begin; i < range.end; ++i) {
+                            obs::ScopedTrace trace(registry_, "geoloc/active_probe", i);
+                            countries[i] = measure_active(missing[i]);
+                          }
+                        });
   util::MutexLock lock(cache_mutex_);
   for (std::size_t i = 0; i < missing.size(); ++i) {
     active_cache_.emplace(missing[i], countries[i]);

@@ -85,17 +85,19 @@ CollectionResult collect_sharded(std::span<const RawRecord> records,
                                  const fault::FaultPlan* fault_plan) {
   obs::ScopedSpan span(registry, "netflow/collect");
   runtime::ChannelStats channel_stats;
-  auto result = runtime::sharded_reduce<CollectionResult>(
+  CollectionResult result;
+  runtime::ordered_stream(
       pool, records.size(), {.channel_stats = &channel_stats},
-      /*seed=*/0, /*stage_label=*/0xC011EC7,
-      [&](runtime::ShardRange range, std::size_t shard, util::Rng& /*rng*/) {
+      [&](runtime::ShardRange range, std::size_t shard) {
         obs::ScopedTrace trace(registry, "netflow/collect/shard", shard);
         // base_index anchors the shard's drop decisions to the absolute
         // record index, keeping them shard-plan-independent.
         return collect(records.subspan(range.begin, range.size()), trackers, isp,
                        {.fault_plan = fault_plan, .base_index = range.begin});
       },
-      merge_collection);
+      [&](std::size_t /*shard*/, CollectionResult&& part) {
+        merge_collection(result, std::move(part));
+      });
   CBWT_ENSURES(result.matched_records <= result.internal_records);
   CBWT_ENSURES(result.internal_records <= result.records_seen);
   CBWT_ENSURES(result.records_seen + result.dropped_records == records.size());

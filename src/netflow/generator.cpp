@@ -165,22 +165,23 @@ SnapshotCounts generate_snapshot_stream(
       fault::StageSite::resolve(fault_plan, fault::sites::kDns, registry));
 
   // Each stream (tracking, background) shards its record-index space;
-  // shard outputs reach the sink in shard order, so the record sequence
-  // is the same for any pool size.
+  // every shard draws from its own shard_rng(seed, label, shard) stream
+  // and shard outputs reach the sink in shard order, so the record
+  // sequence is the same for any pool size.
   using Batch = std::vector<RawRecord>;
   runtime::ChannelStats channel_stats;
-  // The merge hands each part straight to the sink; it runs in shard
-  // order on the calling thread, so the accumulator itself stays empty.
-  const auto deliver = [&](Batch& /*acc*/, Batch&& part) {
+  // The consumer hands each part straight to the sink, in shard order on
+  // the calling thread.
+  const auto deliver = [&](std::size_t /*shard*/, Batch&& part) {
     counts.records += part.size();
     sink(std::span<const RawRecord>(part));
   };
   const auto stream = [&](std::uint64_t count, std::uint64_t label, auto emit_one) {
-    runtime::sharded_reduce<Batch>(
+    runtime::ordered_stream(
         pool, count, {.channel_stats = &channel_stats},
-        seed, label,
-        [&](runtime::ShardRange range, std::size_t shard, util::Rng& rng) {
+        [&](runtime::ShardRange range, std::size_t shard) {
           obs::ScopedTrace trace(registry, "netflow/generate/shard", shard);
+          auto rng = runtime::shard_rng(seed, label, shard);
           Batch part;
           part.reserve(range.size());
           for (std::size_t i = range.begin; i < range.end; ++i) {

@@ -28,14 +28,6 @@ static_assert(FlowPageCodec::kRecordSize == kFlowPageBytes);
 
 namespace {
 
-/// Stage label of the probe pass's per-shard RNG streams (unused by the
-/// probe itself, but part of the sharded_reduce contract).
-constexpr std::uint64_t kJoinStageLabel = 0x101AD;
-
-/// Stage label of the pass-1 spill shards' RNG streams (likewise unused
-/// — spill is deterministic — but part of the ordered_stream contract).
-constexpr std::uint64_t kJoinSpillStageLabel = 0x5B111;
-
 /// Spill pages per streamed chunk in pass 2: 2048 pages = 8 MiB of page
 /// file per probe step, the store's residency unit.
 constexpr std::size_t kProbeChunkPages = 2048;
@@ -207,34 +199,29 @@ struct SpillRun {
 /// rather than the execution. Export drops are decided at the absolute
 /// record index (ranged chunks keep bases absolute), so the drop set
 /// equals the in-memory collector's.
-void partition_spill(const store::RecordSource<WireCodec>& source,
+void partition_spill(const SnapshotReader& input,
                      const JoinConfig& config, runtime::ThreadPool* pool,
                      const fault::StageSite& export_site, obs::Registry* registry,
                      runtime::ChannelStats* channel_stats, std::uint64_t& dropped,
                      JoinStats& stats) {
   obs::ScopedSpan span(registry, "netflow/join/partition");
 
-  // Incremental checksums: the writer folds each page into the running
-  // FNV-1a while it is cache-hot, so finalize() below stamps the
-  // superblock without re-reading the whole spill file on the ordered
-  // (serial) writer thread.
   std::vector<store::RecordFileWriter<FlowPageCodec>> writers;
   writers.reserve(config.partitions);
   for (std::size_t p = 0; p < config.partitions; ++p) {
-    writers.emplace_back(partition_path(config, p), registry,
-                         /*incremental_checksum=*/true);
+    writers.emplace_back(partition_path(config, p), registry);
   }
 
   const auto options = spill_shard_options(config, channel_stats);
-  stats.spill_shards = runtime::plan_shards(source.size(), options).size();
-  runtime::ordered_stream<SpillRun>(
-      pool, source.size(), options, /*seed=*/0, kJoinSpillStageLabel,
-      [&](runtime::ShardRange range, std::size_t shard, util::Rng& /*rng*/) {
+  stats.spill_shards = runtime::plan_shards(input.size(), options).size();
+  runtime::ordered_stream(
+      pool, input.size(), options,
+      [&](runtime::ShardRange range, std::size_t shard) {
         obs::ScopedTrace trace(registry, "netflow/join/spill_shard", shard);
         SpillRun run;
         run.pages.resize(config.partitions);
         std::vector<FlowPageImageBuilder> builders(config.partitions);
-        source.for_each_chunk_range(
+        input.for_each_chunk_range(
             range.begin, range.end, config.chunk_records,
             [&](std::span<const RawRecord> chunk, std::uint64_t base) {
               for (std::size_t i = 0; i < chunk.size(); ++i) {
@@ -284,9 +271,8 @@ void partition_spill(const store::RecordSource<WireCodec>& source,
   manifest.set("kind", std::string(kManifestKind));
   manifest.set_u64("page_version", kFlowPageVersion);
   manifest.set_u64("partitions", config.partitions);
-  manifest.set_u64("input_records", source.size());
-  manifest.set_u64("input_checksum",
-                   source.store_backed() ? source.reader()->checksum() : 0);
+  manifest.set_u64("input_records", input.size());
+  manifest.set_u64("input_checksum", input.checksum());
   manifest.set_u64("fault_signature", fault_signature(export_site));
   manifest.set_u64("spill_min_shard_records", config.spill_min_shard_records);
   manifest.set_u64("spill_max_shards", config.spill_max_shards);
@@ -305,7 +291,7 @@ std::size_t join_partition_of(const net::IpAddress& ip, std::size_t partitions) 
                                   static_cast<std::uint64_t>(partitions));
 }
 
-CollectionResult join_flows(const store::RecordSource<WireCodec>& source,
+CollectionResult join_flows(const SnapshotReader& input,
                             const TrackerIpIndex& trackers, const IspProfile& /*isp*/,
                             const JoinConfig& config, runtime::ThreadPool* pool,
                             obs::Registry* registry, const fault::FaultPlan* fault_plan,
@@ -324,12 +310,10 @@ CollectionResult join_flows(const store::RecordSource<WireCodec>& source,
   JoinStats run_stats;
   runtime::ChannelStats channel_stats;  // shared by spill + probe streams
   const bool resumed =
-      source.store_backed() &&
-      try_resume(config.spill_directory + "/join_manifest.txt", config, source.size(),
-                 source.reader()->checksum(), fault_signature(export_site), dropped,
-                 run_stats);
+      try_resume(config.spill_directory + "/join_manifest.txt", config, input.size(),
+                 input.checksum(), fault_signature(export_site), dropped, run_stats);
   if (!resumed) {
-    partition_spill(source, config, pool, export_site, registry, &channel_stats, dropped,
+    partition_spill(input, config, pool, export_site, registry, &channel_stats, dropped,
                     run_stats);
   }
 
@@ -354,10 +338,10 @@ CollectionResult join_flows(const store::RecordSource<WireCodec>& source,
   // counter sums and per-IP increments — so the partition-sliced order
   // equals the sequential collect() order bit for bit.
   obs::ScopedSpan probe_span(registry, "netflow/join/probe");
-  auto result = runtime::sharded_reduce<CollectionResult>(
+  CollectionResult result;
+  runtime::ordered_stream(
       pool, config.partitions, {.min_shard_items = 1, .channel_stats = &channel_stats},
-      /*seed=*/0, kJoinStageLabel,
-      [&](runtime::ShardRange range, std::size_t shard, util::Rng& /*rng*/) {
+      [&](runtime::ShardRange range, std::size_t shard) {
         obs::ScopedTrace trace(registry, "netflow/join/probe_shard", shard);
         CollectionResult part;
         for (std::size_t p = range.begin; p < range.end; ++p) {
@@ -394,11 +378,13 @@ CollectionResult join_flows(const store::RecordSource<WireCodec>& source,
         }
         return part;
       },
-      merge_collection);
+      [&](std::size_t /*shard*/, CollectionResult&& part) {
+        merge_collection(result, std::move(part));
+      });
   result.dropped_records += dropped;
   CBWT_ENSURES(result.matched_records <= result.internal_records);
   CBWT_ENSURES(result.internal_records <= result.records_seen);
-  CBWT_ENSURES(result.records_seen + result.dropped_records == source.size());
+  CBWT_ENSURES(result.records_seen + result.dropped_records == input.size());
 
   probe_span.set_items(result.records_seen);
   span.set_items(result.records_seen);

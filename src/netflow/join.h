@@ -8,7 +8,7 @@
 //   Pass 1 (partition): the input index range is split into shards by
 //   runtime::plan_shards — a pure function of (record count, spill
 //   geometry), never of the thread count — and each shard streams its
-//   records from the RecordSource in bounded chunks on a pool worker,
+//   records from the snapshot file in bounded chunks on a pool worker,
 //   routing every surviving record by destination-IP hash into
 //   per-(shard, partition) runs of sealed 4 KiB compressed flow pages
 //   (netflow/flow_page.h, FlowPageImageBuilder's in-place encoder).
@@ -29,7 +29,7 @@
 //   is split into one dense open-addressing table per partition
 //   (arena-free, power-of-two capacity, allocation-free probe loop);
 //   partitions are then probed in parallel through
-//   runtime::sharded_reduce, each shard streaming its spill files page
+//   runtime::ordered_stream, each shard streaming its spill files page
 //   by page and folding per-partition CollectionResults that merge in
 //   shard order. Because every per-record decision is order-free once
 //   drops are fixed, the result is bit-identical to the in-memory
@@ -40,12 +40,10 @@
 // A pass-1 manifest (store::Manifest, join_manifest.txt in the spill
 // directory) binds the spill files to the input file's superblock
 // checksum *and* the shard-plan geometry that shaped the page layout;
-// re-running the join over the same store-backed input reuses the
-// spill set and goes straight to pass 2 (resume-mid-join; in-memory
-// inputs have no superblock checksum to bind to, so they always
-// re-partition). A manifest
-// written under different geometry — or by a pre-geometry build —
-// silently falls back to re-partitioning.
+// re-running the join over the same input file reuses the spill set and
+// goes straight to pass 2 (resume-mid-join). A manifest written under
+// different geometry — or by a pre-geometry build — silently falls back
+// to re-partitioning.
 #pragma once
 
 #include <cstddef>
@@ -55,10 +53,10 @@
 #include "fault/retry.h"
 #include "netflow/collector.h"
 #include "netflow/profile.h"
-#include "netflow/wire.h"
+#include "netflow/snapshot_store.h"
 #include "obs/metrics.h"
 #include "runtime/thread_pool.h"
-#include "store/dataset.h"
+#include "store/record_file.h"
 
 namespace cbwt::netflow {
 
@@ -103,9 +101,10 @@ struct JoinStats {
 [[nodiscard]] std::size_t join_partition_of(const net::IpAddress& ip,
                                             std::size_t partitions) noexcept;
 
-/// Runs the streaming join. Returns exactly what collect_sharded over
-/// the same records returns — counters, per-IP map, drop set — for any
-/// thread count and any JoinConfig. `registry` (optional) records the
+/// Runs the streaming join over the snapshot file `input`. Returns
+/// exactly what collect_sharded over the same records returns —
+/// counters, per-IP map, drop set — for any thread count and any
+/// JoinConfig. `registry` (optional) records the
 /// "netflow/join" span, the collect-parity counters, the
 /// cbwt_netflow_join_{partitions,spill_bytes,spill_records,spill_pages,
 /// spill_shards,resumed,probe_records}_total counters, the
@@ -113,7 +112,7 @@ struct JoinStats {
 /// per-shard ScopedTrace events; `fault_plan` (optional) applies
 /// netflow_export drops by absolute record index; `stats` (optional)
 /// receives the spill volume breakdown.
-[[nodiscard]] CollectionResult join_flows(const store::RecordSource<WireCodec>& source,
+[[nodiscard]] CollectionResult join_flows(const SnapshotReader& input,
                                           const TrackerIpIndex& trackers,
                                           const IspProfile& isp, const JoinConfig& config,
                                           runtime::ThreadPool* pool,

@@ -1,12 +1,12 @@
-// Bounded MPMC channel with close semantics and backpressure counters.
+// Bounded MPMC channel with backpressure counters.
 //
-// The channel is the runtime's streaming primitive: producers block (or
-// fail fast with try_push) when the buffer is full, consumers block when
-// it is empty, and close() lets producers signal end-of-stream — after
-// which pushes are rejected and pops drain the remaining buffer before
-// reporting exhaustion. Queue-depth high-water and stall counters are
-// recorded for observability; they never feed back into results, so
-// pipelines built on the channel stay deterministic.
+// The channel is the runtime's streaming primitive: producers block when
+// the buffer is full and consumers block when it is empty. It has no
+// end-of-stream signal: ordered_stream, its one user, knows how many
+// parts its producers push and pops exactly that many. Queue-depth
+// high-water and stall counters are recorded for observability; they
+// never feed back into results, so pipelines built on the channel stay
+// deterministic.
 //
 // Thread-safety: every mutable member is guarded by mutex_ and the
 // annotations below let clang's -Wthread-safety prove it; notify calls
@@ -18,16 +18,12 @@
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
-#include <optional>
 #include <utility>
 
 #include "util/contract.h"
 #include "util/thread_annotations.h"
 
 namespace cbwt::runtime {
-
-/// Outcome of a non-blocking push.
-enum class TryPush : std::uint8_t { Ok, Full, Closed };
 
 /// Backpressure / throughput counters of one channel (monotonic).
 /// Hoisted out of Channel<T> so observers (ShardOptions::channel_stats,
@@ -67,88 +63,42 @@ class Channel {
   Channel(const Channel&) = delete;
   Channel& operator=(const Channel&) = delete;
 
-  /// Blocks while full. Returns false (value dropped) iff the channel
-  /// was closed before space appeared.
-  bool push(T value) CBWT_EXCLUDES(mutex_) {
+  /// Blocks while full.
+  void push(T value) CBWT_EXCLUDES(mutex_) {
     {
       util::MutexLock lock(mutex_);
-      if (buffer_.size() >= capacity_ && !closed_) {
+      if (buffer_.size() >= capacity_) {
         ++stats_.producer_stalls;
         const auto begin = stall_clock();
-        while (buffer_.size() >= capacity_ && !closed_) not_full_.wait(lock.native());
+        while (buffer_.size() >= capacity_) not_full_.wait(lock.native());
         stats_.producer_stall_ns += ns_since(begin);
       }
-      if (closed_) return false;
-      put_back(std::move(value));
+      buffer_.push_back(std::move(value));
+      ++stats_.pushed;
+      stats_.high_water = std::max(stats_.high_water, buffer_.size());
     }
     not_empty_.notify_one();
-    return true;
   }
 
-  /// Non-blocking push; Full leaves the value untouched for retry.
-  TryPush try_push(T& value) CBWT_EXCLUDES(mutex_) {
+  /// Blocks while empty. T must be default-constructible (the value is
+  /// moved out under the lock, returned after it is released).
+  T pop() CBWT_EXCLUDES(mutex_) {
+    T value;
     {
       util::MutexLock lock(mutex_);
-      if (closed_) return TryPush::Closed;
-      if (buffer_.size() >= capacity_) return TryPush::Full;
-      put_back(std::move(value));
-    }
-    not_empty_.notify_one();
-    return TryPush::Ok;
-  }
-
-  /// Blocks while empty. Empty optional iff the channel is closed and
-  /// fully drained (end-of-stream).
-  std::optional<T> pop() CBWT_EXCLUDES(mutex_) {
-    std::optional<T> value;
-    {
-      util::MutexLock lock(mutex_);
-      if (buffer_.empty() && !closed_) {
+      if (buffer_.empty()) {
         ++stats_.consumer_stalls;
         const auto begin = stall_clock();
-        while (buffer_.empty() && !closed_) not_empty_.wait(lock.native());
+        while (buffer_.empty()) not_empty_.wait(lock.native());
         stats_.consumer_stall_ns += ns_since(begin);
       }
-      value = take_front();
+      value = std::move(buffer_.front());
+      buffer_.pop_front();
+      ++stats_.popped;
     }
-    if (value.has_value()) not_full_.notify_one();
+    not_full_.notify_one();
     return value;
   }
-
-  /// Non-blocking pop; empty optional when nothing is buffered (check
-  /// closed() to distinguish "not yet" from end-of-stream).
-  std::optional<T> try_pop() CBWT_EXCLUDES(mutex_) {
-    std::optional<T> value;
-    {
-      util::MutexLock lock(mutex_);
-      value = take_front();
-    }
-    if (value.has_value()) not_full_.notify_one();
-    return value;
-  }
-
-  /// Idempotent. Wakes every blocked producer (their pushes fail) and
-  /// consumer (they drain the buffer, then see end-of-stream).
-  void close() CBWT_EXCLUDES(mutex_) {
-    {
-      util::MutexLock lock(mutex_);
-      closed_ = true;
-    }
-    not_full_.notify_all();
-    not_empty_.notify_all();
-  }
-
-  [[nodiscard]] bool closed() const CBWT_EXCLUDES(mutex_) {
-    util::MutexLock lock(mutex_);
-    return closed_;
-  }
-
-  [[nodiscard]] std::size_t size() const CBWT_EXCLUDES(mutex_) {
-    util::MutexLock lock(mutex_);
-    return buffer_.size();
-  }
-
-  [[nodiscard]] std::size_t capacity() const noexcept { return capacity_; }
 
   /// Backpressure / throughput counters (monotonic).
   using Stats = ChannelStats;
@@ -171,27 +121,11 @@ class Channel {
             .count());
   }
 
-  void put_back(T&& value) CBWT_REQUIRES(mutex_) {
-    CBWT_ASSERT(buffer_.size() < capacity_);
-    buffer_.push_back(std::move(value));
-    ++stats_.pushed;
-    stats_.high_water = std::max(stats_.high_water, buffer_.size());
-  }
-
-  [[nodiscard]] std::optional<T> take_front() CBWT_REQUIRES(mutex_) {
-    if (buffer_.empty()) return std::nullopt;
-    std::optional<T> value(std::move(buffer_.front()));
-    buffer_.pop_front();
-    ++stats_.popped;
-    return value;
-  }
-
   const std::size_t capacity_;
   mutable util::Mutex mutex_;
   std::condition_variable not_full_;
   std::condition_variable not_empty_;
   std::deque<T> buffer_ CBWT_GUARDED_BY(mutex_);
-  bool closed_ CBWT_GUARDED_BY(mutex_) = false;
   Stats stats_ CBWT_GUARDED_BY(mutex_);
 };
 

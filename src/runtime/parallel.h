@@ -6,12 +6,13 @@
 //
 //   1. Shard boundaries depend only on the item count and ShardOptions —
 //      never on how many threads happen to exist (plan_shards).
-//   2. Randomized stages draw from one util::Rng *per shard*, derived
-//      statelessly from (seed, stage label, shard index) — never from a
-//      generator shared across shards (shard_rng).
+//   2. A randomized shard function derives its own generator from
+//      (seed, stage label, shard index) with shard_rng — never draws
+//      from a generator shared across shards.
 //   3. Shard outputs are delivered in shard-index order, re-sequenced
 //      through a reorder buffer when they arrive out of order
-//      (ordered_stream, and sharded_reduce built on it).
+//      (ordered_stream, the one execution engine; parallel_for is
+//      ordered_stream with empty parts).
 //
 // With those rules, `threads == 1` (run the shards inline, in order, on
 // the calling thread) is the *definition* of the result, and the pool
@@ -22,7 +23,9 @@
 #include <exception>
 #include <map>
 #include <memory>
+#include <type_traits>
 #include <utility>
+#include <variant>
 #include <vector>
 
 #include "runtime/channel.h"
@@ -47,7 +50,7 @@ struct ShardOptions {
   /// Cap on the number of shards (bounds reorder-buffer memory and
   /// keeps the per-shard RNG label space small).
   std::size_t max_shards = 64;
-  /// When non-null, sharded_reduce folds its streaming channel's
+  /// When non-null, ordered_stream folds its streaming channel's
   /// counters in here after the stream drains (observability hook; the
   /// serial path uses no channel and leaves the sink untouched). Not
   /// consulted by plan_shards, so the shard plan — and determinism —
@@ -69,117 +72,42 @@ struct ShardOptions {
                                util::mix64(shard + 0x5A17ED5EEDULL)));
 }
 
-namespace detail {
-
-/// Runs `task(shard_index)` for every shard index in [0, count).
-/// Serial (pool == nullptr or single worker): in shard order, inline.
-/// Parallel: workers claim indices from a shared cursor; the caller
-/// participates, so progress never depends on pool availability. The
-/// first exception wins and is rethrown on the caller after the batch
-/// drains; remaining shards still run (their task must tolerate that).
+/// Sharded producer / ordered-consumer pipeline: the one execution
+/// engine every sharded stage runs on.
 ///
-/// Lifetime note: pool tasks may outlive this call by a few
-/// instructions (loop-top re-check after the last shard finishes), so
-/// everything they touch then lives in the shared Batch — the caller's
-/// `task` is only ever entered for a claimed shard, and every claim
-/// happens before the last finish.
-template <typename Task>
-void run_shards(ThreadPool* pool, std::size_t count, Task&& task) {
-  if (count == 0) return;
-  if (pool == nullptr || pool->size() <= 1 || count == 1) {
-    for (std::size_t shard = 0; shard < count; ++shard) task(shard);
-    return;
-  }
-
-  struct Batch {
-    util::Mutex mutex;
-    std::condition_variable done_cv;
-    std::size_t count = 0;  ///< immutable once the batch is shared
-    std::size_t next CBWT_GUARDED_BY(mutex) = 0;      ///< next unclaimed shard
-    std::size_t finished CBWT_GUARDED_BY(mutex) = 0;  ///< shards fully executed
-    std::exception_ptr error CBWT_GUARDED_BY(mutex);
-  };
-  auto batch = std::make_shared<Batch>();
-  batch->count = count;
-
-  const auto drive = [batch, &task] {
-    for (;;) {
-      std::size_t shard = 0;
-      {
-        util::MutexLock lock(batch->mutex);
-        if (batch->next >= batch->count) return;
-        shard = batch->next++;
-      }
-      try {
-        task(shard);
-      } catch (...) {
-        util::MutexLock lock(batch->mutex);
-        if (!batch->error) batch->error = std::current_exception();
-      }
-      util::MutexLock lock(batch->mutex);
-      if (++batch->finished == batch->count) batch->done_cv.notify_all();
-    }
-  };
-
-  const std::size_t helpers =
-      std::min<std::size_t>(pool->size(), count) - 1;  // caller is a driver too
-  for (std::size_t i = 0; i < helpers; ++i) pool->submit(drive);
-  drive();
-
-  util::MutexLock lock(batch->mutex);
-  while (batch->finished != batch->count) batch->done_cv.wait(lock.native());
-  if (batch->error) std::rethrow_exception(batch->error);
-}
-
-}  // namespace detail
-
-/// Applies `body(range, shard_index)` to every shard of [0, n).
-/// Shards must write disjoint state (typically out[i] for i in range).
-template <typename Body>
-void parallel_for(ThreadPool* pool, std::size_t n, const ShardOptions& options,
-                  Body&& body) {
-  const auto plan = plan_shards(n, options);
-  detail::run_shards(pool, plan.size(),
-                     [&](std::size_t shard) { body(plan[shard], shard); });
-}
-
-/// out[i] = fn(i) for i in [0, n), order-preserving by construction
-/// (every element is written at its own index).
-template <typename T, typename Fn>
-std::vector<T> parallel_map(ThreadPool* pool, std::size_t n, const ShardOptions& options,
-                            Fn&& fn) {
-  std::vector<T> out(n);
-  parallel_for(pool, n, options, [&](ShardRange range, std::size_t /*shard*/) {
-    for (std::size_t i = range.begin; i < range.end; ++i) out[i] = fn(i);
-  });
-  return out;
-}
-
-/// Sharded producer / ordered-consumer pipeline: the compute/I-O
-/// overlap primitive behind sharded_reduce and the NetFlow join's
-/// parallel spill pass.
+/// `shard_fn(range, shard_index)` produces one Part per shard on pool
+/// workers; `consume(shard_index, part)` runs on the calling thread
+/// strictly in shard-index order (rule 3) *while later shards are still
+/// producing* — a consumer that writes to disk therefore overlaps its
+/// I/O with the producers' compute. Parallel shards stream their parts
+/// through a bounded Channel sized to the worker count — the
+/// backpressure keeps at most O(threads) parts in flight — and the
+/// caller re-sequences early arrivals in a reorder buffer, so a consumer
+/// with side effects (file appends, stateful folds) observes the serial
+/// order bit for bit.
 ///
-/// `shard_fn(range, shard_index, rng)` produces one Part per shard on
-/// pool workers with a shard-local RNG (rule 2); `consume(shard_index,
-/// part)` runs on the calling thread strictly in shard-index order
-/// (rule 3) *while later shards are still producing* — a consumer that
-/// writes to disk therefore overlaps its I/O with the producers'
-/// compute. Parallel shards stream their parts through a bounded
-/// Channel sized to the worker count — the backpressure keeps at most
-/// O(threads) parts in flight — and the caller re-sequences early
-/// arrivals in a reorder buffer, so a consumer with side effects (file
-/// appends, stateful folds) observes the serial order bit for bit.
-template <typename Part, typename ShardFn, typename Consume>
+/// Serial (pool == nullptr, one worker or one shard): every shard runs
+/// inline, in order, and the first exception propagates at once.
+/// Parallel: min(pool size, shards) workers claim shards from a shared
+/// cursor. A throwing shard_fn hands its consumer a default Part, the
+/// remaining shards still run, and the first exception is rethrown once
+/// the stream drains; a throwing consumer drains the stream, then
+/// rethrows.
+///
+/// Precondition: the caller is not a pool worker. It blocks in its
+/// consumer loop while the workers produce, so a pool task running a
+/// parallel stage could wait on shards only its own worker could run.
+template <typename ShardFn, typename Consume>
 void ordered_stream(ThreadPool* pool, std::size_t n, const ShardOptions& options,
-                    std::uint64_t seed, std::uint64_t stage_label, ShardFn&& shard_fn,
-                    Consume&& consume) {
+                    ShardFn&& shard_fn, Consume&& consume) {
+  CBWT_EXPECTS(ThreadPool::current_worker_index() < 0);
+  using Part = std::invoke_result_t<ShardFn&, ShardRange, std::size_t>;
   const auto plan = plan_shards(n, options);
   if (plan.empty()) return;
 
   if (pool == nullptr || pool->size() <= 1 || plan.size() == 1) {
     for (std::size_t shard = 0; shard < plan.size(); ++shard) {
-      auto rng = shard_rng(seed, stage_label, shard);
-      consume(shard, shard_fn(plan[shard], shard, rng));
+      consume(shard, shard_fn(plan[shard], shard));
     }
     return;
   }
@@ -200,7 +128,7 @@ void ordered_stream(ThreadPool* pool, std::size_t n, const ShardOptions& options
   auto stream =
       std::make_shared<Stream>(std::max<std::size_t>(2, pool->size()), plan.size());
 
-  const auto produce = [stream, &plan, &shard_fn, seed, stage_label] {
+  const auto produce = [stream, &plan, &shard_fn] {
     for (;;) {
       std::size_t shard = 0;
       {
@@ -210,8 +138,7 @@ void ordered_stream(ThreadPool* pool, std::size_t n, const ShardOptions& options
       }
       Part part{};
       try {
-        auto rng = shard_rng(seed, stage_label, shard);
-        part = shard_fn(plan[shard], shard, rng);
+        part = shard_fn(plan[shard], shard);
       } catch (...) {
         util::MutexLock lock(stream->mutex);
         if (!stream->error) stream->error = std::current_exception();
@@ -232,29 +159,23 @@ void ordered_stream(ThreadPool* pool, std::size_t n, const ShardOptions& options
   std::size_t received = 0;
   try {
     while (received < plan.size()) {
-      auto part = stream->parts.pop();
-      CBWT_ASSERT(part.has_value());  // producers push exactly one part per shard
+      auto [shard, part] = stream->parts.pop();
       ++received;
-      if (part->first == next_to_consume) {
-        consume(next_to_consume, std::move(part->second));
-        ++next_to_consume;
-        for (auto it = parked.begin();
-             it != parked.end() && it->first == next_to_consume;) {
-          consume(next_to_consume, std::move(it->second));
-          it = parked.erase(it);
-          ++next_to_consume;
-        }
-      } else {
-        parked.emplace(part->first, std::move(part->second));
+      if (shard != next_to_consume) {
+        parked.emplace(shard, std::move(part));
+        continue;
+      }
+      consume(next_to_consume++, std::move(part));
+      for (auto it = parked.begin(); it != parked.end() && it->first == next_to_consume;
+           it = parked.erase(it)) {
+        consume(next_to_consume++, std::move(it->second));
       }
     }
   } catch (...) {
     // A throwing consumer must still drain the stream: a producer
     // blocked on the full channel would otherwise never finish its pool
     // task.
-    while (received < plan.size()) {
-      if (stream->parts.pop()) ++received;
-    }
+    for (; received < plan.size(); ++received) (void)stream->parts.pop();
     throw;
   }
   CBWT_ASSERT(parked.empty() && next_to_consume == plan.size());
@@ -270,20 +191,19 @@ void ordered_stream(ThreadPool* pool, std::size_t n, const ShardOptions& options
   if (stream->error) std::rethrow_exception(stream->error);
 }
 
-/// Sharded map-reduce with an order-preserving merge: ordered_stream
-/// specialised to a stateful fold. `merge(acc, part)` folds parts
-/// together strictly in shard-index order — the consumer contract above
-/// is exactly rule 3.
-template <typename Acc, typename ShardFn, typename Merge>
-Acc sharded_reduce(ThreadPool* pool, std::size_t n, const ShardOptions& options,
-                   std::uint64_t seed, std::uint64_t stage_label, ShardFn&& shard_fn,
-                   Merge&& merge, Acc acc = {}) {
-  ordered_stream<Acc>(pool, n, options, seed, stage_label,
-                      std::forward<ShardFn>(shard_fn),
-                      [&](std::size_t /*shard*/, Acc&& part) {
-                        merge(acc, std::move(part));
-                      });
-  return acc;
+/// Applies `body(range, shard_index)` to every shard of [0, n): an
+/// ordered_stream whose parts are empty. Shards must write disjoint
+/// state (typically out[i] for i in range).
+template <typename Body>
+void parallel_for(ThreadPool* pool, std::size_t n, const ShardOptions& options,
+                  Body&& body) {
+  ordered_stream(
+      pool, n, options,
+      [&body](ShardRange range, std::size_t shard) {
+        body(range, shard);
+        return std::monostate{};
+      },
+      [](std::size_t /*shard*/, std::monostate&& /*part*/) {});
 }
 
 }  // namespace cbwt::runtime

@@ -1,6 +1,6 @@
 #include "store/checkpoint.h"
 
-#include <cerrno>
+#include <charconv>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -60,13 +60,19 @@ std::optional<std::string_view> Manifest::get(std::string_view key) const {
 std::optional<std::uint64_t> Manifest::get_u64(std::string_view key) const {
   const auto text = get(key);
   if (!text) return std::nullopt;
+  // Exactly what set_u64 and set_f64 write: `[0-9]+`, or `0x` followed
+  // by hex digits. No sign, no whitespace, no overflow (from_chars takes
+  // none of them for an unsigned type).
+  std::string_view digits = *text;
+  int base = 10;
+  if (digits.starts_with("0x")) {
+    digits.remove_prefix(2);
+    base = 16;
+  }
   std::uint64_t value = 0;
-  const int base = text->starts_with("0x") ? 16 : 10;
-  const std::string owned(*text);
-  char* end = nullptr;
-  errno = 0;
-  value = std::strtoull(owned.c_str(), &end, base);
-  if (errno != 0 || end == owned.c_str() || *end != '\0') return std::nullopt;
+  const auto [end, error] =
+      std::from_chars(digits.data(), digits.data() + digits.size(), value, base);
+  if (error != std::errc{} || end != digits.data() + digits.size()) return std::nullopt;
   return value;
 }
 

@@ -1,20 +1,10 @@
-// One iteration interface over the pipeline's big collections, whether
-// they live in heap vectors (the default, unchanged path) or in a
-// memory-mapped record file. Stages written against RecordSource see
-// dense index-ordered chunks either way, so the store-backed and
-// in-memory paths run the identical per-record code — which is what
-// makes their outputs bit-identical.
+// Where the pipeline's big collections live: heap vectors (the default,
+// unchanged path) or memory-mapped record files under a store directory.
+// Both layouts run the identical per-record code, which is what makes
+// their outputs bit-identical.
 #pragma once
 
-#include <algorithm>
-#include <cstddef>
 #include <cstdint>
-#include <memory>
-#include <span>
-#include <utility>
-
-#include "store/record_file.h"
-#include "util/contract.h"
 
 namespace cbwt::store {
 
@@ -22,68 +12,6 @@ namespace cbwt::store {
 enum class Mode : std::uint8_t {
   InMemory,     ///< heap vectors, the seed pipeline's layout
   StoreBacked,  ///< memory-mapped record files under a store directory
-};
-
-template <typename Codec>
-  requires RecordCodec<Codec>
-class RecordSource {
- public:
-  using value_type = typename Codec::value_type;
-
-  /// Borrows an in-memory collection; the span must outlive the source.
-  explicit RecordSource(std::span<const value_type> memory) : memory_(memory) {}
-
-  /// Takes ownership of an opened store reader.
-  explicit RecordSource(RecordFileReader<Codec> reader)
-      : reader_(std::make_shared<RecordFileReader<Codec>>(std::move(reader))) {}
-
-  [[nodiscard]] bool store_backed() const noexcept { return reader_ != nullptr; }
-
-  /// The underlying store reader, or nullptr for in-memory sources.
-  /// Exposes file-level identity (path, superblock checksum) that spans
-  /// don't carry — the join's resume manifest binds spills to it.
-  [[nodiscard]] const RecordFileReader<Codec>* reader() const noexcept {
-    return reader_.get();
-  }
-
-  [[nodiscard]] std::uint64_t size() const noexcept {
-    return store_backed() ? reader_->size() : memory_.size();
-  }
-
-  /// Visits all records in index order as dense chunks, calling
-  /// fn(std::span<const value_type>, base_index). The in-memory path is
-  /// zero-copy (one chunk per call span-sliced from the vector); the
-  /// store path decodes into a reused O(chunk) buffer and keeps file
-  /// residency bounded.
-  template <typename Fn>
-  void for_each_chunk(std::size_t chunk_records, Fn&& fn) const {
-    for_each_chunk_range(0, size(), chunk_records, std::forward<Fn>(fn));
-  }
-
-  /// Ranged variant: visits records [begin, end) with absolute base
-  /// indices, so a sharded caller can split the source into disjoint
-  /// ranges while every per-record decision (fault drops keyed on the
-  /// absolute index) stays identical to a full scan. Concurrent calls
-  /// over disjoint ranges are safe on both paths.
-  template <typename Fn>
-  void for_each_chunk_range(std::uint64_t begin, std::uint64_t end,
-                            std::size_t chunk_records, Fn&& fn) const {
-    CBWT_EXPECTS(chunk_records > 0);
-    CBWT_EXPECTS(begin <= end && end <= size());
-    if (store_backed()) {
-      reader_->for_each_chunk_range(begin, end, chunk_records, std::forward<Fn>(fn));
-      return;
-    }
-    for (std::uint64_t base = begin; base < end; base += chunk_records) {
-      const std::size_t n =
-          static_cast<std::size_t>(std::min<std::uint64_t>(chunk_records, end - base));
-      fn(memory_.subspan(static_cast<std::size_t>(base), n), base);
-    }
-  }
-
- private:
-  std::span<const value_type> memory_;
-  std::shared_ptr<RecordFileReader<Codec>> reader_;
 };
 
 }  // namespace cbwt::store

@@ -60,11 +60,8 @@ struct ChecksumStats {
 };
 
 /// FNV-1a over the payload of `file` in bounded windows, dropping each
-/// window from the resident set after hashing — checksumming a
-/// multi-GB file never holds more than one window resident. Writer
-/// pages dropped here stay dirty in the page cache (MADV_DONTNEED on a
-/// shared file mapping never loses data), so a following sync() still
-/// makes them durable.
+/// window from the resident set after hashing — validating a multi-GB
+/// file at open never holds more than one window resident.
 inline std::uint64_t checksum_payload(const MappedFile& file, std::size_t payload,
                                       ChecksumStats* stats = nullptr) {
   constexpr std::size_t kWindowBytes = 8 << 20;
@@ -89,23 +86,16 @@ class RecordFileWriter {
 
   /// `registry` (optional, not owned) receives the cbwt_store_* I/O
   /// counters at finalize time; metrics never alter what hits the disk.
-  /// With `incremental_checksum` the payload FNV-1a is folded append by
-  /// append — bytes are hashed while still cache-hot — and finalize
-  /// skips its full re-read of the file. The stamped superblock is
-  /// byte-identical either way (FNV-1a is a sequential fold and records
-  /// are appended strictly in order); the mode only moves when the
-  /// hashing work happens, which is what keeps the join's spill
-  /// finalize off the pass-1 critical path.
-  explicit RecordFileWriter(const std::string& path, obs::Registry* registry = nullptr,
-                            bool incremental_checksum = false)
-      : file_(MappedFile::create(path, kInitialBytes)),
-        incremental_checksum_(incremental_checksum) {
+  /// The payload FNV-1a is folded append by append, while the bytes are
+  /// still cache-hot, so finalize stamps the superblock without
+  /// re-reading the file (FNV-1a is a sequential fold and records are
+  /// appended strictly in order).
+  explicit RecordFileWriter(const std::string& path, obs::Registry* registry = nullptr)
+      : file_(MappedFile::create(path, kInitialBytes)) {
     if (registry != nullptr) {
       bytes_written_ = &registry->counter("cbwt_store_bytes_written_total");
       records_written_ = &registry->counter("cbwt_store_records_written_total");
       files_finalized_ = &registry->counter("cbwt_store_files_finalized_total");
-      checksum_windows_ = &registry->counter("cbwt_store_checksum_windows_total");
-      pages_dropped_ = &registry->counter("cbwt_store_pages_dropped_total");
     }
   }
 
@@ -158,10 +148,7 @@ class RecordFileWriter {
     block.record_size = static_cast<std::uint32_t>(Codec::kRecordSize);
     block.record_count = count_;
     block.payload_bytes = payload;
-    ChecksumStats checksum_stats;
-    block.checksum = incremental_checksum_
-                         ? running_checksum_
-                         : checksum_payload(file_, payload, &checksum_stats);
+    block.checksum = running_checksum_;
     encode_superblock(block, {file_.data(), kSuperblockSize});
     file_.sync();
     file_.truncate_to(kSuperblockSize + payload);
@@ -173,8 +160,6 @@ class RecordFileWriter {
       bytes_written_->add(kSuperblockSize + payload);
       records_written_->add(count_);
       files_finalized_->add(1);
-      checksum_windows_->add(checksum_stats.windows);
-      pages_dropped_->add(checksum_stats.pages_dropped);
     }
   }
 
@@ -198,10 +183,8 @@ class RecordFileWriter {
   /// Folds the just-written record into the running checksum (bytes are
   /// still cache-hot) and advances the write cursor.
   void commit_record(std::size_t offset) {
-    if (incremental_checksum_) {
-      running_checksum_ =
-          fnv1a({file_.data() + offset, Codec::kRecordSize}, running_checksum_);
-    }
+    running_checksum_ =
+        fnv1a({file_.data() + offset, Codec::kRecordSize}, running_checksum_);
     ++count_;
     maybe_flush(offset + Codec::kRecordSize);
   }
@@ -217,14 +200,11 @@ class RecordFileWriter {
   std::uint64_t count_ = 0;
   std::size_t flushed_ = kSuperblockSize;
   bool finalized_ = false;
-  bool incremental_checksum_ = false;
   std::uint64_t running_checksum_ = kFnvOffset;
   // Metric handles; all null (and finalize skips them) with no registry.
   obs::Counter* bytes_written_ = nullptr;
   obs::Counter* records_written_ = nullptr;
   obs::Counter* files_finalized_ = nullptr;
-  obs::Counter* checksum_windows_ = nullptr;
-  obs::Counter* pages_dropped_ = nullptr;
 };
 
 template <typename Codec>

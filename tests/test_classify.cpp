@@ -39,7 +39,10 @@ Classifier hand_classifier(ClassifierConfig config = {}) {
 
 TEST(Classifier, StageAttribution) {
   const auto dataset = hand_dataset();
-  const auto outcomes = hand_classifier().run(dataset);
+  // Outcome::list views a list name the classifier owns, so the
+  // classifier must outlive the outcomes read below.
+  const auto classifier = hand_classifier();
+  const auto outcomes = classifier.run(dataset);
   ASSERT_EQ(outcomes.size(), 6U);
   EXPECT_EQ(outcomes[0].method, Method::AbpList);
   EXPECT_EQ(outcomes[0].list, "easylist");

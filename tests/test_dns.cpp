@@ -389,9 +389,13 @@ TEST(ResolverMemoThreads, ConcurrentColdFillMatchesSerialAnswers) {
 
   const Resolver shared(world, options);
   runtime::ThreadPool pool(4);
-  const auto got = runtime::parallel_map<world::ServerId>(
-      &pool, order.size(), {.min_shard_items = 256},
-      [&](std::size_t i) { return answer(shared, i); });
+  std::vector<world::ServerId> got(order.size());
+  runtime::parallel_for(&pool, order.size(), {.min_shard_items = 256},
+                        [&](runtime::ShardRange range, std::size_t /*shard*/) {
+                          for (std::size_t i = range.begin; i < range.end; ++i) {
+                            got[i] = answer(shared, i);
+                          }
+                        });
   EXPECT_EQ(got, want);
 }
 

@@ -2,8 +2,8 @@
 // (netflow/join.h) must produce the in-memory collector's
 // CollectionResult bit for bit — same counters, same per-IP map, same
 // fault-drop set — across a seeded property corpus (snapshot scales ×
-// tracker-set sizes × partition counts × chunk sizes, in-memory and
-// store-backed sources), hand-built edge cases, fault injection,
+// tracker-set sizes × partition counts × chunk sizes), hand-built edge
+// cases, fault injection,
 // resume-mid-join, and a threads-1/2/8 determinism sweep with obs
 // counter equality.
 #include <gtest/gtest.h>
@@ -24,11 +24,11 @@
 #include "netflow/flow_page.h"
 #include "netflow/join.h"
 #include "netflow/profile.h"
+#include "netflow/snapshot_store.h"
 #include "netflow/wire.h"
 #include "obs/metrics.h"
 #include "runtime/thread_pool.h"
 #include "store/checkpoint.h"
-#include "store/dataset.h"
 #include "store/record_file.h"
 #include "util/prng.h"
 
@@ -136,42 +136,34 @@ void expect_same_collection(const netflow::CollectionResult& got,
   EXPECT_EQ(got.per_ip, ref.per_ip);
 }
 
-/// Writes `records` into a wire-codec record file and wraps it as a
-/// store-backed RecordSource.
-store::RecordSource<netflow::WireCodec> store_source(
-    std::span<const netflow::RawRecord> records, const std::string& path) {
+/// Writes `records` into a wire-codec record file and opens it as the
+/// join's input.
+netflow::SnapshotReader store_source(std::span<const netflow::RawRecord> records,
+                                     const std::string& path) {
   {
     store::RecordFileWriter<netflow::WireCodec> writer(path);
     writer.append(records);
     writer.finalize();
   }
-  return store::RecordSource<netflow::WireCodec>(
-      store::RecordFileReader<netflow::WireCodec>(path));
+  return netflow::SnapshotReader(path);
 }
 
 const netflow::IspProfile& test_isp() { return netflow::default_isps()[0]; }
 
-/// Runs the join (optionally store-backed) and asserts equivalence to
-/// the serial in-memory collect() — the definition of the result.
+/// Writes `records` to a record file, joins it and asserts equivalence
+/// to the serial in-memory collect() — the definition of the result.
 void expect_join_matches(std::span<const netflow::RawRecord> records,
                          const netflow::TrackerIpIndex& index,
                          netflow::JoinConfig config, runtime::ThreadPool* pool,
-                         bool store_backed, const std::string& tag,
+                         const std::string& tag,
                          const fault::FaultPlan* plan = nullptr) {
   SCOPED_TRACE(tag);
   const auto ref = netflow::collect(records, index, test_isp(), {.fault_plan = plan});
   config.spill_directory = temp_dir(tag + "_spill");
   netflow::JoinStats stats;
-  netflow::CollectionResult got;
-  if (store_backed) {
-    const auto source = store_source(records, temp_path(tag + ".rec"));
-    got = netflow::join_flows(source, index, test_isp(), config, pool,
-                              /*registry=*/nullptr, plan, &stats);
-  } else {
-    const store::RecordSource<netflow::WireCodec> source{records};
-    got = netflow::join_flows(source, index, test_isp(), config, pool,
-                              /*registry=*/nullptr, plan, &stats);
-  }
+  const auto source = store_source(records, temp_path(tag + ".rec"));
+  const auto got = netflow::join_flows(source, index, test_isp(), config, pool,
+                                       /*registry=*/nullptr, plan, &stats);
   expect_same_collection(got, ref);
   EXPECT_FALSE(stats.resumed);
   EXPECT_EQ(stats.spill_records + got.dropped_records, records.size());
@@ -202,7 +194,6 @@ TEST(JoinEquivalence, PropertyCorpus) {
       config.partitions = partitions;
       config.chunk_records = chunk;
       expect_join_matches(records, index, config, &pool,
-                          /*store_backed=*/case_index % 2 == 0,
                           "corpus_" + std::to_string(case_index));
       ++case_index;
     }
@@ -214,17 +205,14 @@ TEST(JoinEquivalence, PropertyCorpus) {
 TEST(JoinEquivalence, EmptySnapshot) {
   runtime::ThreadPool pool(2);
   const auto pool_ips = make_tracker_pool(16);
-  expect_join_matches({}, make_index(pool_ips), {}, &pool, /*store_backed=*/true,
-                      "empty");
-  expect_join_matches({}, make_index(pool_ips), {}, &pool, /*store_backed=*/false,
-                      "empty_mem");
+  expect_join_matches({}, make_index(pool_ips), {}, &pool, "empty");
 }
 
 TEST(JoinEquivalence, ZeroTrackerIps) {
   runtime::ThreadPool pool(2);
   const auto records = make_records(0xA11CE, 2'000, {});
   expect_join_matches(records, netflow::TrackerIpIndex{}, {}, &pool,
-                      /*store_backed=*/true, "no_trackers");
+                      "no_trackers");
 }
 
 TEST(JoinEquivalence, AllRecordsMatch) {
@@ -241,7 +229,7 @@ TEST(JoinEquivalence, AllRecordsMatch) {
     record.protocol = (i % 3) != 0 ? 6 : 17;
     records.push_back(record);
   }
-  expect_join_matches(records, index, {}, &pool, /*store_backed=*/true, "all_match");
+  expect_join_matches(records, index, {}, &pool, "all_match");
 }
 
 TEST(JoinEquivalence, OnePartition) {
@@ -251,7 +239,7 @@ TEST(JoinEquivalence, OnePartition) {
   netflow::JoinConfig config;
   config.partitions = 1;
   expect_join_matches(records, make_index(pool_ips), config, &pool,
-                      /*store_backed=*/true, "one_partition");
+                      "one_partition");
 }
 
 TEST(JoinEquivalence, RecordsStraddleChunkBoundaries) {
@@ -264,7 +252,7 @@ TEST(JoinEquivalence, RecordsStraddleChunkBoundaries) {
   config.chunk_records = 13;
   config.partitions = 5;
   expect_join_matches(records, make_index(pool_ips), config, &pool,
-                      /*store_backed=*/true, "straddle");
+                      "straddle");
 }
 
 TEST(JoinEquivalence, DuplicateDestinationsAcrossPartitions) {
@@ -292,8 +280,7 @@ TEST(JoinEquivalence, DuplicateDestinationsAcrossPartitions) {
   }
   netflow::JoinConfig config;
   config.partitions = 4;
-  expect_join_matches(records, index, config, &pool, /*store_backed=*/true,
-                      "dup_dst");
+  expect_join_matches(records, index, config, &pool, "dup_dst");
 }
 
 // --- fault equivalence ------------------------------------------------
@@ -310,10 +297,7 @@ TEST(JoinEquivalence, FaultDropsMatchInMemoryCollector) {
   netflow::JoinConfig config;
   config.partitions = 8;
   config.chunk_records = 501;
-  expect_join_matches(records, index, config, &pool, /*store_backed=*/true,
-                      "fault_store", &plan);
-  expect_join_matches(records, index, config, &pool, /*store_backed=*/false,
-                      "fault_mem", &plan);
+  expect_join_matches(records, index, config, &pool, "fault", &plan);
 }
 
 // --- resume-mid-join --------------------------------------------------
@@ -530,7 +514,7 @@ TEST(JoinSpillDeterminism, SpillSetByteIdenticalAcrossThreadCounts) {
 
 /// The join's thread-count invariance, StudyDeterminism-style: results
 /// and every deterministic obs counter must be identical at any pool
-/// size, store-backed or in-memory, fresh or resumed.
+/// size.
 class JoinDeterminism : public ::testing::TestWithParam<unsigned> {};
 
 TEST_P(JoinDeterminism, BitIdenticalAcrossThreadCounts) {
@@ -544,9 +528,9 @@ TEST_P(JoinDeterminism, BitIdenticalAcrossThreadCounts) {
   ref_config.spill_directory =
       temp_dir("det_ref_t" + std::to_string(GetParam()));
   {
-    const store::RecordSource<netflow::WireCodec> memory{
-        std::span<const netflow::RawRecord>(records)};
-    const auto ref = netflow::join_flows(memory, index, test_isp(), ref_config,
+    const auto ref_source = store_source(
+        records, temp_path("det_ref_t" + std::to_string(GetParam()) + ".rec"));
+    const auto ref = netflow::join_flows(ref_source, index, test_isp(), ref_config,
                                          /*pool=*/nullptr, &ref_registry);
 
     runtime::ThreadPool pool(GetParam());
@@ -559,9 +543,8 @@ TEST_P(JoinDeterminism, BitIdenticalAcrossThreadCounts) {
         netflow::join_flows(source, index, test_isp(), config, &pool, &registry);
     expect_same_collection(got, ref);
 
-    // Deterministic counters must not move with the thread count (the
-    // store read counters differ by the input file the store-backed leg
-    // reads; the join/netflow counters may not).
+    // Deterministic join/netflow counters must not move with the thread
+    // count.
     for (const char* name :
          {"cbwt_netflow_records_collected_total", "cbwt_netflow_internal_total",
           "cbwt_netflow_matched_total", "cbwt_netflow_join_partitions_total",
@@ -657,10 +640,10 @@ TEST(FlowPage, ImageBuilderMatchesBatchEncoder) {
   }
 }
 
-/// append_encoded + incremental checksums must leave a file that is
-/// byte-for-byte the one append() with the finalize-time checksum
-/// leaves — the spill pass swaps both in, and resume compares the
-/// superblock checksum across runs.
+/// append_encoded of in-place page images must leave a file that is
+/// byte-for-byte the one append() of the decoded pages leaves — the
+/// spill pass uses the former, and resume compares the superblock
+/// checksum across runs.
 TEST(FlowPage, EncodedAppendWithIncrementalChecksumMatchesAppend) {
   const auto pool_ips = make_tracker_pool(16);
   const auto records = make_records(0xE9C, 2'000, pool_ips);
@@ -670,8 +653,7 @@ TEST(FlowPage, EncodedAppendWithIncrementalChecksumMatchesAppend) {
   const std::string encoded_path = temp_path("writer_parity_encoded.rec");
   {
     store::RecordFileWriter<netflow::FlowPageCodec> decoded_writer(decoded_path);
-    store::RecordFileWriter<netflow::FlowPageCodec> encoded_writer(
-        encoded_path, /*registry=*/nullptr, /*incremental_checksum=*/true);
+    store::RecordFileWriter<netflow::FlowPageCodec> encoded_writer(encoded_path);
     std::vector<netflow::FlowPageImage> images;
     for (const auto& record : records) {
       if (!batch.try_add(record)) {

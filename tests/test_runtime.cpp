@@ -5,7 +5,9 @@
 #include <algorithm>
 #include <array>
 #include <atomic>
+#include <mutex>
 #include <numeric>
+#include <stdexcept>
 #include <thread>
 #include <unordered_set>
 #include <vector>
@@ -16,6 +18,7 @@
 #include "obs/trace_buffer.h"
 #include "runtime/channel.h"
 #include "runtime/thread_pool.h"
+#include "util/contract.h"
 
 namespace cbwt::runtime {
 namespace {
@@ -24,58 +27,22 @@ namespace {
 
 TEST(Channel, FifoWithinCapacity) {
   Channel<int> channel(4);
-  for (int i = 0; i < 4; ++i) EXPECT_TRUE(channel.push(i));
-  EXPECT_EQ(channel.size(), 4u);
+  for (int i = 0; i < 4; ++i) channel.push(i);  // never blocks within capacity
+  EXPECT_EQ(channel.stats().producer_stalls, 0u);
+  EXPECT_EQ(channel.stats().high_water, 4u);
   for (int i = 0; i < 4; ++i) EXPECT_EQ(channel.pop(), i);
-  EXPECT_EQ(channel.size(), 0u);
-}
-
-TEST(Channel, TryPushReportsFullAndTryPopReportsEmpty) {
-  Channel<int> channel(1);
-  EXPECT_EQ(channel.try_pop(), std::nullopt);
-  int value = 7;
-  EXPECT_EQ(channel.try_push(value), TryPush::Ok);
-  value = 8;
-  EXPECT_EQ(channel.try_push(value), TryPush::Full);
-  EXPECT_EQ(channel.try_pop(), 7);
-  EXPECT_EQ(channel.try_pop(), std::nullopt);
-}
-
-TEST(Channel, CloseDrainsThenSignalsEnd) {
-  Channel<int> channel(4);
-  EXPECT_TRUE(channel.push(1));
-  EXPECT_TRUE(channel.push(2));
-  channel.close();
-  EXPECT_TRUE(channel.closed());
-  // Pushes after close fail, buffered items still drain in order.
-  EXPECT_FALSE(channel.push(3));
-  int value = 3;
-  EXPECT_EQ(channel.try_push(value), TryPush::Closed);
-  EXPECT_EQ(channel.pop(), 1);
-  EXPECT_EQ(channel.pop(), 2);
-  EXPECT_EQ(channel.pop(), std::nullopt);
-  EXPECT_EQ(channel.try_pop(), std::nullopt);
-  channel.close();  // idempotent
-}
-
-TEST(Channel, CloseWakesBlockedConsumer) {
-  Channel<int> channel(2);
-  std::thread consumer([&] { EXPECT_EQ(channel.pop(), std::nullopt); });
-  channel.close();
-  consumer.join();
+  EXPECT_EQ(channel.stats().popped, 4u);
 }
 
 TEST(Channel, BackpressureBlocksProducerUntilConsumed) {
   constexpr int kItems = 256;
   Channel<int> channel(2);
   std::thread producer([&] {
-    for (int i = 0; i < kItems; ++i) ASSERT_TRUE(channel.push(i));
-    channel.close();
+    for (int i = 0; i < kItems; ++i) channel.push(i);
   });
   std::vector<int> received;
-  while (auto value = channel.pop()) received.push_back(*value);
+  for (int i = 0; i < kItems; ++i) received.push_back(channel.pop());
   producer.join();
-  ASSERT_EQ(received.size(), static_cast<std::size_t>(kItems));
   for (int i = 0; i < kItems; ++i) EXPECT_EQ(received[static_cast<std::size_t>(i)], i);
   const auto stats = channel.stats();
   EXPECT_EQ(stats.pushed, static_cast<std::uint64_t>(kItems));
@@ -83,53 +50,26 @@ TEST(Channel, BackpressureBlocksProducerUntilConsumed) {
   EXPECT_LE(stats.high_water, 2u);
 }
 
-TEST(Channel, CloseWakesEveryStalledProducer) {
-  // A stalled producer must not outlive the stream: close() has to wake
-  // every push() blocked on a full buffer and fail it, or a pipeline
-  // whose consumer aborts would hang its producer shards forever.
-  Channel<int> channel(1);
-  ASSERT_TRUE(channel.push(0));  // fill the buffer: further pushes stall
-  constexpr std::uint64_t kProducers = 4;
-  std::atomic<int> rejected{0};
-  std::vector<std::thread> producers;
-  for (std::uint64_t p = 0; p < kProducers; ++p) {
-    producers.emplace_back([&, p] {
-      if (!channel.push(static_cast<int>(p) + 1)) rejected.fetch_add(1);
-    });
-  }
-  // Wait until all four are provably blocked inside push().
-  while (channel.stats().producer_stalls < kProducers) std::this_thread::yield();
-  channel.close();
-  for (auto& producer : producers) producer.join();
-  EXPECT_EQ(rejected.load(), static_cast<int>(kProducers));
-  // The pre-close item still drains; the rejected values were dropped.
-  EXPECT_EQ(channel.pop(), 0);
-  EXPECT_EQ(channel.pop(), std::nullopt);
-  EXPECT_EQ(channel.stats().pushed, 1u);
-}
-
 TEST(Channel, ManyProducersManyConsumers) {
   constexpr int kProducers = 4;
   constexpr int kConsumers = 4;
   constexpr int kPerProducer = 500;
+  constexpr int kPerConsumer = kProducers * kPerProducer / kConsumers;
   Channel<int> channel(8);
-  std::atomic<int> producers_left{kProducers};
   std::vector<std::thread> threads;
   for (int p = 0; p < kProducers; ++p) {
     threads.emplace_back([&, p] {
-      for (int i = 0; i < kPerProducer; ++i) {
-        ASSERT_TRUE(channel.push(p * kPerProducer + i));
-      }
-      if (producers_left.fetch_sub(1) == 1) channel.close();
+      for (int i = 0; i < kPerProducer; ++i) channel.push(p * kPerProducer + i);
     });
   }
   std::mutex sink_mutex;
   std::vector<int> sink;
   for (int c = 0; c < kConsumers; ++c) {
     threads.emplace_back([&] {
-      while (auto value = channel.pop()) {
+      for (int i = 0; i < kPerConsumer; ++i) {
+        const int value = channel.pop();
         std::scoped_lock lock(sink_mutex);
-        sink.push_back(*value);
+        sink.push_back(value);
       }
     });
   }
@@ -139,6 +79,7 @@ TEST(Channel, ManyProducersManyConsumers) {
   for (int i = 0; i < kProducers * kPerProducer; ++i) {
     EXPECT_EQ(sink[static_cast<std::size_t>(i)], i);
   }
+  EXPECT_EQ(channel.stats().pushed, channel.stats().popped);
 }
 
 // --- ThreadPool ------------------------------------------------------
@@ -260,71 +201,57 @@ TEST(ShardRng, StreamsNeverCollideOverManyDraws) {
   }
 }
 
-TEST(ParallelMap, MatchesSerialForEveryPoolSize) {
+TEST(ParallelFor, MatchesSerialForEveryPoolSize) {
   constexpr std::size_t kN = 5000;
-  const auto serial = parallel_map<std::uint64_t>(
-      nullptr, kN, {.min_shard_items = 64}, [](std::size_t i) { return i * i; });
-  for (const unsigned threads : {2u, 8u}) {
-    ThreadPool pool(threads);
-    const auto parallel = parallel_map<std::uint64_t>(
-        &pool, kN, {.min_shard_items = 64}, [](std::size_t i) { return i * i; });
-    EXPECT_EQ(parallel, serial);
-  }
-}
-
-TEST(ShardedReduce, MergesInShardOrderForEveryPoolSize) {
-  constexpr std::size_t kN = 20000;
   const auto run = [](ThreadPool* pool) {
-    return sharded_reduce<std::vector<std::uint64_t>>(
-        pool, kN, {.min_shard_items = 256}, /*seed=*/99, /*stage_label=*/0xABCD,
-        [](ShardRange range, std::size_t, util::Rng& rng) {
-          std::vector<std::uint64_t> part;
-          part.reserve(range.size());
-          for (std::size_t i = range.begin; i < range.end; ++i) part.push_back(rng());
-          return part;
-        },
-        [](std::vector<std::uint64_t>& acc, std::vector<std::uint64_t>&& part) {
-          acc.insert(acc.end(), part.begin(), part.end());
-        });
+    std::vector<std::uint64_t> out(kN);
+    parallel_for(pool, kN, {.min_shard_items = 64}, [&](ShardRange range, std::size_t) {
+      for (std::size_t i = range.begin; i < range.end; ++i) out[i] = i * i;
+    });
+    return out;
   };
   const auto serial = run(nullptr);
-  ASSERT_EQ(serial.size(), kN);
+  for (std::size_t i = 0; i < kN; ++i) ASSERT_EQ(serial[i], i * i);
   for (const unsigned threads : {2u, 8u}) {
     ThreadPool pool(threads);
     EXPECT_EQ(run(&pool), serial);
   }
 }
 
-TEST(ShardedReduce, ChannelStatsSinkSeesEveryPart) {
-  constexpr std::size_t kN = 20000;
+TEST(ParallelFor, WritesDisjointSlots) {
+  constexpr std::size_t kN = 4096;
+  std::vector<std::uint32_t> out(kN, 0);
   ThreadPool pool(4);
-  ChannelStats stats;
-  const auto plan = plan_shards(kN, {.min_shard_items = 256});
-  ASSERT_GT(plan.size(), 1u);
-  (void)sharded_reduce<std::uint64_t>(
-      &pool, kN, {.min_shard_items = 256, .channel_stats = &stats},
-      /*seed=*/7, /*stage_label=*/0x57A75,
-      [](ShardRange range, std::size_t, util::Rng&) {
-        return static_cast<std::uint64_t>(range.size());
-      },
-      [](std::uint64_t& acc, std::uint64_t&& part) { acc += part; });
-  // One part per shard flows through the channel; the sink sees all of
-  // them, and the bounded capacity keeps the high-water finite.
-  EXPECT_EQ(stats.pushed, plan.size());
-  EXPECT_EQ(stats.popped, plan.size());
-  EXPECT_GE(stats.high_water, 1u);
+  parallel_for(&pool, kN, {.min_shard_items = 64},
+               [&](ShardRange range, std::size_t) {
+                 for (std::size_t i = range.begin; i < range.end; ++i) {
+                   out[i] = static_cast<std::uint32_t>(i + 1);
+                 }
+               });
+  for (std::size_t i = 0; i < kN; ++i) EXPECT_EQ(out[i], i + 1);
+}
 
-  // The serial path uses no channel and leaves the sink untouched.
-  ChannelStats serial_stats;
-  (void)sharded_reduce<std::uint64_t>(
-      nullptr, kN, {.min_shard_items = 256, .channel_stats = &serial_stats},
-      /*seed=*/7, /*stage_label=*/0x57A75,
-      [](ShardRange range, std::size_t, util::Rng&) {
-        return static_cast<std::uint64_t>(range.size());
-      },
-      [](std::uint64_t& acc, std::uint64_t&& part) { acc += part; });
-  EXPECT_EQ(serial_stats.pushed, 0u);
-  EXPECT_EQ(serial_stats.popped, 0u);
+TEST(ParallelFor, PropagatesShardExceptions) {
+  constexpr std::size_t kN = 10000;
+  ThreadPool pool(4);
+  const auto plan = plan_shards(kN, {.min_shard_items = 16});
+  ASSERT_GT(plan.size(), 4u);
+  std::vector<std::uint8_t> ran(plan.size(), 0);
+  const auto boom = [&] {
+    parallel_for(&pool, kN, {.min_shard_items = 16}, [&](ShardRange, std::size_t shard) {
+      ran[shard] = 1;
+      if (shard == 3) throw std::runtime_error("shard failure");
+    });
+  };
+  EXPECT_THROW(boom(), std::runtime_error);
+  // The throw does not cancel the batch: every other shard still ran.
+  EXPECT_EQ(std::count(ran.begin(), ran.end(), 1), static_cast<std::ptrdiff_t>(plan.size()));
+  // The pool serves a follow-up batch.
+  std::vector<std::uint8_t> again(kN, 0);
+  parallel_for(&pool, kN, {.min_shard_items = 16}, [&](ShardRange range, std::size_t) {
+    for (std::size_t i = range.begin; i < range.end; ++i) again[i] = 1;
+  });
+  EXPECT_EQ(std::count(again.begin(), again.end(), 1), static_cast<std::ptrdiff_t>(kN));
 }
 
 TEST(OrderedStream, ConsumesInShardOrderWhileProducersRun) {
@@ -332,9 +259,10 @@ TEST(OrderedStream, ConsumesInShardOrderWhileProducersRun) {
   const auto run = [](ThreadPool* pool) {
     std::vector<std::size_t> consumed_shards;
     std::vector<std::uint64_t> consumed_values;
-    ordered_stream<std::vector<std::uint64_t>>(
-        pool, kN, {.min_shard_items = 256}, /*seed=*/42, /*stage_label=*/0x02DE2,
-        [](ShardRange range, std::size_t, util::Rng& rng) {
+    ordered_stream(
+        pool, kN, {.min_shard_items = 256},
+        [](ShardRange range, std::size_t shard) {
+          auto rng = shard_rng(/*seed=*/42, /*stage_label=*/0x02DE2, shard);
           std::vector<std::uint64_t> part;
           part.reserve(range.size());
           for (std::size_t i = range.begin; i < range.end; ++i) part.push_back(rng());
@@ -362,59 +290,83 @@ TEST(OrderedStream, ConsumesInShardOrderWhileProducersRun) {
   }
 }
 
+TEST(OrderedStream, ChannelStatsSinkSeesEveryPart) {
+  constexpr std::size_t kN = 20000;
+  const auto size_of = [](ShardRange range, std::size_t) {
+    return static_cast<std::uint64_t>(range.size());
+  };
+  ThreadPool pool(4);
+  ChannelStats stats;
+  const auto plan = plan_shards(kN, {.min_shard_items = 256});
+  ASSERT_GT(plan.size(), 1u);
+  std::uint64_t total = 0;
+  ordered_stream(&pool, kN, {.min_shard_items = 256, .channel_stats = &stats}, size_of,
+                 [&](std::size_t, std::uint64_t&& part) { total += part; });
+  EXPECT_EQ(total, kN);
+  // One part per shard flows through the channel; the sink sees all of
+  // them, and the bounded capacity keeps the high-water finite.
+  EXPECT_EQ(stats.pushed, plan.size());
+  EXPECT_EQ(stats.popped, plan.size());
+  EXPECT_GE(stats.high_water, 1u);
+
+  // The serial path uses no channel and leaves the sink untouched.
+  ChannelStats serial_stats;
+  ordered_stream(nullptr, kN, {.min_shard_items = 256, .channel_stats = &serial_stats},
+                 size_of, [](std::size_t, std::uint64_t&&) {});
+  EXPECT_EQ(serial_stats.pushed, 0u);
+  EXPECT_EQ(serial_stats.popped, 0u);
+}
+
 TEST(OrderedStream, ThrowingConsumerDrainsAndRethrows) {
+  const auto size_of = [](ShardRange range, std::size_t) {
+    return static_cast<std::uint64_t>(range.size());
+  };
   ThreadPool pool(4);
   std::size_t consumed = 0;
   const auto boom = [&] {
-    ordered_stream<int>(
-        &pool, 10000, {.min_shard_items = 16}, 0, 0,
-        [](ShardRange range, std::size_t, util::Rng&) {
-          return static_cast<int>(range.size());
-        },
-        [&](std::size_t shard, int&&) {
-          if (shard == 2) throw std::runtime_error("consumer failure");
-          ++consumed;
-        });
+    ordered_stream(&pool, 10000, {.min_shard_items = 16}, size_of,
+                   [&](std::size_t shard, std::uint64_t&&) {
+                     if (shard == 2) throw std::runtime_error("consumer failure");
+                     ++consumed;
+                   });
   };
   EXPECT_THROW(boom(), std::runtime_error);
   EXPECT_EQ(consumed, 2u);  // shards 0 and 1 landed before the throw
   // The pool is healthy afterwards (no producer left blocked on the
   // channel) — a follow-up batch completes.
   std::uint64_t total = 0;
-  ordered_stream<std::uint64_t>(
-      &pool, 10000, {.min_shard_items = 16}, 0, 0,
-      [](ShardRange range, std::size_t, util::Rng&) {
-        return static_cast<std::uint64_t>(range.size());
-      },
-      [&](std::size_t, std::uint64_t&& part) { total += part; });
+  ordered_stream(&pool, 10000, {.min_shard_items = 16}, size_of,
+                 [&](std::size_t, std::uint64_t&& part) { total += part; });
   EXPECT_EQ(total, 10000u);
 }
 
-TEST(ShardedReduce, PropagatesShardExceptions) {
+TEST(OrderedStream, PropagatesShardExceptions) {
   ThreadPool pool(4);
   const auto boom = [&] {
-    (void)sharded_reduce<int>(
-        &pool, 10000, {.min_shard_items = 16}, 0, 0,
-        [](ShardRange range, std::size_t shard, util::Rng&) {
+    ordered_stream(
+        &pool, 10000, {.min_shard_items = 16},
+        [](ShardRange range, std::size_t shard) {
           if (shard == 3) throw std::runtime_error("shard failure");
           return static_cast<int>(range.size());
         },
-        [](int& acc, int&& part) { acc += part; });
+        [](std::size_t, int&&) {});
   };
   EXPECT_THROW(boom(), std::runtime_error);
 }
 
-TEST(ParallelFor, WritesDisjointSlots) {
-  constexpr std::size_t kN = 4096;
-  std::vector<std::uint32_t> out(kN, 0);
-  ThreadPool pool(4);
-  parallel_for(&pool, kN, {.min_shard_items = 64},
-               [&](ShardRange range, std::size_t) {
-                 for (std::size_t i = range.begin; i < range.end; ++i) {
-                   out[i] = static_cast<std::uint32_t>(i + 1);
-                 }
-               });
-  for (std::size_t i = 0; i < kN; ++i) EXPECT_EQ(out[i], i + 1);
+TEST(OrderedStream, RejectsCallsFromPoolWorkers) {
+  // The caller blocks in its consumer loop, so a parallel stage may not
+  // start from inside a pool task. The nested call's precondition fails
+  // on the worker; the outer stream rethrows it on the caller.
+  const util::ContractPolicy saved = util::contract_policy();
+  util::set_contract_policy(util::ContractPolicy::Throw);
+  ThreadPool pool(2);
+  EXPECT_THROW(parallel_for(&pool, 4, {.min_shard_items = 1},
+                            [](ShardRange, std::size_t) {
+                              parallel_for(nullptr, 1, {}, [](ShardRange, std::size_t) {});
+                            }),
+               util::ContractViolation);
+  util::set_contract_policy(saved);
 }
 
 // --- End-to-end determinism sweep ------------------------------------
