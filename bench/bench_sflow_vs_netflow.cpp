@@ -28,14 +28,15 @@ int main() {
   const std::vector<std::string> registrables(registrable_set.begin(),
                                               registrable_set.end());
 
-  netflow::SflowConfig sflow;
-  sflow.scale = 2e-4;
+  netflow::GeneratorConfig traffic;
+  traffic.scale = 2e-4;
   util::TextTable table({"ISP", "tracking samples", "host-match recall",
                          "IP-match recall", "either", "false host", "false IP"});
   for (const auto& isp : netflow::default_isps()) {
     auto rng = util::Rng(config.world.seed ^ isp.name.size());
     const auto exported = netflow::generate_sflow_snapshot(
-        world, study.resolver(), isp, netflow::default_snapshots()[1], sflow, rng);
+        world, study.resolver(), isp, netflow::default_snapshots()[1], traffic,
+        netflow::SflowConfig{}, rng);
     const auto comparison =
         netflow::compare_matchers(world, exported, registrables, trackers);
     table.add_row({std::string(isp.name), util::fmt_count(comparison.tracking_samples),

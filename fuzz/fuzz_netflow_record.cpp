@@ -1,9 +1,8 @@
 // Fuzz target for the NetFlow wire codec (src/netflow/wire.cpp): the
-// boundary where untrusted router bytes become RawRecord structs.
+// boundary where store-backed snapshot bytes become RawRecord structs.
 //
-// Both entry points run on every input. Accepted records must encode
-// back to the identical bytes (the layout has no redundant states), and
-// accepted packets must re-encode to the identical packet.
+// Accepted records must encode back to the identical bytes (the layout
+// has no redundant states).
 #include <algorithm>
 #include <cstdint>
 #include <span>
@@ -16,13 +15,6 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data, std::size_t size
 
   if (const auto record = cbwt::netflow::parse_record(bytes)) {
     const auto encoded = cbwt::netflow::encode_record(*record);
-    CBWT_ASSERT(encoded.size() == bytes.size());
-    CBWT_ASSERT(std::equal(encoded.begin(), encoded.end(), bytes.begin()));
-  }
-
-  if (const auto records = cbwt::netflow::parse_packet(bytes)) {
-    CBWT_ASSERT(records->size() <= cbwt::netflow::kWireMaxRecordsPerPacket);
-    const auto encoded = cbwt::netflow::encode_packet(*records);
     CBWT_ASSERT(encoded.size() == bytes.size());
     CBWT_ASSERT(std::equal(encoded.begin(), encoded.end(), bytes.begin()));
   }

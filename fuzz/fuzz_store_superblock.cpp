@@ -11,9 +11,9 @@
 #include <span>
 
 #include "netflow/wire.h"
-#include "store/bytes.h"
 #include "store/superblock.h"
 #include "util/contract.h"
+#include "util/fnv1a.h"
 
 extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data, std::size_t size) {
   const std::span<const std::uint8_t> bytes(data, size);
@@ -30,7 +30,7 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data, std::size_t size
   // those checks, then decode whatever survives them.
   const auto payload = bytes.subspan(cbwt::store::kSuperblockSize);
   if (payload.size() != block->payload_bytes) return 0;
-  if (cbwt::store::fnv1a(payload) != block->checksum) return 0;
+  if (cbwt::util::fnv1a(payload) != block->checksum) return 0;
 
   if (block->kind == cbwt::store::RecordKind::NetflowWire &&
       block->record_size == cbwt::netflow::kWireRecordSize) {

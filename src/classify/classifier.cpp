@@ -9,6 +9,7 @@
 #include "obs/trace_buffer.h"
 #include "runtime/parallel.h"
 #include "util/contract.h"
+#include "util/fnv1a.h"
 #include "util/prng.h"
 
 namespace cbwt::classify {
@@ -17,13 +18,8 @@ namespace {
 
 /// Cheap stable hash for URL-identity sets (collision odds are
 /// negligible against dataset sizes here).
-std::uint64_t hash_text(std::string_view text) noexcept {
-  std::uint64_t h = 0xCBF29CE484222325ULL;
-  for (const char c : text) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 0x100000001B3ULL;
-  }
-  return util::mix64(h);
+std::uint64_t hash_url(std::string_view url) noexcept {
+  return util::mix64(util::fnv1a(url));
 }
 
 std::string_view host_of(std::string_view url) noexcept {
@@ -96,7 +92,7 @@ std::vector<Outcome> Classifier::run(const browser::ExtensionDataset& dataset,
             const filterlist::MatchResult hit = engine_.match(context);
             if (hit.matched) {
               outcomes[i] = {Method::AbpList, hit.list};
-              local.insert(hash_text(request.url));
+              local.insert(hash_url(request.url));
             }
           }
           return local;
@@ -118,9 +114,9 @@ std::vector<Outcome> Classifier::run(const browser::ExtensionDataset& dataset,
         const auto& request = requests[i];
         if (!url_has_arguments(request.url)) continue;
         if (request.referrer.empty()) continue;
-        if (ltf_urls.contains(hash_text(request.referrer))) {
+        if (ltf_urls.contains(hash_url(request.referrer))) {
           outcomes[i] = {Method::Referrer, {}};
-          ltf_urls.insert(hash_text(request.url));
+          ltf_urls.insert(hash_url(request.url));
           changed = true;
         }
       }
@@ -206,7 +202,7 @@ ClassificationSummary summarize(const browser::ExtensionDataset& dataset,
     }
     const std::string_view host = host_of(request.url);
     const std::string_view registrable = net::registrable_domain(host);
-    const std::uint64_t url_hash = hash_text(request.url);
+    const std::uint64_t url_hash = hash_url(request.url);
 
     Sets& sets = method == Method::AbpList ? abp_sets : semi_sets;
     StageStats& stats = method == Method::AbpList ? summary.abp : summary.semi;

@@ -317,7 +317,7 @@ Study::IspRun Study::run_isp_snapshot(const netflow::IspProfile& isp,
     // The collect leg is the out-of-core radix join: partition the
     // snapshot into compressed flow pages beside the record file, probe
     // against per-partition tracker tables. Bit-identical to the
-    // in-memory collect_sharded branch below (the executable spec).
+    // in-memory branch below.
     netflow::JoinConfig join_config;
     join_config.spill_directory =
         config_.storage.directory + "/join_" + stem + "_day" +
@@ -326,12 +326,12 @@ Study::IspRun Study::run_isp_snapshot(const netflow::IspProfile& isp,
                                          index, isp, join_config, workers,
                                          config_.registry, &config_.fault_plan);
   } else {
-    const auto exported = netflow::generate_snapshot_sharded(
-        built_world, dns, isp, snapshot, config_.netflow, seed, workers,
-        config_.registry, &config_.fault_plan);
-    run.exported_records = exported.records.size();
-    run.collection = netflow::collect_sharded(exported.records, index, isp, workers,
-                                              config_.registry, &config_.fault_plan);
+    // Every generated batch is collected as it arrives; the snapshot is
+    // never held in memory. Each record is either seen or dropped.
+    run.collection = netflow::collect_snapshot(built_world, dns, isp, snapshot,
+                                               config_.netflow, seed, index, workers,
+                                               config_.registry, &config_.fault_plan);
+    run.exported_records = run.collection.records_seen + run.collection.dropped_records;
   }
   run.flows = run.collection.flows(std::string(isp.country));
   span.set_items(run.exported_records);

@@ -36,7 +36,7 @@ enum class FaultKind : std::uint8_t {
   None,          ///< the attempt succeeds
   Timeout,       ///< no answer within the attempt budget (retryable)
   Error,         ///< immediate failure, e.g. SERVFAIL / probe loss (retryable)
-  SlowResponse,  ///< succeeds but late (costs latency, may blow a deadline)
+  SlowResponse,  ///< succeeds but late (costs latency)
   StaleData,     ///< succeeds with out-of-date data (caller degrades)
 };
 
@@ -105,8 +105,10 @@ struct FaultPlan {
   [[nodiscard]] static FaultPlan uniform(std::uint64_t seed, double rate);
 
   /// Plan from the environment: CBWT_FAULT_RATE (total rate, uniform
-  /// across kinds and sites; unset or <= 0 disables) and CBWT_FAULT_SEED
-  /// (defaults to the FaultPlan default seed). The CLI/env knob for
+  /// across kinds and sites; a finite decimal, unset or <= 0 disables,
+  /// above 1 clamps to 1) and CBWT_FAULT_SEED (decimal digits; defaults
+  /// to the FaultPlan default seed). Any other value of either throws
+  /// std::invalid_argument naming the variable. The CLI/env knob for
   /// chaos-smoke CI runs and fault-rate sweeps.
   [[nodiscard]] static FaultPlan from_env();
 };

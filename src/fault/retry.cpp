@@ -1,6 +1,5 @@
 #include "fault/retry.h"
 
-#include <algorithm>
 #include <array>
 #include <string>
 
@@ -9,6 +8,20 @@
 namespace cbwt::fault {
 
 namespace {
+
+// The one retry policy; every duration is virtual milliseconds.
+constexpr std::uint32_t kMaxAttempts = 3;
+/// Cost of an attempt that answers (successfully or with an error).
+constexpr double kBaseLatencyMs = 1.0;
+/// Cost of a timed-out attempt (the attempt budget).
+constexpr double kAttemptTimeoutMs = 250.0;
+/// Extra cost of a SlowResponse attempt.
+constexpr double kSlowPenaltyMs = 100.0;
+/// Backoff between attempts: base * multiplier^n, each wait scaled by a
+/// seeded factor in [1 - jitter, 1 + jitter].
+constexpr double kBaseBackoffMs = 10.0;
+constexpr double kBackoffMultiplier = 2.0;
+constexpr double kJitter = 0.5;
 
 /// Salt space for backoff jitter, disjoint from attempt indices (which
 /// are small) so the jitter stream never aliases a decision stream.
@@ -21,63 +34,47 @@ constexpr std::array<double, 8> kLatencyBoundsSeconds = {
 
 }  // namespace
 
-CallFate fate_of(const FaultPlan& plan, const Site& site, std::uint64_t key,
-                 const RetryPolicy& policy) noexcept {
+CallFate fate_of(const FaultPlan& plan, const Site& site, std::uint64_t key) noexcept {
   CallFate fate;
   if (!site.rates.any()) return fate;  // zero-cost default: 1 attempt, success
 
-  CBWT_EXPECTS(policy.max_attempts >= 1);
   fate.attempts = 0;
-  double backoff = policy.base_backoff_ms;
-  for (std::uint32_t attempt = 0; attempt < policy.max_attempts; ++attempt) {
+  double backoff = kBaseBackoffMs;
+  for (std::uint32_t attempt = 0; attempt < kMaxAttempts; ++attempt) {
     ++fate.attempts;
     const FaultKind kind = decide(plan.seed, site, key, attempt);
     switch (kind) {
       case FaultKind::None:
-        fate.latency_ms += policy.base_latency_ms;
+        fate.latency_ms += kBaseLatencyMs;
         fate.failure = FaultKind::None;
         return fate;
       case FaultKind::SlowResponse:
-        fate.latency_ms += policy.base_latency_ms + policy.slow_penalty_ms;
+        fate.latency_ms += kBaseLatencyMs + kSlowPenaltyMs;
         ++fate.injected;
-        if (policy.deadline_ms > 0.0 && fate.latency_ms >= policy.deadline_ms) {
-          // The late answer arrived after the caller's budget: a timeout
-          // from the caller's point of view.
-          fate.failure = FaultKind::Timeout;
-          return fate;
-        }
         fate.failure = FaultKind::None;
         return fate;
       case FaultKind::StaleData:
-        fate.latency_ms += policy.base_latency_ms;
+        fate.latency_ms += kBaseLatencyMs;
         ++fate.injected;
         fate.stale = true;
         fate.failure = FaultKind::None;
         return fate;
       case FaultKind::Timeout:
-        fate.latency_ms += policy.attempt_timeout_ms;
+        fate.latency_ms += kAttemptTimeoutMs;
         ++fate.injected;
         break;
       case FaultKind::Error:
-        fate.latency_ms += policy.base_latency_ms;
+        fate.latency_ms += kBaseLatencyMs;
         ++fate.injected;
         break;
     }
     fate.failure = kind;  // provisional: stands if this was the last chance
-    if (policy.deadline_ms > 0.0 && fate.latency_ms >= policy.deadline_ms) {
-      fate.failure = FaultKind::Timeout;
-      return fate;
-    }
-    if (attempt + 1 < policy.max_attempts) {
+    if (attempt + 1 < kMaxAttempts) {
       const double u =
           stateless_uniform(plan.seed, site.hash, key, kJitterSalt | attempt);
-      const double factor = 1.0 + policy.jitter * (2.0 * u - 1.0);
-      fate.latency_ms += std::min(backoff, policy.max_backoff_ms) * factor;
-      backoff *= policy.backoff_multiplier;
-      if (policy.deadline_ms > 0.0 && fate.latency_ms >= policy.deadline_ms) {
-        fate.failure = FaultKind::Timeout;
-        return fate;
-      }
+      const double factor = 1.0 + kJitter * (2.0 * u - 1.0);
+      fate.latency_ms += backoff * factor;
+      backoff *= kBackoffMultiplier;
     }
   }
   return fate;  // exhausted: failure holds the last attempt's kind
@@ -120,7 +117,7 @@ StageSite StageSite::resolve(const FaultPlan* plan, std::string_view label,
 
 CallFate StageSite::call(std::uint64_t key) const noexcept {
   CBWT_EXPECTS(live());
-  const CallFate fate = fate_of(*plan, site, key, RetryPolicy{});
+  const CallFate fate = fate_of(*plan, site, key);
   metrics.count(fate);
   return fate;
 }

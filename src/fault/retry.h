@@ -1,11 +1,9 @@
 // Resilience policy over the fault layer: bounded retries with
-// deterministic exponential backoff (seeded jitter) and per-call virtual
-// deadlines.
+// deterministic exponential backoff (seeded jitter).
 //
 // Time here is *virtual*: an attempt that "times out" charges its budget
 // to the call's latency account instead of sleeping, so chaos sweeps run
-// at full speed and a fate is a pure function of (plan, site, key,
-// policy). Nothing in this layer holds state between calls, so any
+// at full speed and a fate is a pure function of (plan, site, key). Nothing in this layer holds state between calls, so any
 // number of threads can compute fates against one resolved StageSite
 // and get the same answers in any order.
 #pragma once
@@ -18,27 +16,6 @@
 
 namespace cbwt::fault {
 
-struct RetryPolicy {
-  std::uint32_t max_attempts = 3;
-  /// Virtual cost of a successful (or erroring) attempt.
-  double base_latency_ms = 1.0;
-  /// Virtual cost of a timed-out attempt (the attempt budget).
-  double attempt_timeout_ms = 250.0;
-  /// Extra virtual latency of a SlowResponse attempt.
-  double slow_penalty_ms = 100.0;
-  /// Exponential backoff between attempts: base * multiplier^n, capped.
-  double base_backoff_ms = 10.0;
-  double backoff_multiplier = 2.0;
-  double max_backoff_ms = 2000.0;
-  /// Backoff jitter fraction: each wait is scaled by a seeded factor in
-  /// [1 - jitter, 1 + jitter], derived statelessly from the call key.
-  double jitter = 0.5;
-  /// Total virtual budget of the call across attempts and backoffs;
-  /// 0 = unbounded. Exceeding it fails the call as a Timeout even if
-  /// attempts remain.
-  double deadline_ms = 0.0;
-};
-
 /// The complete, pre-computed trajectory of one logical call.
 struct CallFate {
   FaultKind failure = FaultKind::None;  ///< None = the call succeeded
@@ -50,14 +27,16 @@ struct CallFate {
   [[nodiscard]] bool ok() const noexcept { return failure == FaultKind::None; }
 };
 
-/// Computes the fate of call `key` at `site`: walks the per-attempt
-/// fault decisions, charging attempt costs and jittered backoff until an
-/// attempt succeeds, attempts run out, or the deadline is blown. Pure
-/// function of its arguments — thread-safe, allocation-free, and
-/// identical no matter which thread or order evaluates it. A disabled
-/// site (all rates zero) short-circuits to a 1-attempt success.
+/// Computes the fate of call `key` at `site` under the one retry policy
+/// (three attempts, 1 ms per answered attempt, 250 ms per timed-out
+/// one, +100 ms for a slow answer, backoff 10 ms doubling per retry with
+/// ±50% seeded jitter): walks the per-attempt fault decisions, charging
+/// attempt costs and backoff until an attempt succeeds or attempts run
+/// out. Pure function of its arguments — thread-safe, allocation-free,
+/// and identical no matter which thread or order evaluates it. A
+/// disabled site (all rates zero) short-circuits to a 1-attempt success.
 [[nodiscard]] CallFate fate_of(const FaultPlan& plan, const Site& site,
-                               std::uint64_t key, const RetryPolicy& policy) noexcept;
+                               std::uint64_t key) noexcept;
 
 /// Per-site metric handles — cbwt_fault_<site>_{injected,retried,
 /// exhausted,degraded}_total and cbwt_fault_<site>_retry_latency_seconds
@@ -95,8 +74,8 @@ struct StageSite {
 
   [[nodiscard]] bool live() const noexcept { return plan != nullptr; }
 
-  /// Fate of retried call `key` under the default RetryPolicy, published
-  /// to the site's metrics. Requires live().
+  /// Fate of retried call `key` (fate_of), published to the site's
+  /// metrics. Requires live().
   [[nodiscard]] CallFate call(std::uint64_t key) const noexcept;
 
   /// Single-shot decision for attempt `attempt` of call `key` (no retry,

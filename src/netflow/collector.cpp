@@ -1,9 +1,6 @@
 #include "netflow/collector.h"
 
-#include "obs/runtime_metrics.h"
 #include "obs/trace.h"
-#include "obs/trace_buffer.h"
-#include "runtime/parallel.h"
 #include "util/contract.h"
 
 namespace cbwt::netflow {
@@ -38,39 +35,22 @@ void merge_collection(CollectionResult& acc, CollectionResult&& part) {
 }
 
 CollectionResult collect(std::span<const RawRecord> records, const TrackerIpIndex& trackers,
-                         const IspProfile& isp, const CollectOptions& options) {
+                         const IspProfile& isp, const fault::StageSite& export_site,
+                         std::uint64_t base_index) {
   CollectionResult result;
-  const auto export_site = fault::StageSite::resolve(
-      options.fault_plan, fault::sites::kNetflowExport, /*registry=*/nullptr);
+  const auto is_tracker = [&trackers](const net::IpAddress& ip) {
+    return trackers.contains(ip);
+  };
   for (std::size_t i = 0; i < records.size(); ++i) {
-    const auto& record = records[i];
-    if (export_site.live()) {
-      // One export datagram, one stateless drop decision on its absolute
-      // index. Slow/stale exports still arrive (the collector is not
-      // latency-sensitive); only Timeout/Error lose the record.
-      if (fault::is_loss(export_site.decide(options.base_index + i, /*attempt=*/0))) {
-        ++result.dropped_records;
-        continue;
-      }
+    // One export datagram, one stateless drop decision on its absolute
+    // index. Slow/stale exports still arrive (the collector is not
+    // latency-sensitive); only Timeout/Error lose the record.
+    if (export_site.live() &&
+        fault::is_loss(export_site.decide(base_index + i, /*attempt=*/0))) {
+      ++result.dropped_records;
+      continue;
     }
-    ++result.records_seen;
-    if (!record.internal_interface) continue;  // peering links carry no user edge
-    ++result.internal_records;
-
-    // Ingress filtering (BCP38) holds, so the subscriber side is simply
-    // the side inside the ISP; the generator puts subscribers in src for
-    // outbound flows, but we check both sides as the paper does.
-    const bool dst_is_tracker = trackers.contains(record.dst);
-    const bool src_is_tracker = trackers.contains(record.src);
-    if (!dst_is_tracker && !src_is_tracker) continue;
-
-    const bool subscriber_is_src = dst_is_tracker;
-    const AnonRecord anon =
-        anonymize(record, subscriber_is_src, std::string(isp.country));
-    ++result.matched_records;
-    if (anon.remote_port == 443) ++result.https_records;
-    if (anon.protocol == 17) ++result.udp_records;
-    ++result.per_ip[anon.remote];
+    collect_record(records[i], is_tracker, isp, result);
   }
   // Counter funnel: every matched record is internal, every internal
   // record was seen. A violation means a counting branch was skipped.
@@ -79,40 +59,34 @@ CollectionResult collect(std::span<const RawRecord> records, const TrackerIpInde
   return result;
 }
 
-CollectionResult collect_sharded(std::span<const RawRecord> records,
-                                 const TrackerIpIndex& trackers, const IspProfile& isp,
-                                 runtime::ThreadPool* pool, obs::Registry* registry,
-                                 const fault::FaultPlan* fault_plan) {
+CollectionResult collect_snapshot(const world::World& world, const dns::Resolver& resolver,
+                                  const IspProfile& isp, const Snapshot& snapshot,
+                                  const GeneratorConfig& config, std::uint64_t seed,
+                                  const TrackerIpIndex& trackers, runtime::ThreadPool* pool,
+                                  obs::Registry* registry,
+                                  const fault::FaultPlan* fault_plan) {
   obs::ScopedSpan span(registry, "netflow/collect");
-  runtime::ChannelStats channel_stats;
+  const auto export_site =
+      fault::StageSite::resolve(fault_plan, fault::sites::kNetflowExport, registry);
   CollectionResult result;
-  runtime::ordered_stream(
-      pool, records.size(), {.channel_stats = &channel_stats},
-      [&](runtime::ShardRange range, std::size_t shard) {
-        obs::ScopedTrace trace(registry, "netflow/collect/shard", shard);
-        // base_index anchors the shard's drop decisions to the absolute
-        // record index, keeping them shard-plan-independent.
-        return collect(records.subspan(range.begin, range.size()), trackers, isp,
-                       {.fault_plan = fault_plan, .base_index = range.begin});
+  std::uint64_t base_index = 0;
+  const auto counts = generate_snapshot_stream(
+      world, resolver, isp, snapshot, config, seed, pool,
+      [&](std::span<const RawRecord> batch) {
+        merge_collection(result, collect(batch, trackers, isp, export_site, base_index));
+        base_index += batch.size();
       },
-      [&](std::size_t /*shard*/, CollectionResult&& part) {
-        merge_collection(result, std::move(part));
-      });
-  CBWT_ENSURES(result.matched_records <= result.internal_records);
-  CBWT_ENSURES(result.internal_records <= result.records_seen);
-  CBWT_ENSURES(result.records_seen + result.dropped_records == records.size());
+      registry, fault_plan);
+  CBWT_ENSURES(result.records_seen + result.dropped_records == counts.records);
 
   span.set_items(result.records_seen);
   if (registry != nullptr) {
     registry->counter("cbwt_netflow_records_collected_total").add(result.records_seen);
     registry->counter("cbwt_netflow_internal_total").add(result.internal_records);
     registry->counter("cbwt_netflow_matched_total").add(result.matched_records);
-    obs::record_channel_stats(registry, channel_stats);
   }
-  const auto export_metrics =
-      fault::StageSite::resolve(fault_plan, fault::sites::kNetflowExport, registry).metrics;
-  export_metrics.count_injected(result.dropped_records);
-  export_metrics.count_degraded(result.dropped_records);
+  export_site.metrics.count_injected(result.dropped_records);
+  export_site.metrics.count_degraded(result.dropped_records);
   return result;
 }
 

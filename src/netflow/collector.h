@@ -14,11 +14,14 @@
 #include <vector>
 
 #include "analysis/flows.h"
+#include "dns/resolver.h"
 #include "fault/retry.h"
+#include "netflow/generator.h"
 #include "netflow/profile.h"
 #include "netflow/record.h"
 #include "obs/metrics.h"
 #include "runtime/thread_pool.h"
+#include "world/world.h"
 
 namespace cbwt::netflow {
 
@@ -60,43 +63,64 @@ struct CollectionResult {
 
 /// Merges a partial result into an accumulator: counter sums and per-IP
 /// counter merges, both order-free. The one merge used by every
-/// aggregation path (sharded, store-chunked), so they cannot drift.
+/// aggregation path (streamed batches, join probe shards), so they
+/// cannot drift.
 void merge_collection(CollectionResult& acc, CollectionResult&& part);
 
-/// Fault-injection knobs of one collect() call. The drop decision for a
-/// record is stateless in its *absolute* index (`base_index` + offset),
-/// so a sharded run — where each shard collects a subspan — drops
-/// exactly the records the serial run drops, whatever the shard plan.
-struct CollectOptions {
-  const fault::FaultPlan* fault_plan = nullptr;  ///< null = no injection
-  std::uint64_t base_index = 0;  ///< absolute index of records[0]
-};
+/// The §7.2 decision for one record that reached the collector, shared
+/// by collect() and the out-of-core join's probe: keep user-facing
+/// (internal edge) records only, require a tracker IP on either side,
+/// anonymize the subscriber side to the ISP's country, then count the
+/// https, udp and per-tracker-IP hits. `is_tracker(ip)` answers
+/// tracker-list membership; it is asked about dst, then src.
+template <typename IsTracker>
+void collect_record(const RawRecord& record, const IsTracker& is_tracker,
+                    const IspProfile& isp, CollectionResult& result) {
+  ++result.records_seen;
+  if (!record.internal_interface) return;  // peering links carry no user edge
+  ++result.internal_records;
+  // Ingress filtering (BCP38) holds, so the subscriber side is simply
+  // the side inside the ISP; the generator puts subscribers in src for
+  // outbound flows, but we check both sides as the paper does.
+  const bool dst_is_tracker = is_tracker(record.dst);
+  if (!dst_is_tracker && !is_tracker(record.src)) return;
+  const AnonRecord anon =
+      anonymize(record, /*subscriber_is_src=*/dst_is_tracker, std::string(isp.country));
+  ++result.matched_records;
+  if (anon.remote_port == 443) ++result.https_records;
+  if (anon.protocol == 17) ++result.udp_records;
+  ++result.per_ip[anon.remote];
+}
 
-/// Runs the collector over one exported snapshot. A record whose
-/// `netflow_export` fate is Timeout/Error is dropped before any
-/// counting (UDP export loss between router and collector) and shows up
-/// only in `dropped_records`.
+/// Runs the collector over `records`, the records of one exported
+/// snapshot starting at absolute index `base_index`. A record whose
+/// `netflow_export` fate is Timeout/Error is dropped before any counting
+/// (UDP export loss between router and collector) and shows up only in
+/// `dropped_records`. The drop decision is stateless in the absolute
+/// index, so collecting a snapshot batch by batch drops exactly the
+/// records one call over the whole snapshot drops.
 [[nodiscard]] CollectionResult collect(std::span<const RawRecord> records,
                                        const TrackerIpIndex& trackers,
                                        const IspProfile& isp,
-                                       const CollectOptions& options = {});
+                                       const fault::StageSite& export_site = {},
+                                       std::uint64_t base_index = 0);
 
-/// Sharded collection: record shards reduce to partial CollectionResults
-/// that merge in shard order (counter sums and per-IP counter merges are
-/// order-free, so the result equals the serial collect() bit for bit).
+/// One in-memory ISP day: generate_snapshot_stream delivers the
+/// snapshot in ordered batches and each batch goes through collect() at
+/// its absolute base index as it arrives, so the snapshot is never
+/// materialised. The result equals collect() over the whole generated
+/// record sequence bit for bit, at any pool size and under any
+/// `fault_plan` (whose `netflow_export` drops apply by absolute index and
+/// whose `dns` site shapes the generated records).
 ///
-/// `registry` (optional) records a "netflow/collect" span, the
-/// collected/internal/matched record counters, and the reduce channel's
-/// throughput; never affects the result. `fault_plan` (optional)
-/// applies `netflow_export` drops by absolute record index — the
-/// sharded result stays bit-identical to serial collect() under the
-/// same plan. The cbwt_fault_netflow_export_* counters are registered
-/// only when the plan actually injects at that site.
-[[nodiscard]] CollectionResult collect_sharded(std::span<const RawRecord> records,
-                                               const TrackerIpIndex& trackers,
-                                               const IspProfile& isp,
-                                               runtime::ThreadPool* pool,
-                                               obs::Registry* registry = nullptr,
-                                               const fault::FaultPlan* fault_plan = nullptr);
+/// `registry` (optional) records a "netflow/collect" span around the
+/// "netflow/generate" one, the collected/internal/matched record
+/// counters, and the cbwt_fault_netflow_export_* counters when the plan
+/// injects at that site; never affects the result.
+[[nodiscard]] CollectionResult collect_snapshot(
+    const world::World& world, const dns::Resolver& resolver, const IspProfile& isp,
+    const Snapshot& snapshot, const GeneratorConfig& config, std::uint64_t seed,
+    const TrackerIpIndex& trackers, runtime::ThreadPool* pool,
+    obs::Registry* registry = nullptr, const fault::FaultPlan* fault_plan = nullptr);
 
 }  // namespace cbwt::netflow

@@ -14,6 +14,7 @@
 
 #include "store/bytes.h"
 #include "util/contract.h"
+#include "util/fnv1a.h"
 
 namespace cbwt::netflow {
 namespace {
@@ -108,7 +109,7 @@ void put_address(std::uint8_t*& out, const net::IpAddress& ip) noexcept {
 
 [[nodiscard]] std::uint32_t payload_checksum(const std::uint8_t* payload,
                                              std::size_t length) noexcept {
-  return static_cast<std::uint32_t>(store::fnv1a({payload, length}));
+  return static_cast<std::uint32_t>(util::fnv1a({payload, length}));
 }
 
 /// Encodes one record at `cursor` (the caller guarantees fit). The

@@ -1,7 +1,6 @@
 #include "netflow/generator.h"
 
 #include <algorithm>
-#include <array>
 #include <cmath>
 
 #include "obs/runtime_metrics.h"
@@ -33,6 +32,44 @@ AnonRecord anonymize(const RawRecord& record, bool subscriber_is_src,
 
 namespace {
 
+/// Samples `domains` by their organisations' popularity.
+util::DiscreteSampler popularity_sampler(const world::World& world,
+                                         const std::vector<world::DomainId>& domains) {
+  std::vector<double> weights;
+  weights.reserve(domains.size());
+  for (const auto id : domains) weights.push_back(world.org(world.domain(id).org).popularity);
+  return util::DiscreteSampler(weights);
+}
+
+/// Clean third-party services, which make up the background web flows.
+std::vector<world::DomainId> clean_domain_ids(const world::World& world) {
+  std::vector<world::DomainId> clean;
+  for (const auto& domain : world.domains()) {
+    if (world.org(domain.org).role == world::OrgRole::CleanService) clean.push_back(domain.id);
+  }
+  return clean;
+}
+
+}  // namespace
+
+TrafficMix::TrafficMix(const world::World& world, const dns::Resolver& resolver,
+                       const IspProfile& isp)
+    : third_party_share_(isp.third_party_resolver_share),
+      eyeball_(world.addresses().eyeball_blocks().at(std::string(isp.country))),
+      origins_{resolver.origin_for(isp.country, false), resolver.origin_for(isp.country, true)},
+      tracking_(world.tracking_domain_ids()),
+      tracking_sampler_(popularity_sampler(world, tracking_)),
+      clean_(clean_domain_ids(world)),
+      clean_sampler_(popularity_sampler(world, clean_)) {}
+
+double tracking_volume(const IspProfile& isp, const Snapshot& snapshot,
+                       const GeneratorConfig& config) noexcept {
+  return config.flows_per_subscriber_m * isp.subscribers_m * isp.web_activity *
+         snapshot.volume_factor * config.scale;
+}
+
+namespace {
+
 /// Ephemeral client port.
 std::uint16_t client_port(util::Rng& rng) {
   return static_cast<std::uint16_t>(32768 + rng.next_below(28000));
@@ -56,91 +93,6 @@ RawRecord base_record(const GeneratorConfig& config, const net::IpAddress& subsc
   return record;
 }
 
-/// Read-only emission state shared by every shard of one snapshot.
-struct EmissionContext {
-  EmissionContext(const world::World& world, const dns::Resolver& dns_resolver,
-                  const IspProfile& isp_profile, const GeneratorConfig& generator_config,
-                  fault::StageSite dns_site)
-      : resolver(dns_resolver), isp(isp_profile), config(generator_config),
-        dns_faults(dns_site),
-        eyeball(world.addresses().eyeball_blocks().at(std::string(isp_profile.country))),
-        origins{dns_resolver.origin_for(isp_profile.country, false),
-                dns_resolver.origin_for(isp_profile.country, true)} {
-    // Popularity-weighted tracking domains (per-domain DNS then applies
-    // the org's policy with the subscriber's resolver situation).
-    tracking = world.tracking_domain_ids();
-    std::vector<double> weights;
-    weights.reserve(tracking.size());
-    for (const auto id : tracking) {
-      weights.push_back(world.org(world.domain(id).org).popularity);
-    }
-    tracking_sampler = util::DiscreteSampler(weights);
-    // Clean third-party services make up the background web flows.
-    weights.clear();
-    for (const auto& domain : world.domains()) {
-      if (world.org(domain.org).role == world::OrgRole::CleanService) {
-        clean.push_back(domain.id);
-        weights.push_back(world.org(domain.org).popularity);
-      }
-    }
-    clean_sampler = util::DiscreteSampler(weights);
-  }
-
-  /// Subscriber addresses come from the ISP country's eyeball block; the
-  /// exact address is irrelevant post-anonymization, so a random offset
-  /// inside the block is enough.
-  [[nodiscard]] net::IpAddress subscriber_ip(util::Rng& rng) const {
-    return eyeball.at(rng.next_below(1ULL << 20));
-  }
-
-  /// The subscriber's lookup is decided before it is resolved, so a
-  /// failed lookup draws nothing more and a surviving one draws exactly
-  /// what the fault-free path draws. A stale answer still resolves
-  /// normally: zone data changes slower than the stale window, so
-  /// staleness surfaces in the pDNS layer instead.
-  void emit(world::DomainId domain_id, util::Rng& rng, std::vector<RawRecord>& out,
-            std::uint64_t key) const {
-    const bool third_party_dns = rng.chance(isp.third_party_resolver_share);
-    if (dns_faults.live() && !dns_faults.call(key).ok()) {
-      dns_faults.metrics.count_degraded();
-      return;  // the subscriber's fetch failed: no flow exported
-    }
-    const auto answer = resolver.resolve(domain_id, origins[third_party_dns ? 1 : 0], rng);
-    out.push_back(base_record(config, subscriber_ip(rng), answer.ip, rng));
-  }
-
-  void emit_tracking(util::Rng& rng, std::vector<RawRecord>& out, std::uint64_t key) const {
-    emit(tracking[tracking_sampler.sample(rng)], rng, out, key);
-  }
-
-  void emit_background(util::Rng& rng, std::vector<RawRecord>& out,
-                       std::uint64_t key) const {
-    if (clean.empty()) return;
-    emit(clean[clean_sampler.sample(rng)], rng, out, key);
-  }
-
-  const dns::Resolver& resolver;
-  const IspProfile& isp;
-  const GeneratorConfig& config;
-  fault::StageSite dns_faults;
-  net::IpPrefix eyeball;
-  /// The ISP country's query origins: its own resolver, a public one.
-  std::array<dns::QueryOrigin, 2> origins;
-  std::vector<world::DomainId> tracking;
-  util::DiscreteSampler tracking_sampler;
-  std::vector<world::DomainId> clean;
-  util::DiscreteSampler clean_sampler;
-};
-
-void intended_volumes(const IspProfile& isp, const Snapshot& snapshot,
-                      const GeneratorConfig& config, SnapshotExport& out) {
-  const double tracking_target = config.flows_per_subscriber_m * isp.subscribers_m *
-                                 isp.web_activity * snapshot.volume_factor * config.scale;
-  out.tracking_intended = static_cast<std::uint64_t>(std::llround(tracking_target));
-  out.background_intended = static_cast<std::uint64_t>(
-      std::llround(tracking_target * config.background_ratio));
-}
-
 // Per-stream RNG labels.
 constexpr std::uint64_t kTrackingStream = 0x7F10;
 constexpr std::uint64_t kBackgroundStream = 0x7F11;
@@ -155,20 +107,34 @@ SnapshotCounts generate_snapshot_stream(
     const std::function<void(std::span<const RawRecord>)>& sink,
     obs::Registry* registry, const fault::FaultPlan* fault_plan) {
   obs::ScopedSpan span(registry, "netflow/generate");
-  SnapshotExport intended;
-  intended_volumes(isp, snapshot, config, intended);
+  const double tracking_target = tracking_volume(isp, snapshot, config);
   SnapshotCounts counts;
-  counts.tracking_intended = intended.tracking_intended;
-  counts.background_intended = intended.background_intended;
-  const EmissionContext context(
-      world, resolver, isp, config,
-      fault::StageSite::resolve(fault_plan, fault::sites::kDns, registry));
+  counts.tracking_intended = static_cast<std::uint64_t>(std::llround(tracking_target));
+  counts.background_intended = static_cast<std::uint64_t>(
+      std::llround(tracking_target * config.background_ratio));
+  const TrafficMix mix(world, resolver, isp);
+  const auto dns_faults = fault::StageSite::resolve(fault_plan, fault::sites::kDns, registry);
+  using Batch = std::vector<RawRecord>;
+  // One subscriber fetch of `domain_id`. The subscriber's lookup is
+  // decided before it is resolved, so a failed lookup draws nothing more
+  // and a surviving one draws exactly what the fault-free path draws. A
+  // stale answer still resolves normally: zone data changes slower than
+  // the stale window, so staleness surfaces in the pDNS layer instead.
+  const auto emit = [&](world::DomainId domain_id, util::Rng& rng, Batch& out,
+                        std::uint64_t key) {
+    const dns::QueryOrigin& origin = mix.query_origin(rng);
+    if (dns_faults.live() && !dns_faults.call(key).ok()) {
+      dns_faults.metrics.count_degraded();
+      return;  // the subscriber's fetch failed: no flow exported
+    }
+    const auto answer = resolver.resolve(domain_id, origin, rng);
+    out.push_back(base_record(config, mix.subscriber_ip(rng), answer.ip, rng));
+  };
 
   // Each stream (tracking, background) shards its record-index space;
   // every shard draws from its own shard_rng(seed, label, shard) stream
   // and shard outputs reach the sink in shard order, so the record
   // sequence is the same for any pool size.
-  using Batch = std::vector<RawRecord>;
   runtime::ChannelStats channel_stats;
   // The consumer hands each part straight to the sink, in shard order on
   // the calling thread.
@@ -176,7 +142,7 @@ SnapshotCounts generate_snapshot_stream(
     counts.records += part.size();
     sink(std::span<const RawRecord>(part));
   };
-  const auto stream = [&](std::uint64_t count, std::uint64_t label, auto emit_one) {
+  const auto stream = [&](std::uint64_t count, std::uint64_t label, auto pick_domain) {
     runtime::ordered_stream(
         pool, count, {.channel_stats = &channel_stats},
         [&](runtime::ShardRange range, std::size_t shard) {
@@ -185,20 +151,18 @@ SnapshotCounts generate_snapshot_stream(
           Batch part;
           part.reserve(range.size());
           for (std::size_t i = range.begin; i < range.end; ++i) {
-            emit_one(rng, part, util::mix64(label ^ i));
+            emit(pick_domain(rng), rng, part, util::mix64(label ^ i));
           }
           return part;
         },
         deliver);
   };
   stream(counts.tracking_intended, kTrackingStream,
-         [&](util::Rng& rng, Batch& part, std::uint64_t key) {
-           context.emit_tracking(rng, part, key);
-         });
-  stream(counts.background_intended, kBackgroundStream,
-         [&](util::Rng& rng, Batch& part, std::uint64_t key) {
-           context.emit_background(rng, part, key);
-         });
+         [&](util::Rng& rng) { return mix.tracking_domain(rng); });
+  if (mix.has_clean()) {
+    stream(counts.background_intended, kBackgroundStream,
+           [&](util::Rng& rng) { return mix.clean_domain(rng); });
+  }
 
   // Peering-link noise the collector must filter out (only internal edge
   // routers carry user traffic, §7.2) is ~2% of the volume; one serial
@@ -211,8 +175,11 @@ SnapshotCounts generate_snapshot_stream(
   Batch peering_part;
   peering_part.reserve(static_cast<std::size_t>(std::min(peering, kPeeringBatch)));
   for (std::uint64_t i = 0; i < peering; ++i) {
-    RawRecord record = base_record(config, context.subscriber_ip(peering_rng),
-                                   context.subscriber_ip(peering_rng), peering_rng);
+    // Two draws, sequenced explicitly (remote first) so the record does
+    // not depend on the compiler's argument evaluation order.
+    const net::IpAddress remote = mix.subscriber_ip(peering_rng);
+    RawRecord record =
+        base_record(config, mix.subscriber_ip(peering_rng), remote, peering_rng);
     record.internal_interface = false;
     peering_part.push_back(record);
     if (peering_part.size() == kPeeringBatch) {
@@ -232,28 +199,6 @@ SnapshotCounts generate_snapshot_stream(
     obs::record_channel_stats(registry, channel_stats);
   }
   return counts;
-}
-
-SnapshotExport generate_snapshot_sharded(const world::World& world,
-                                         const dns::Resolver& resolver,
-                                         const IspProfile& isp, const Snapshot& snapshot,
-                                         const GeneratorConfig& config, std::uint64_t seed,
-                                         runtime::ThreadPool* pool,
-                                         obs::Registry* registry,
-                                         const fault::FaultPlan* fault_plan) {
-  SnapshotExport out;
-  intended_volumes(isp, snapshot, config, out);
-  out.records.reserve(out.tracking_intended + out.background_intended);
-  const auto counts = generate_snapshot_stream(
-      world, resolver, isp, snapshot, config, seed, pool,
-      [&out](std::span<const RawRecord> batch) {
-        out.records.insert(out.records.end(), batch.begin(), batch.end());
-      },
-      registry, fault_plan);
-  out.tracking_intended = counts.tracking_intended;
-  out.background_intended = counts.background_intended;
-  CBWT_ENSURES(out.records.size() == counts.records);
-  return out;
 }
 
 }  // namespace cbwt::netflow

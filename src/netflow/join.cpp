@@ -292,7 +292,7 @@ std::size_t join_partition_of(const net::IpAddress& ip, std::size_t partitions) 
 }
 
 CollectionResult join_flows(const SnapshotReader& input,
-                            const TrackerIpIndex& trackers, const IspProfile& /*isp*/,
+                            const TrackerIpIndex& trackers, const IspProfile& isp,
                             const JoinConfig& config, runtime::ThreadPool* pool,
                             obs::Registry* registry, const fault::FaultPlan* fault_plan,
                             JoinStats* stats) {
@@ -334,9 +334,10 @@ CollectionResult join_flows(const SnapshotReader& input,
 
   // Probe: partitions fan out across shards (min_shard_items = 1 so a
   // 16-partition join still parallelizes); per-shard partial results
-  // merge in shard order. Every per-record update below is order-free —
-  // counter sums and per-IP increments — so the partition-sliced order
-  // equals the sequential collect() order bit for bit.
+  // merge in shard order. Every record goes through collect()'s own
+  // per-record rule, whose updates are order-free — counter sums and
+  // per-IP increments — so the partition-sliced order equals the
+  // sequential collect() order bit for bit.
   obs::ScopedSpan probe_span(registry, "netflow/join/probe");
   CollectionResult result;
   runtime::ordered_stream(
@@ -352,26 +353,14 @@ CollectionResult join_flows(const SnapshotReader& input,
               [&](std::span<const FlowPage> pages, std::uint64_t /*page_base*/) {
                 for (const FlowPage& page : pages) {
                   for (const RawRecord& record : page.records) {
-                    ++part.records_seen;
-                    if (!record.internal_interface) continue;
-                    ++part.internal_records;
-                    // dst routed this record here, so its lookup stays in
-                    // this partition's table; src may hash anywhere.
-                    const bool dst_is_tracker = tables[p].contains(record.dst);
-                    if (!dst_is_tracker &&
-                        !tables[join_partition_of(record.src, config.partitions)]
-                             .contains(record.src)) {
-                      continue;
-                    }
-                    const bool subscriber_is_src = dst_is_tracker;
-                    const net::IpAddress& remote =
-                        subscriber_is_src ? record.dst : record.src;
-                    const std::uint16_t remote_port =
-                        subscriber_is_src ? record.dst_port : record.src_port;
-                    ++part.matched_records;
-                    if (remote_port == 443) ++part.https_records;
-                    if (record.protocol == 17) ++part.udp_records;
-                    ++part.per_ip[remote];
+                    // dst routed this record here, so a dst lookup stays
+                    // in this partition's table; src may hash anywhere.
+                    const auto is_tracker = [&](const net::IpAddress& ip) {
+                      const std::size_t q =
+                          ip == record.dst ? p : join_partition_of(ip, config.partitions);
+                      return tables[q].contains(ip);
+                    };
+                    collect_record(record, is_tracker, isp, part);
                   }
                 }
               });

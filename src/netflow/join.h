@@ -30,12 +30,13 @@
 //   (arena-free, power-of-two capacity, allocation-free probe loop);
 //   partitions are then probed in parallel through
 //   runtime::ordered_stream, each shard streaming its spill files page
-//   by page and folding per-partition CollectionResults that merge in
-//   shard order. Because every per-record decision is order-free once
-//   drops are fixed, the result is bit-identical to the in-memory
-//   collect_sharded at any thread count, partition count or chunk size
-//   — the equivalence corpus in tests/test_join_equivalence.cpp pins
-//   exactly that.
+//   by page and passing every record through collect()'s per-record
+//   rule (collect_record) into per-partition CollectionResults that
+//   merge in shard order. Because every per-record decision is
+//   order-free once drops are fixed, the result is bit-identical to the
+//   in-memory collect() at any thread count, partition count or chunk
+//   size — the equivalence corpus in tests/test_join_equivalence.cpp
+//   pins exactly that.
 //
 // A pass-1 manifest (store::Manifest, join_manifest.txt in the spill
 // directory) binds the spill files to the input file's superblock
@@ -102,9 +103,8 @@ struct JoinStats {
                                             std::size_t partitions) noexcept;
 
 /// Runs the streaming join over the snapshot file `input`. Returns
-/// exactly what collect_sharded over the same records returns —
-/// counters, per-IP map, drop set — for any thread count and any
-/// JoinConfig. `registry` (optional) records the
+/// exactly what collect() over the same records returns — counters,
+/// per-IP map, drop set — for any thread count and any JoinConfig. `registry` (optional) records the
 /// "netflow/join" span, the collect-parity counters, the
 /// cbwt_netflow_join_{partitions,spill_bytes,spill_records,spill_pages,
 /// spill_shards,resumed,probe_records}_total counters, the

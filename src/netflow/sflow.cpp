@@ -1,6 +1,5 @@
 #include "netflow/sflow.h"
 
-#include <array>
 #include <cmath>
 
 #include "net/domain.h"
@@ -9,45 +8,24 @@ namespace cbwt::netflow {
 
 SflowExport generate_sflow_snapshot(const world::World& world,
                                     const dns::Resolver& resolver, const IspProfile& isp,
-                                    const Snapshot& snapshot, const SflowConfig& config,
-                                    util::Rng& rng) {
+                                    const Snapshot& snapshot, const GeneratorConfig& traffic,
+                                    const SflowConfig& config, util::Rng& rng) {
   SflowExport out;
-  const double target = config.samples_per_subscriber_m * isp.subscribers_m *
-                        isp.web_activity * snapshot.volume_factor * config.scale;
-  out.tracking_intended = static_cast<std::uint64_t>(std::llround(target));
+  out.tracking_intended =
+      static_cast<std::uint64_t>(std::llround(tracking_volume(isp, snapshot, traffic)));
   out.samples.reserve(out.tracking_intended + out.tracking_intended / 4);
-
-  const auto eyeball = world.addresses().eyeball_blocks().at(std::string(isp.country));
-  const auto tracking = world.tracking_domain_ids();
-  std::vector<double> weights;
-  weights.reserve(tracking.size());
-  for (const auto id : tracking) {
-    weights.push_back(world.org(world.domain(id).org).popularity);
-  }
-  const util::DiscreteSampler tracking_sampler(weights);
-  std::vector<world::DomainId> clean;
-  weights.clear();
-  for (const auto& domain : world.domains()) {
-    if (world.org(domain.org).role == world::OrgRole::CleanService) {
-      clean.push_back(domain.id);
-      weights.push_back(world.org(domain.org).popularity);
-    }
-  }
-  const util::DiscreteSampler clean_sampler(weights);
-  const std::array<dns::QueryOrigin, 2> origins = {resolver.origin_for(isp.country, false),
-                                                   resolver.origin_for(isp.country, true)};
+  const TrafficMix mix(world, resolver, isp);
 
   const auto emit = [&](world::DomainId domain_id) {
-    const bool third_party_dns = rng.chance(isp.third_party_resolver_share);
-    const auto answer = resolver.resolve(domain_id, origins[third_party_dns ? 1 : 0], rng);
+    const auto answer = resolver.resolve(domain_id, mix.query_origin(rng), rng);
     SflowSample sample;
-    sample.src = eyeball.at(rng.next_below(1ULL << 20));
+    sample.src = mix.subscriber_ip(rng);
     sample.dst = answer.ip;
     sample.src_port = static_cast<std::uint16_t>(32768 + rng.next_below(28000));
     sample.true_domain = domain_id;
-    const bool https = rng.chance(config.https_share);
+    const bool https = rng.chance(traffic.https_share);
     sample.dst_port = https ? 443 : 80;
-    const bool quic = https && rng.chance(config.quic_share);
+    const bool quic = https && rng.chance(traffic.quic_share);
     sample.protocol = quic ? 17 : 6;
     const double visible = !https ? config.host_visible_http
                                   : (quic ? config.host_visible_quic
@@ -56,12 +34,10 @@ SflowExport generate_sflow_snapshot(const world::World& world,
     out.samples.push_back(std::move(sample));
   };
 
-  for (std::uint64_t i = 0; i < out.tracking_intended; ++i) {
-    emit(tracking[tracking_sampler.sample(rng)]);
-  }
+  for (std::uint64_t i = 0; i < out.tracking_intended; ++i) emit(mix.tracking_domain(rng));
   const std::uint64_t background = out.tracking_intended / 4;
-  for (std::uint64_t i = 0; i < background && !clean.empty(); ++i) {
-    emit(clean[clean_sampler.sample(rng)]);
+  for (std::uint64_t i = 0; i < background && mix.has_clean(); ++i) {
+    emit(mix.clean_domain(rng));
   }
   return out;
 }

@@ -13,6 +13,7 @@
 
 #include "dns/resolver.h"
 #include "netflow/collector.h"
+#include "netflow/generator.h"
 #include "netflow/profile.h"
 #include "util/prng.h"
 #include "world/world.h"
@@ -34,12 +35,9 @@ struct SflowSample {
   world::DomainId true_domain = 0;
 };
 
+/// What the sampled packet exposes. Volume and port mix come from the
+/// NetFlow GeneratorConfig, so both vantages sample the same traffic.
 struct SflowConfig {
-  /// Samples to emit, expressed like the NetFlow generator's volumes.
-  double scale = 1e-3;
-  double samples_per_subscriber_m = 70.0e6;
-  double https_share = 0.834;
-  double quic_share = 0.12;
   /// Probability the sampler catches a packet exposing the hostname:
   /// high for plaintext HTTP (every request carries Host), moderate for
   /// TLS (only the ClientHello), low for QUIC (handshake largely hidden
@@ -54,12 +52,14 @@ struct SflowExport {
   std::uint64_t tracking_intended = 0;
 };
 
-/// Emits one ISP-day of sFlow samples over the same traffic model as the
-/// NetFlow generator.
+/// Emits one ISP-day of sFlow samples over the NetFlow generator's
+/// traffic mix (TrafficMix) and volume: `traffic`'s tracking volume plus
+/// a quarter as many background samples, with its port mix.
 [[nodiscard]] SflowExport generate_sflow_snapshot(const world::World& world,
                                                   const dns::Resolver& resolver,
                                                   const IspProfile& isp,
                                                   const Snapshot& snapshot,
+                                                  const GeneratorConfig& traffic,
                                                   const SflowConfig& config,
                                                   util::Rng& rng);
 

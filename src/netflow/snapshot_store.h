@@ -2,7 +2,7 @@
 // store's on-disk record format, so a snapshot too large for memory
 // streams straight from the generator into a memory-mapped record file,
 // which the out-of-core join (netflow/join.h) reads back in bounded
-// chunks. The write reuses the deterministic in-memory generator
+// chunks. The write reuses the deterministic generator
 // (generate_snapshot_stream with a writer sink), so store-backed
 // results are bit-identical to in-memory ones at any thread count.
 #pragma once
@@ -28,7 +28,9 @@ using SnapshotReader = store::RecordFileReader<WireCodec>;
 
 /// Generates one ISP-day snapshot directly into the record file at
 /// `path`, never holding more than one shard batch in memory. The
-/// record sequence equals generate_snapshot_sharded's output exactly.
+/// record sequence equals what generate_snapshot_stream delivers to any
+/// other sink, so the in-memory day (collect_snapshot) sees the same
+/// records.
 [[nodiscard]] SnapshotCounts generate_snapshot_to_store(
     const world::World& world, const dns::Resolver& resolver, const IspProfile& isp,
     const Snapshot& snapshot, const GeneratorConfig& config, std::uint64_t seed,

@@ -101,17 +101,6 @@ std::vector<std::uint8_t> encode_record(const RawRecord& record) {
   return out;
 }
 
-std::vector<std::uint8_t> encode_packet(std::span<const RawRecord> records) {
-  CBWT_EXPECTS(records.size() <= kWireMaxRecordsPerPacket);
-  std::vector<std::uint8_t> out(kWireHeaderSize + records.size() * kWireRecordSize);
-  put_u16(out.data(), kWireVersion);
-  put_u16(out.data() + 2, static_cast<std::uint16_t>(records.size()));
-  for (std::size_t i = 0; i < records.size(); ++i) {
-    encode_record_into(records[i], out.data() + kWireHeaderSize + i * kWireRecordSize);
-  }
-  return out;
-}
-
 std::optional<RawRecord> parse_record(std::span<const std::uint8_t> bytes) {
   if (bytes.size() != kWireRecordSize) return std::nullopt;
   const std::uint8_t flags = bytes[8];
@@ -134,25 +123,6 @@ std::optional<RawRecord> parse_record(std::span<const std::uint8_t> bytes) {
   record.bytes = get_u32(bytes, 52);
   record.tos = bytes[56];
   return record;
-}
-
-std::optional<std::vector<RawRecord>> parse_packet(std::span<const std::uint8_t> bytes) {
-  if (bytes.size() < kWireHeaderSize) return std::nullopt;
-  if (get_u16(bytes, 0) != kWireVersion) return std::nullopt;
-  const std::uint16_t count = get_u16(bytes, 2);
-  if (count > kWireMaxRecordsPerPacket) return std::nullopt;
-  const std::size_t expected = kWireHeaderSize + std::size_t{count} * kWireRecordSize;
-  if (bytes.size() != expected) return std::nullopt;  // truncated or trailing junk
-  std::vector<RawRecord> records;
-  records.reserve(count);
-  for (std::size_t i = 0; i < count; ++i) {
-    const auto record =
-        parse_record(bytes.subspan(kWireHeaderSize + i * kWireRecordSize, kWireRecordSize));
-    if (!record) return std::nullopt;
-    records.push_back(*record);
-  }
-  CBWT_ENSURES(records.size() == count);
-  return records;
 }
 
 }  // namespace cbwt::netflow

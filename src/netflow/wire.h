@@ -1,10 +1,9 @@
-// Binary wire form for sampled flow records: a NetFlow v9-flavoured
-// fixed layout (version + record count header, fixed-size records) that
-// collectors would receive off the socket. The seed pipeline passed
-// RawRecord structs around in memory; this codec is the boundary where
-// untrusted router bytes become structs, so parsing is defensive: any
-// malformed packet — truncated record, bad address family, overstated
-// record count — yields nullopt instead of garbage structs.
+// Binary form of one sampled flow record: a NetFlow v9-flavoured
+// fixed-size layout, and the record format of store-backed snapshot
+// files (WireCodec below). Decoding is where bytes read back from disk
+// become structs, so parsing is defensive: any malformed record —
+// wrong length, bad address family, dirty v4 high bits, reserved flag
+// bits — yields nullopt instead of a garbage struct.
 #pragma once
 
 #include <bit>
@@ -29,17 +28,8 @@ static_assert(std::endian::native == std::endian::little ||
                   std::endian::native == std::endian::big,
               "netflow wire codec requires a little- or big-endian host");
 
-/// Export-format version tag carried in every packet header.
-inline constexpr std::uint16_t kWireVersion = 9;
-
 /// Bytes per encoded record (fixed layout, see wire.cpp).
 inline constexpr std::size_t kWireRecordSize = 57;
-
-/// Bytes in the packet header (version + record count, both big-endian).
-inline constexpr std::size_t kWireHeaderSize = 4;
-
-/// Records a single packet may carry; bounds the decode allocation.
-inline constexpr std::size_t kWireMaxRecordsPerPacket = 1024;
 
 /// Serializes one record into its fixed 57-byte layout.
 [[nodiscard]] std::vector<std::uint8_t> encode_record(const RawRecord& record);
@@ -48,19 +38,9 @@ inline constexpr std::size_t kWireMaxRecordsPerPacket = 1024;
 /// allocation-free — the hot path for store-backed snapshot export.
 void encode_record_into(const RawRecord& record, std::uint8_t* out);
 
-/// Serializes a header plus all records; `records.size()` must not
-/// exceed kWireMaxRecordsPerPacket.
-[[nodiscard]] std::vector<std::uint8_t> encode_packet(std::span<const RawRecord> records);
-
 /// Decodes exactly one record from exactly kWireRecordSize bytes.
 /// Rejects wrong sizes and malformed address-family tags.
 [[nodiscard]] std::optional<RawRecord> parse_record(std::span<const std::uint8_t> bytes);
-
-/// Decodes a full packet. Rejects short headers, unknown versions,
-/// record counts that overrun the payload (the truncation class of
-/// bug), counts above kWireMaxRecordsPerPacket, and trailing bytes.
-[[nodiscard]] std::optional<std::vector<RawRecord>> parse_packet(
-    std::span<const std::uint8_t> bytes);
 
 /// store::RecordCodec adapter: the 57-byte wire layout doubles as the
 /// store's first on-disk record format. Kept free of store includes —

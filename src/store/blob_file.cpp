@@ -7,6 +7,7 @@
 #include "store/bytes.h"
 #include "store/superblock.h"
 #include "util/contract.h"
+#include "util/fnv1a.h"
 
 namespace cbwt::store {
 
@@ -52,7 +53,7 @@ void BlobFileWriter::finalize() {
   block.record_size = 0;
   block.record_count = count_;
   block.payload_bytes = used_;
-  block.checksum = fnv1a({file_.data() + kSuperblockSize, used_});
+  block.checksum = util::fnv1a({file_.data() + kSuperblockSize, used_});
   encode_superblock(block, {file_.data(), kSuperblockSize});
   file_.sync();
   file_.truncate_to(kSuperblockSize + used_);
@@ -69,7 +70,7 @@ BlobFileReader::BlobFileReader(const std::string& path)
   if (file_.size() != kSuperblockSize + block->payload_bytes) {
     throw StoreError("store: '" + path + "' is truncated or has trailing bytes");
   }
-  if (fnv1a({file_.data() + kSuperblockSize, block->payload_bytes}) !=
+  if (util::fnv1a({file_.data() + kSuperblockSize, block->payload_bytes}) !=
       block->checksum) {
     throw StoreError("store: checksum mismatch in '" + path + "'");
   }

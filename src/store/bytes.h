@@ -2,15 +2,14 @@
 // field is serialized big-endian through explicit shifts, so store files
 // written on any host parse identically on any other (the same
 // normalization discipline as the NetFlow wire codec, which is the
-// store's first record format). FNV-1a is the payload checksum of the
-// superblock — not cryptographic, just a cheap end-to-end bit-rot and
-// truncation detector.
+// store's first record format). util::fnv1a is the payload checksum of
+// the superblock — not cryptographic, just a cheap end-to-end bit-rot
+// and truncation detector.
 #pragma once
 
 #include <climits>
 #include <cstddef>
 #include <cstdint>
-#include <span>
 
 namespace cbwt::store {
 
@@ -44,22 +43,6 @@ inline void put_u64(std::uint8_t* out, std::uint64_t value) noexcept {
 
 [[nodiscard]] inline std::uint64_t get_u64(const std::uint8_t* in) noexcept {
   return (std::uint64_t{get_u32(in)} << 32) | get_u32(in + 4);
-}
-
-inline constexpr std::uint64_t kFnvOffset = 0xCBF29CE484222325ULL;
-inline constexpr std::uint64_t kFnvPrime = 0x100000001B3ULL;
-
-/// Incremental FNV-1a 64: fold chunks by threading the running hash
-/// back in as `seed`, so a streaming writer never needs the whole
-/// payload in memory at once.
-[[nodiscard]] inline std::uint64_t fnv1a(std::span<const std::uint8_t> bytes,
-                                         std::uint64_t seed = kFnvOffset) noexcept {
-  std::uint64_t hash = seed;
-  for (const std::uint8_t byte : bytes) {
-    hash ^= byte;
-    hash *= kFnvPrime;
-  }
-  return hash;
 }
 
 }  // namespace cbwt::store

@@ -36,6 +36,7 @@
 #include "store/mapped_file.h"
 #include "store/superblock.h"
 #include "util/contract.h"
+#include "util/fnv1a.h"
 
 namespace cbwt::store {
 
@@ -65,10 +66,10 @@ struct ChecksumStats {
 inline std::uint64_t checksum_payload(const MappedFile& file, std::size_t payload,
                                       ChecksumStats* stats = nullptr) {
   constexpr std::size_t kWindowBytes = 8 << 20;
-  std::uint64_t checksum = kFnvOffset;
+  std::uint64_t checksum = util::kFnv1aOffset;
   for (std::size_t offset = 0; offset < payload; offset += kWindowBytes) {
     const std::size_t n = std::min(kWindowBytes, payload - offset);
-    checksum = fnv1a({file.data() + kSuperblockSize + offset, n}, checksum);
+    checksum = util::fnv1a({file.data() + kSuperblockSize + offset, n}, checksum);
     file.drop_range(kSuperblockSize + offset, n);
     if (stats != nullptr) {
       ++stats->windows;
@@ -184,7 +185,7 @@ class RecordFileWriter {
   /// still cache-hot) and advances the write cursor.
   void commit_record(std::size_t offset) {
     running_checksum_ =
-        fnv1a({file_.data() + offset, Codec::kRecordSize}, running_checksum_);
+        util::fnv1a({file_.data() + offset, Codec::kRecordSize}, running_checksum_);
     ++count_;
     maybe_flush(offset + Codec::kRecordSize);
   }
@@ -200,7 +201,7 @@ class RecordFileWriter {
   std::uint64_t count_ = 0;
   std::size_t flushed_ = kSuperblockSize;
   bool finalized_ = false;
-  std::uint64_t running_checksum_ = kFnvOffset;
+  std::uint64_t running_checksum_ = util::kFnv1aOffset;
   // Metric handles; all null (and finalize skips them) with no registry.
   obs::Counter* bytes_written_ = nullptr;
   obs::Counter* records_written_ = nullptr;

@@ -5,25 +5,18 @@
 // suffixes or token spans stay allocation-free.
 #pragma once
 
-#include <cstdint>
+#include <cstddef>
 #include <string>
 #include <string_view>
 #include <unordered_map>
 #include <unordered_set>
 
+#include "util/fnv1a.h"
+
 namespace cbwt::util {
 
-/// FNV-1a over the bytes of the string; stable across platforms so data
-/// structures keyed by it stay deterministic.
-[[nodiscard]] constexpr std::uint64_t fnv1a(std::string_view text) noexcept {
-  std::uint64_t hash = 0xCBF29CE484222325ULL;
-  for (const char c : text) {
-    hash ^= static_cast<unsigned char>(c);
-    hash *= 0x100000001B3ULL;
-  }
-  return hash;
-}
-
+/// FNV-1a of the string: stable across platforms, so data structures
+/// keyed by it stay deterministic.
 struct StringHash {
   using is_transparent = void;
   [[nodiscard]] std::size_t operator()(std::string_view text) const noexcept {

@@ -158,7 +158,9 @@ void expect_join_matches(std::span<const netflow::RawRecord> records,
                          const std::string& tag,
                          const fault::FaultPlan* plan = nullptr) {
   SCOPED_TRACE(tag);
-  const auto ref = netflow::collect(records, index, test_isp(), {.fault_plan = plan});
+  const auto ref = netflow::collect(
+      records, index, test_isp(),
+      fault::StageSite::resolve(plan, fault::sites::kNetflowExport, nullptr));
   config.spill_directory = temp_dir(tag + "_spill");
   netflow::JoinStats stats;
   const auto source = store_source(records, temp_path(tag + ".rec"));

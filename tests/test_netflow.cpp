@@ -6,6 +6,12 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+
+#include "fault/fault.h"
+#include "obs/metrics.h"
+#include "runtime/thread_pool.h"
+
 namespace cbwt::netflow {
 namespace {
 
@@ -78,24 +84,51 @@ world::World* NetflowPipeline::world_ = nullptr;
 dns::Resolver* NetflowPipeline::resolver_ = nullptr;
 GeneratorConfig NetflowPipeline::config_;
 
+/// One generated snapshot, held whole: the records plus the counts.
+struct Generated {
+  std::vector<RawRecord> records;
+  SnapshotCounts counts;
+};
+
+Generated generate(const world::World& world, const dns::Resolver& resolver,
+                   const IspProfile& isp, const Snapshot& snapshot,
+                   const GeneratorConfig& config, std::uint64_t seed,
+                   const fault::FaultPlan* plan = nullptr) {
+  Generated out;
+  out.counts = generate_snapshot_stream(
+      world, resolver, isp, snapshot, config, seed, /*pool=*/nullptr,
+      [&out](std::span<const RawRecord> batch) {
+        out.records.insert(out.records.end(), batch.begin(), batch.end());
+      },
+      /*registry=*/nullptr, plan);
+  EXPECT_EQ(out.records.size(), out.counts.records);
+  return out;
+}
+
+/// Every tracking server IP: the ground-truth join list.
+TrackerIpIndex all_tracker_ips(const world::World& world) {
+  TrackerIpIndex index;
+  for (const auto id : world.tracking_domain_ids()) {
+    for (const auto sid : world.domain(id).servers) index.add(world.server(sid).ip);
+  }
+  return index;
+}
+
 TEST_F(NetflowPipeline, VolumeScalesWithProfile) {
   const auto& isps = default_isps();
   const auto& snapshot = default_snapshots()[1];
-  const auto big = generate_snapshot_sharded(*world_, *resolver_, isps[0], snapshot, config_,
-                                             /*seed=*/1, /*pool=*/nullptr);
-  const auto small = generate_snapshot_sharded(*world_, *resolver_, isps[2], snapshot,
-                                               config_, /*seed=*/1, /*pool=*/nullptr);
+  const auto big = generate(*world_, *resolver_, isps[0], snapshot, config_, /*seed=*/1);
+  const auto small = generate(*world_, *resolver_, isps[2], snapshot, config_, /*seed=*/1);
   // DE-Broadband exports ~75x more than PL (Table 8 volumes).
-  EXPECT_GT(big.tracking_intended, small.tracking_intended * 30);
-  EXPECT_EQ(big.records.size(),
-            (big.tracking_intended + big.background_intended) +
-                (big.tracking_intended + big.background_intended) / 50);
+  EXPECT_GT(big.counts.tracking_intended, small.counts.tracking_intended * 30);
+  const std::uint64_t intended =
+      big.counts.tracking_intended + big.counts.background_intended;
+  EXPECT_EQ(big.records.size(), intended + intended / 50);
 }
 
 TEST_F(NetflowPipeline, RecordsAreWellFormed) {
-  const auto exported =
-      generate_snapshot_sharded(*world_, *resolver_, default_isps()[3],
-                                default_snapshots()[0], config_, /*seed=*/2, /*pool=*/nullptr);
+  const auto exported = generate(*world_, *resolver_, default_isps()[3],
+                                 default_snapshots()[0], config_, /*seed=*/2);
   std::size_t https = 0;
   for (const auto& record : exported.records) {
     EXPECT_LT(record.timestamp_s, 86400U);
@@ -115,23 +148,16 @@ TEST_F(NetflowPipeline, RecordsAreWellFormed) {
 
 TEST_F(NetflowPipeline, CollectorFiltersAndMatches) {
   const auto& isp = default_isps()[0];
-  const auto exported = generate_snapshot_sharded(
-      *world_, *resolver_, isp, default_snapshots()[1], config_, /*seed=*/3, /*pool=*/nullptr);
-
-  // Index over every tracking server IP (ground truth join list).
-  TrackerIpIndex index;
-  for (const auto id : world_->tracking_domain_ids()) {
-    for (const auto sid : world_->domain(id).servers) {
-      index.add(world_->server(sid).ip);
-    }
-  }
+  const auto exported =
+      generate(*world_, *resolver_, isp, default_snapshots()[1], config_, /*seed=*/3);
+  const auto index = all_tracker_ips(*world_);
 
   const auto result = collect(exported.records, index, isp);
   EXPECT_EQ(result.records_seen, exported.records.size());
   EXPECT_LT(result.internal_records, result.records_seen);  // peering filtered
   // All intended tracking flows (and nothing from the peering noise)
   // should match; clean-service flows should not.
-  EXPECT_EQ(result.matched_records, exported.tracking_intended);
+  EXPECT_EQ(result.matched_records, exported.counts.tracking_intended);
   EXPECT_GT(result.per_ip.size(), 10U);
   std::uint64_t total = 0;
   for (const auto& [ip, count] : result.per_ip) {
@@ -144,14 +170,9 @@ TEST_F(NetflowPipeline, CollectorFiltersAndMatches) {
 
 TEST_F(NetflowPipeline, FlowsCarryTheIspCountry) {
   const auto& isp = default_isps()[2];  // PL
-  const auto exported = generate_snapshot_sharded(
-      *world_, *resolver_, isp, default_snapshots()[0], config_, /*seed=*/4, /*pool=*/nullptr);
-  TrackerIpIndex index;
-  for (const auto id : world_->tracking_domain_ids()) {
-    for (const auto sid : world_->domain(id).servers) {
-      index.add(world_->server(sid).ip);
-    }
-  }
+  const auto exported =
+      generate(*world_, *resolver_, isp, default_snapshots()[0], config_, /*seed=*/4);
+  const auto index = all_tracker_ips(*world_);
   const auto result = collect(exported.records, index, isp);
   const auto flows = result.flows("PL");
   std::uint64_t total = 0;
@@ -173,9 +194,8 @@ TEST_F(NetflowPipeline, MobileIspsResolveMoreLocally) {
   broadband.third_party_resolver_share = 0.60;  // exaggerate for a small sample
 
   const auto count_local = [&](const IspProfile& isp) {
-    const auto exported = generate_snapshot_sharded(*world_, *resolver_, isp,
-                                                    default_snapshots()[1], config_,
-                                                    /*seed=*/5, /*pool=*/nullptr);
+    const auto exported =
+        generate(*world_, *resolver_, isp, default_snapshots()[1], config_, /*seed=*/5);
     std::uint64_t local = 0;
     std::uint64_t total = 0;
     for (const auto& record : exported.records) {
@@ -190,12 +210,62 @@ TEST_F(NetflowPipeline, MobileIspsResolveMoreLocally) {
   EXPECT_GT(count_local(mobile), count_local(broadband));
 }
 
+TEST_F(NetflowPipeline, StreamedDayEqualsCollectOverTheWholeSnapshot) {
+  // collect_snapshot collects each generated batch as it arrives; the
+  // reference materialises the snapshot and runs one serial collect()
+  // over it. A plan live at every site (netflow_export drops by absolute
+  // index, dns failures shape the records) must not tell them apart at
+  // any pool size.
+  const auto& isp = default_isps()[0];
+  const auto& snapshot = default_snapshots()[1];
+  GeneratorConfig config = config_;
+  config.scale = 1e-5;  // ~10 generation shards, so many batches
+  const auto plan = fault::FaultPlan::uniform(/*seed=*/31, /*rate=*/0.2);
+  const auto index = all_tracker_ips(*world_);
+  const auto exported = generate(*world_, *resolver_, isp, snapshot, config, /*seed=*/6, &plan);
+  const auto ref =
+      collect(exported.records, index, isp,
+              fault::StageSite::resolve(&plan, fault::sites::kNetflowExport, nullptr));
+  ASSERT_GT(ref.dropped_records, 0U);
+  ASSERT_GT(ref.matched_records, 0U);
+
+  for (const unsigned threads : {0U, 2U, 8U}) {
+    SCOPED_TRACE("threads " + std::to_string(threads));
+    std::unique_ptr<runtime::ThreadPool> pool;
+    if (threads > 0) pool = std::make_unique<runtime::ThreadPool>(threads);
+    obs::Registry registry;
+    const auto got = collect_snapshot(*world_, *resolver_, isp, snapshot, config,
+                                      /*seed=*/6, index, pool.get(), &registry, &plan);
+    EXPECT_EQ(got.records_seen, ref.records_seen);
+    EXPECT_EQ(got.internal_records, ref.internal_records);
+    EXPECT_EQ(got.matched_records, ref.matched_records);
+    EXPECT_EQ(got.https_records, ref.https_records);
+    EXPECT_EQ(got.udp_records, ref.udp_records);
+    EXPECT_EQ(got.dropped_records, ref.dropped_records);
+    EXPECT_EQ(got.per_ip, ref.per_ip);
+
+    EXPECT_EQ(registry.counter_value("cbwt_netflow_records_collected_total"),
+              ref.records_seen);
+    EXPECT_EQ(registry.counter_value("cbwt_netflow_internal_total"), ref.internal_records);
+    EXPECT_EQ(registry.counter_value("cbwt_netflow_matched_total"), ref.matched_records);
+    EXPECT_EQ(registry.counter_value("cbwt_fault_netflow_export_degraded_total"),
+              ref.dropped_records);
+    // Generation runs inside the collect span.
+    bool nested = false;
+    for (const auto& span : registry.spans()) {
+      if (span.name == "netflow/generate") nested = span.parent == "netflow/collect";
+    }
+    EXPECT_TRUE(nested);
+  }
+}
+
 TEST_F(NetflowPipeline, SflowHostVisibilityFollowsTransport) {
   util::Rng rng(11);
-  SflowConfig config;
-  config.scale = 4e-6;
+  GeneratorConfig traffic;
+  traffic.scale = 4e-6;
   const auto exported = generate_sflow_snapshot(*world_, *resolver_, default_isps()[0],
-                                                default_snapshots()[1], config, rng);
+                                                default_snapshots()[1], traffic,
+                                                SflowConfig{}, rng);
   ASSERT_GT(exported.samples.size(), 1000U);
   std::map<int, std::pair<std::uint64_t, std::uint64_t>> by_kind;  // kind -> (visible, total)
   for (const auto& sample : exported.samples) {
@@ -219,10 +289,11 @@ TEST_F(NetflowPipeline, SflowHostVisibilityFollowsTransport) {
 
 TEST_F(NetflowPipeline, IpJoinOutRecallsHostJoin) {
   util::Rng rng(13);
-  SflowConfig config;
-  config.scale = 4e-6;
+  GeneratorConfig traffic;
+  traffic.scale = 4e-6;
   const auto exported = generate_sflow_snapshot(*world_, *resolver_, default_isps()[0],
-                                                default_snapshots()[1], config, rng);
+                                                default_snapshots()[1], traffic,
+                                                SflowConfig{}, rng);
   TrackerIpIndex trackers;
   std::set<std::string> registrable_set;
   for (const auto id : world_->tracking_domain_ids()) {
@@ -335,7 +406,6 @@ TEST(Wire, RecordRoundTripV6) {
 
 TEST(Wire, EmptyInputRejected) {
   EXPECT_FALSE(parse_record({}).has_value());
-  EXPECT_FALSE(parse_packet({}).has_value());
 }
 
 TEST(Wire, TruncatedRecordRejected) {
@@ -367,44 +437,6 @@ TEST(Wire, ReservedFlagBitsRejected) {
   auto bytes = encode_record(sample_record());
   bytes[8] |= 0x80;
   EXPECT_FALSE(parse_record(bytes).has_value());
-}
-
-TEST(Wire, PacketRoundTrip) {
-  std::vector<RawRecord> records{sample_record(), sample_record()};
-  records[1].dst_port = 80;
-  const auto bytes = encode_packet(records);
-  const auto parsed = parse_packet(bytes);
-  ASSERT_TRUE(parsed.has_value());
-  ASSERT_EQ(parsed->size(), 2U);
-  EXPECT_EQ((*parsed)[1].dst_port, 80);
-  EXPECT_EQ(encode_packet(*parsed), bytes);
-}
-
-TEST(Wire, EmptyPacketIsValid) {
-  const auto bytes = encode_packet({});
-  ASSERT_EQ(bytes.size(), kWireHeaderSize);
-  const auto parsed = parse_packet(bytes);
-  ASSERT_TRUE(parsed.has_value());
-  EXPECT_TRUE(parsed->empty());
-}
-
-TEST(Wire, OverstatedCountRejected) {
-  // Header claims 5 records but carries 1: the truncation bug class.
-  auto bytes = encode_packet(std::vector<RawRecord>{sample_record()});
-  bytes[3] = 5;
-  EXPECT_FALSE(parse_packet(bytes).has_value());
-}
-
-TEST(Wire, WrongVersionRejected) {
-  auto bytes = encode_packet(std::vector<RawRecord>{sample_record()});
-  bytes[1] = 5;
-  EXPECT_FALSE(parse_packet(bytes).has_value());
-}
-
-TEST(Wire, TrailingBytesRejected) {
-  auto bytes = encode_packet(std::vector<RawRecord>{sample_record()});
-  bytes.push_back(0);
-  EXPECT_FALSE(parse_packet(bytes).has_value());
 }
 
 }  // namespace

@@ -28,6 +28,7 @@
 #include "store/mapped_file.h"
 #include "store/record_file.h"
 #include "store/superblock.h"
+#include "util/fnv1a.h"
 
 namespace cbwt {
 namespace {
@@ -60,11 +61,17 @@ TEST(StoreBytes, RoundTripsBigEndian) {
 
 TEST(StoreBytes, FnvIsIncremental) {
   const std::vector<std::uint8_t> data = {1, 2, 3, 4, 5, 6, 7};
-  const auto whole = store::fnv1a({data.data(), data.size()});
-  const auto head = store::fnv1a({data.data(), 3});
-  const auto both = store::fnv1a({data.data() + 3, 4}, head);
+  const auto whole = util::fnv1a({data.data(), data.size()});
+  const auto head = util::fnv1a({data.data(), 3});
+  const auto both = util::fnv1a({data.data() + 3, 4}, head);
   EXPECT_EQ(both, whole);
-  EXPECT_NE(whole, store::fnv1a({data.data(), 6}));
+  EXPECT_NE(whole, util::fnv1a({data.data(), 6}));
+  // Published FNV-1a 64 vectors: store checksums depend on these values.
+  EXPECT_EQ(util::fnv1a(std::string_view("a")), 0xAF63DC4C8601EC8CULL);
+  const std::string_view foobar = "foobar";
+  EXPECT_EQ(util::fnv1a(foobar), 0x85944171F73967E8ULL);
+  const std::vector<std::uint8_t> foobar_bytes(foobar.begin(), foobar.end());
+  EXPECT_EQ(util::fnv1a(foobar_bytes), util::fnv1a(foobar));
 }
 
 // --- superblock -------------------------------------------------------
