@@ -1,7 +1,8 @@
 // Shared plumbing for the reproduction harnesses in bench/: one binary
 // per paper table/figure. Each binary builds a Study (scale overridable
 // via the CBWT_SCALE / CBWT_SEED environment variables, worker threads
-// via --threads / CBWT_THREADS), regenerates its table, and prints the
+// via --threads / CBWT_THREADS; a malformed value is an error that names
+// the setting), regenerates its table, and prints the
 // paper's reported numbers next to the measured ones. Absolute counts
 // are scaled by design; the *shape* is the claim. `--json PATH` writes a
 // machine-readable run summary next to the human-readable table.
@@ -12,6 +13,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <stdexcept>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -26,21 +28,40 @@
 
 namespace cbwt::bench {
 
-inline double env_double(const char* name, double fallback) {
-  const char* value = std::getenv(name);
-  return value == nullptr ? fallback : std::atof(value);
+/// Runs `parse`, a strict parse of one setting (util::parse_env). A
+/// malformed value ends the process with the parser's message, which
+/// names the setting, and exit status 2, before any study starts.
+template <typename Parse>
+auto parse_or_exit(Parse&& parse) {
+  try {
+    return parse();
+  } catch (const std::invalid_argument& error) {
+    std::fprintf(stderr, "%s\n", error.what());
+    std::exit(2);
+  }
 }
 
-inline std::uint64_t env_u64(const char* name, std::uint64_t fallback) {
+/// The environment variable `name` parsed strictly as a T, or `fallback`
+/// when it is unset.
+template <typename T>
+T env_or(const char* name, T fallback, std::string_view expected) {
   const char* value = std::getenv(name);
-  return value == nullptr ? fallback : std::strtoull(value, nullptr, 10);
+  if (value == nullptr) return fallback;
+  return parse_or_exit([&] { return util::parse_env<T>(name, value, expected); });
+}
+
+inline constexpr std::string_view kThreadCount = "a thread count (decimal digits)";
+
+/// The value of a --threads flag.
+inline unsigned parse_threads(std::string_view value) {
+  return parse_or_exit([&] { return util::parse_env<unsigned>("--threads", value, kThreadCount); });
 }
 
 /// Command-line options shared by the harnesses. Threads defaults to the
 /// CBWT_THREADS environment variable (1 = serial; 0 = hardware cores);
 /// the study result is bit-identical for every value.
 struct BenchOptions {
-  unsigned threads = static_cast<unsigned>(env_u64("CBWT_THREADS", 1));
+  unsigned threads = env_or<unsigned>("CBWT_THREADS", 1, kThreadCount);
   std::string json_path;    ///< empty = no machine-readable output
   std::string report_path;  ///< empty = no Study::run_report() dump
 };
@@ -50,7 +71,7 @@ inline BenchOptions parse_options(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     const std::string_view arg = argv[i];
     if (arg == "--threads" && i + 1 < argc) {
-      options.threads = static_cast<unsigned>(std::strtoul(argv[++i], nullptr, 10));
+      options.threads = parse_threads(argv[++i]);
     } else if (arg == "--json" && i + 1 < argc) {
       options.json_path = argv[++i];
     } else if (arg == "--report" && i + 1 < argc) {
@@ -72,9 +93,9 @@ inline BenchOptions parse_options(int argc, char** argv) {
 /// is how the EXPERIMENTS.md fault-rate sweeps drive any figure.
 inline core::StudyConfig bench_config() {
   core::StudyConfig config;
-  config.world.seed = env_u64("CBWT_SEED", 20180901);
-  config.world.scale = env_double("CBWT_SCALE", 0.08);
-  config.fault_plan = fault::FaultPlan::from_env();
+  config.world.seed = env_or<std::uint64_t>("CBWT_SEED", 20180901, "decimal digits");
+  config.world.scale = env_or<double>("CBWT_SCALE", 0.08, "a finite decimal scale");
+  config.fault_plan = parse_or_exit(fault::FaultPlan::from_env);
   return config;
 }
 

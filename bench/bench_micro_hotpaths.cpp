@@ -9,13 +9,13 @@
 // shorthand for --benchmark_out=PATH --benchmark_out_format=json.
 #include <benchmark/benchmark.h>
 
-#include <cstdlib>
 #include <memory>
 #include <span>
 #include <string>
 #include <string_view>
 #include <vector>
 
+#include "bench_common.h"
 #include "core/study.h"
 #include "filterlist/generate.h"
 #include "filterlist/reference.h"
@@ -40,19 +40,17 @@ const world::World& micro_world() {
   return world;
 }
 
-/// DE-Broadband's first snapshot, generated into one vector.
-std::vector<netflow::RawRecord> snapshot_records(const world::World& world,
-                                                 const dns::Resolver& resolver,
-                                                 const netflow::GeneratorConfig& config,
-                                                 std::uint64_t seed,
-                                                 runtime::ThreadPool* pool) {
-  std::vector<netflow::RawRecord> records;
+/// DE-Broadband's first snapshot, generated into `records` (cleared
+/// first; its capacity is kept).
+void snapshot_records(const world::World& world, const dns::Resolver& resolver,
+                      const netflow::GeneratorConfig& config, std::uint64_t seed,
+                      runtime::ThreadPool* pool, std::vector<netflow::RawRecord>& records) {
+  records.clear();
   (void)netflow::generate_snapshot_stream(
       world, resolver, netflow::default_isps()[0], netflow::default_snapshots()[0], config,
       seed, pool, [&records](std::span<const netflow::RawRecord> batch) {
         records.insert(records.end(), batch.begin(), batch.end());
       });
-  return records;
 }
 
 void BM_FilterEngineMatch(benchmark::State& state) {
@@ -239,7 +237,8 @@ void BM_NetflowCollect(benchmark::State& state) {
   const dns::Resolver resolver(world);
   netflow::GeneratorConfig config;
   config.scale = 1e-6;
-  const auto records = snapshot_records(world, resolver, config, /*seed=*/4, nullptr);
+  std::vector<netflow::RawRecord> records;
+  snapshot_records(world, resolver, config, /*seed=*/4, nullptr, records);
   netflow::TrackerIpIndex index;
   for (const auto id : world.tracking_domain_ids()) {
     for (const auto sid : world.domain(id).servers) index.add(world.server(sid).ip);
@@ -343,9 +342,13 @@ void BM_SnapshotSharded(benchmark::State& state) {
   config.scale = 1e-4;
   std::unique_ptr<runtime::ThreadPool> owner;
   runtime::ThreadPool* pool = make_pool(state.range(0), owner);
+  // One output buffer for every iteration: freeing and re-growing ~10 MB
+  // per iteration would time the allocator handing pages back to the OS
+  // and faulting them in again, which depends on the heap's layout.
+  std::vector<netflow::RawRecord> exported;
   std::int64_t records = 0;
   for (auto _ : state) {
-    const auto exported = snapshot_records(world, resolver, config, /*seed=*/42, pool);
+    snapshot_records(world, resolver, config, /*seed=*/42, pool, exported);
     records = static_cast<std::int64_t>(exported.size());
     benchmark::DoNotOptimize(exported.data());
   }
@@ -369,16 +372,15 @@ void register_runtime_benchmarks(unsigned max_threads) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  unsigned max_threads = static_cast<unsigned>(
-      std::strtoul(std::getenv("CBWT_THREADS") ? std::getenv("CBWT_THREADS") : "0",
-                   nullptr, 10));
+  unsigned max_threads =
+      cbwt::bench::env_or<unsigned>("CBWT_THREADS", 0, cbwt::bench::kThreadCount);
   std::vector<std::string> owned;
   std::vector<char*> args;
   args.push_back(argv[0]);
   for (int i = 1; i < argc; ++i) {
     const std::string_view arg = argv[i];
     if (arg == "--threads" && i + 1 < argc) {
-      max_threads = static_cast<unsigned>(std::strtoul(argv[++i], nullptr, 10));
+      max_threads = cbwt::bench::parse_threads(argv[++i]);
     } else if (arg == "--json" && i + 1 < argc) {
       owned.push_back(std::string("--benchmark_out=") + argv[++i]);
       owned.push_back("--benchmark_out_format=json");

@@ -58,8 +58,9 @@ int main(int argc, char** argv) {
       "(DE-Mobile), 74.7-77.5% (PL), 89.5-93.1% (HU); N.America takes most of\n"
       "the remainder; volumes 1,057M / 70M / 14M / 43M sampled flows per day,\n"
       "stable across the GDPR implementation date; >83% of matched traffic on\n"
-      "443. Reproduced shape: high and stable EU28 confinement, mobile above\n"
-      "broadband, PL lowest, N.America the main leak.");
+      "443. Reproduced shape: high and stable EU28 confinement, N.America the\n"
+      "main leak. Not reproduced: mobile above broadband, and PL lowest\n"
+      "(DESIGN.md section 8).");
   report.metrics_from(registry);
   report.write(options.json_path);
   bench::write_run_report(study, options.report_path);

@@ -66,7 +66,10 @@ const world::World& Study::world() {
 }
 
 const dns::Resolver& Study::resolver() {
-  if (!resolver_) resolver_.emplace(world(), config_.resolver);
+  if (!resolver_) {
+    resolver_.emplace(world(), config_.resolver);
+    built_resolver_.store(&*resolver_, std::memory_order_release);
+  }
   return *resolver_;
 }
 
@@ -322,7 +325,7 @@ Study::IspRun Study::run_isp_snapshot(const netflow::IspProfile& isp,
     join_config.spill_directory =
         config_.storage.directory + "/join_" + stem + "_day" +
         std::to_string(snapshot.day);
-    run.collection = netflow::join_flows(netflow::SnapshotReader(path, config_.registry),
+    run.collection = netflow::join_flows(netflow::open_snapshot(path, config_.registry),
                                          index, isp, join_config, workers,
                                          config_.registry, &config_.fault_plan);
   } else {
@@ -339,17 +342,23 @@ Study::IspRun Study::run_isp_snapshot(const netflow::IspProfile& isp,
 }
 
 std::string Study::run_report() {
-  // Pool counters are a point-in-time snapshot; refresh them so the
-  // report reflects the pool's state at export. The pointer is read
-  // under the pool mutex (the inspector thread may be here while the
-  // main thread first creates the pool); the pool itself is safe to
-  // snapshot concurrently and outlives every reader of this copy.
+  // Pool counters and the resolver's table count are point-in-time
+  // snapshots; refresh them so the report reflects the state at export.
+  // The pool pointer is read under the pool mutex (the inspector thread
+  // may be here while the main thread first creates the pool); the pool
+  // itself is safe to snapshot concurrently and outlives every reader of
+  // this copy.
   runtime::ThreadPool* workers = nullptr;
   {
     util::MutexLock lock(pool_mutex_);
     workers = pool_.get();
   }
   if (workers != nullptr) obs::record_pool_stats(config_.registry, *workers);
+  const dns::Resolver* dns = built_resolver_.load(std::memory_order_acquire);
+  if (dns != nullptr && config_.registry != nullptr) {
+    config_.registry->gauge("cbwt_dns_route_tables")
+        .set(static_cast<double>(dns->route_tables()));
+  }
 
   report::JsonWriter json;
   json.begin_object();

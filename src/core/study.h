@@ -11,6 +11,7 @@
 // the stages they need. A Study is deterministic in its config.
 #pragma once
 
+#include <atomic>
 #include <memory>
 #include <optional>
 #include <string>
@@ -169,8 +170,9 @@ class Study {
   /// registry's full metric state (counters, gauges, histograms, one
   /// span per executed stage) as a JSON document. With no registry
   /// attached the report is still valid JSON with empty metric sections.
-  /// Call after the stages of interest have run; pool counters are
-  /// refreshed into the registry on each call.
+  /// Call after the stages of interest have run; pool counters and the
+  /// resolver's route-table count (cbwt_dns_route_tables) are refreshed
+  /// into the registry on each call.
   [[nodiscard]] std::string run_report();
 
   /// Persists the completed early stages (extension dataset + the pDNS
@@ -208,6 +210,9 @@ class Study {
 
   std::optional<world::World> world_;
   std::optional<dns::Resolver> resolver_;
+  /// &*resolver_ once built: run_report() may read its table count on the
+  /// inspector thread while the main thread first builds it.
+  std::atomic<const dns::Resolver*> built_resolver_{nullptr};
   std::optional<browser::ExtensionDataset> dataset_;
   std::optional<pdns::Store> pdns_;
   bool pdns_replicated_ = false;

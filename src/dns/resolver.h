@@ -9,25 +9,34 @@
 // users leaking more than mobile users (§7.3).
 #pragma once
 
+#include <atomic>
 #include <cstdint>
-#include <map>
+#include <memory>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
 #include "net/ip.h"
 #include "util/prng.h"
-#include "util/thread_annotations.h"
 #include "world/world.h"
 
 namespace cbwt::dns {
 
-/// Where a query "appears from" after recursive resolution.
+/// The NearestPop routes from one effective location (resolver.cpp).
+struct RouteTable;
+
+/// Where a query "appears from" after recursive resolution. Made by
+/// Resolver::origin_for, which binds it to that resolver's route tables:
+/// resolve it only with the Resolver that made it, while that lives.
 struct QueryOrigin {
   std::string client_country;     ///< the actual user's country
   geo::LatLon effective_location; ///< client or resolver location
   bool via_third_party = false;   ///< true when a public resolver was used
+  const RouteTable* routes = nullptr;  ///< routes from effective_location
+  /// Routes from the client's home centroid, which the queries that
+  /// partial ECS adoption sends with the client's subnet use instead;
+  /// nullptr unless via_third_party and 0 < ecs_adoption < 1.
+  const RouteTable* home_routes = nullptr;
 };
 
 /// One answer: which server (and thus IP) the FQDN resolved to.
@@ -61,17 +70,24 @@ struct ResolverOptions {
 
 /// Policy-based server selection over a World.
 ///
-/// The per-query work that depends only on the world is memoized on first
-/// use: a NearestPop domain seen from one effective location keeps its
-/// serving-radius sites, their latency weights and their member servers,
-/// and an HqOnly domain keeps a DiscreteSampler over its HQ weights. The
-/// memo holds the exact doubles the uncached computation produces and is
-/// sampled with the same draws, so every answer and every rng state is
-/// the same as without it. The memo is filled under an internal mutex:
-/// resolve() is safe to call from many threads on one Resolver.
+/// The per-query work that depends only on the world is done once. The
+/// constructor groups each NearestPop domain's servers into sites and
+/// builds each HqOnly domain's DiscreteSampler. The rest depends on the
+/// effective location: a RouteTable holds, for every NearestPop domain,
+/// the serving-radius sites nearest that location with their latency
+/// weights. origin_for builds the tables its origin needs on first use
+/// and binds them to the origin, so resolve() takes no lock, does no
+/// lookup keyed by location and writes no shared state. Tables hold the
+/// exact doubles the uncached computation produces and are sampled with
+/// the same draws, so every answer and every rng state is the same as
+/// without them. Both calls are safe from many threads on one Resolver.
 class Resolver {
  public:
   explicit Resolver(const world::World& world, ResolverOptions options = {});
+  ~Resolver();
+
+  Resolver(const Resolver&) = delete;
+  Resolver& operator=(const Resolver&) = delete;
 
   /// Computes the effective query origin for a user in `country`.
   /// Third-party-resolver clients appear from the nearest public-resolver
@@ -79,51 +95,55 @@ class Resolver {
   [[nodiscard]] QueryOrigin origin_for(std::string_view country,
                                        bool third_party_resolver) const;
 
-  /// Resolves a tracker FQDN for the given origin. Deterministic given
-  /// the Rng state.
+  /// Resolves a tracker FQDN for an origin this resolver made.
+  /// Deterministic given the Rng state.
   [[nodiscard]] Resolution resolve(world::DomainId domain, const QueryOrigin& origin,
                                    util::Rng& rng) const;
+
+  /// Location route tables built so far (at most one per country
+  /// centroid and per public-resolver anycast site).
+  [[nodiscard]] std::size_t route_tables() const noexcept;
 
   [[nodiscard]] const world::World& world() const noexcept { return *world_; }
 
  private:
-  /// The serving-radius sites of one NearestPop domain from one location,
-  /// nearest first: a slice of site_weights_ / site_members_ holding
-  /// max(radius, 1) sites (a zero radius still answers from the nearest).
-  struct NearRoute {
-    static constexpr std::uint32_t kUnbuilt = ~std::uint32_t{0};
-    std::uint32_t first_site = kUnbuilt;
-    std::uint32_t radius = 0;
-  };
-  /// The servers of one site, a slice of members_ (indices into the
-  /// domain's server list).
+  /// The servers of one site of a NearestPop domain, a slice of members_
+  /// (indices into the domain's server list).
   struct SiteMembers {
     std::uint32_t begin = 0;
     std::uint32_t count = 0;
   };
+  /// One datacenter of a NearestPop domain, in the order the domain's
+  /// server list first names it.
+  struct Site {
+    world::DatacenterId dc = 0;
+    bool exchange_only = true;  ///< every member is a shared ad exchange
+    SiteMembers members;
+  };
+  /// A domain's sites: a slice of sites_, empty unless NearestPop.
+  struct DomainSites {
+    std::uint32_t first = 0;
+    std::uint32_t count = 0;
+  };
 
-  [[nodiscard]] std::size_t pick_nearest_pop(world::DomainId domain,
-                                             const geo::LatLon& location,
-                                             util::Rng& rng) const CBWT_EXCLUDES(mutex_);
-  [[nodiscard]] std::size_t pick_hq_only(world::DomainId domain, util::Rng& rng) const
-      CBWT_EXCLUDES(mutex_);
-  [[nodiscard]] NearRoute build_near_route(world::DomainId domain,
-                                           const geo::LatLon& location) const
-      CBWT_REQUIRES(mutex_);
+  /// The table for one effective location, built on first use. `slot`
+  /// indexes tables_; every location has one fixed slot.
+  [[nodiscard]] const RouteTable& table(std::size_t slot, const geo::LatLon& location) const;
+  [[nodiscard]] std::unique_ptr<RouteTable> build_table(const geo::LatLon& location) const;
+  [[nodiscard]] std::size_t pick_nearest_pop(world::DomainId domain, const RouteTable& routes,
+                                             util::Rng& rng) const;
 
   const world::World* world_;
   ResolverOptions options_;
 
-  mutable util::Mutex mutex_;
-  /// Effective location -> row of near_routes_.
-  mutable std::map<geo::LatLon, std::size_t> location_rows_ CBWT_GUARDED_BY(mutex_);
-  /// One row per location, one entry per domain id.
-  mutable std::vector<std::vector<NearRoute>> near_routes_ CBWT_GUARDED_BY(mutex_);
-  mutable std::vector<double> site_weights_ CBWT_GUARDED_BY(mutex_);
-  mutable std::vector<SiteMembers> site_members_ CBWT_GUARDED_BY(mutex_);
-  mutable std::vector<std::uint32_t> members_ CBWT_GUARDED_BY(mutex_);
-  mutable std::unordered_map<world::DomainId, util::DiscreteSampler> hq_routes_
-      CBWT_GUARDED_BY(mutex_);
+  std::vector<DomainSites> domain_sites_;  ///< one per domain id
+  std::vector<Site> sites_;
+  std::vector<std::uint32_t> members_;
+  /// One per domain id; empty unless the domain is HqOnly.
+  std::vector<util::DiscreteSampler> hq_routes_;
+  /// One slot per country centroid, then one per anycast site: null
+  /// until the table is published by a single compare_exchange. Owned.
+  std::unique_ptr<std::atomic<const RouteTable*>[]> tables_;
 };
 
 /// TTL assignment: the busiest orgs re-map quickly (300 s, like Google),

@@ -1,16 +1,14 @@
 #include "fault/fault.h"
 
 #include <algorithm>
-#include <charconv>
-#include <cmath>
 #include <cstdlib>
 #include <stdexcept>
 #include <string>
-#include <type_traits>
 
 #include "util/contract.h"
 #include "util/fnv1a.h"
 #include "util/prng.h"
+#include "util/strings.h"
 
 namespace cbwt::fault {
 
@@ -50,38 +48,17 @@ FaultPlan FaultPlan::uniform(std::uint64_t seed, double rate) {
   return plan;
 }
 
-namespace {
-
-/// Parses all of `value` as a T (a finite one, for floating point), or
-/// throws naming the variable.
-template <typename T>
-T parse_env(std::string_view name, std::string_view value, std::string_view expected) {
-  T parsed{};
-  const char* end = value.data() + value.size();
-  const auto [stop, error] = std::from_chars(value.data(), end, parsed);
-  bool valid = error == std::errc{} && stop == end;
-  if constexpr (std::is_floating_point_v<T>) {
-    valid = valid && std::isfinite(parsed);  // from_chars reads "nan" and "inf"
-  }
-  if (!valid) {
-    throw std::invalid_argument(std::string(name) + "=\"" + std::string(value) +
-                                "\": expected " + std::string(expected));
-  }
-  return parsed;
-}
-
-}  // namespace
-
 FaultPlan FaultPlan::from_env() {
   FaultPlan plan;  // default: disabled (all rates zero)
   // from_env() runs once at startup before any worker exists; nothing
   // mutates the environment concurrently.
   const char* rate_env = std::getenv("CBWT_FAULT_RATE");  // NOLINT(concurrency-mt-unsafe)
   if (rate_env == nullptr) return plan;
-  const auto rate = parse_env<double>("CBWT_FAULT_RATE", rate_env, "a finite decimal rate");
+  const auto rate =
+      util::parse_env<double>("CBWT_FAULT_RATE", rate_env, "a finite decimal rate");
   std::uint64_t seed = plan.seed;
   if (const char* seed_env = std::getenv("CBWT_FAULT_SEED")) {  // NOLINT(concurrency-mt-unsafe)
-    seed = parse_env<std::uint64_t>("CBWT_FAULT_SEED", seed_env, "decimal digits");
+    seed = util::parse_env<std::uint64_t>("CBWT_FAULT_SEED", seed_env, "decimal digits");
   }
   if (rate <= 0.0) return plan;
   return uniform(seed, std::min(rate, 1.0));

@@ -1,5 +1,6 @@
 #include "netflow/snapshot_store.h"
 
+#include "obs/trace.h"
 #include "store/superblock.h"
 #include "util/contract.h"
 
@@ -23,9 +24,21 @@ SnapshotCounts generate_snapshot_to_store(
       world, resolver, isp, snapshot, config, seed, pool,
       [&writer](std::span<const RawRecord> batch) { writer.append(batch); },
       registry, fault_plan);
-  writer.finalize();
+  {
+    // Stamping the superblock syncs the whole file to disk.
+    obs::ScopedSpan span(registry, "netflow/snapshot_finalize");
+    writer.finalize();
+    span.set_items(writer.size());
+  }
   CBWT_ENSURES(writer.size() == counts.records);
   return counts;
+}
+
+SnapshotReader open_snapshot(const std::string& path, obs::Registry* registry) {
+  obs::ScopedSpan span(registry, "netflow/snapshot_verify");
+  SnapshotReader reader(path, registry);  // hashes the whole payload
+  span.set_items(reader.size());
+  return reader;
 }
 
 }  // namespace cbwt::netflow

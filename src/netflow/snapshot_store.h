@@ -30,11 +30,17 @@ using SnapshotReader = store::RecordFileReader<WireCodec>;
 /// `path`, never holding more than one shard batch in memory. The
 /// record sequence equals what generate_snapshot_stream delivers to any
 /// other sink, so the in-memory day (collect_snapshot) sees the same
-/// records.
+/// records. The closing sync to disk runs in the span
+/// "netflow/snapshot_finalize".
 [[nodiscard]] SnapshotCounts generate_snapshot_to_store(
     const world::World& world, const dns::Resolver& resolver, const IspProfile& isp,
     const Snapshot& snapshot, const GeneratorConfig& config, std::uint64_t seed,
     runtime::ThreadPool* pool, const std::string& path,
     obs::Registry* registry = nullptr, const fault::FaultPlan* fault_plan = nullptr);
+
+/// Opens the snapshot file at `path` for reading. The open-time check of
+/// the payload checksum runs in the span "netflow/snapshot_verify".
+[[nodiscard]] SnapshotReader open_snapshot(const std::string& path,
+                                           obs::Registry* registry = nullptr);
 
 }  // namespace cbwt::netflow

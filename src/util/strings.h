@@ -2,8 +2,14 @@
 // allocation is avoided where a view suffices.
 #pragma once
 
+#include <charconv>
+#include <cmath>
+#include <cstdint>
+#include <stdexcept>
 #include <string>
 #include <string_view>
+#include <system_error>
+#include <type_traits>
 #include <vector>
 
 namespace cbwt::util {
@@ -29,5 +35,26 @@ namespace cbwt::util {
 
 /// Thousands-separated integer, e.g. 7172752 -> "7,172,752".
 [[nodiscard]] std::string fmt_count(std::uint64_t value);
+
+/// Parses all of `value`, the setting `name` (an environment variable or
+/// a flag), as a T: a finite one for floating point, a non-negative one
+/// in range for unsigned types. Anything else throws std::invalid_argument
+/// naming the setting and what it `expected`.
+template <typename T>
+[[nodiscard]] T parse_env(std::string_view name, std::string_view value,
+                          std::string_view expected) {
+  T parsed{};
+  const char* end = value.data() + value.size();
+  const auto [stop, error] = std::from_chars(value.data(), end, parsed);
+  bool valid = error == std::errc{} && stop == end;
+  if constexpr (std::is_floating_point_v<T>) {
+    valid = valid && std::isfinite(parsed);  // from_chars reads "nan" and "inf"
+  }
+  if (!valid) {
+    throw std::invalid_argument(std::string(name) + "=\"" + std::string(value) +
+                                "\": expected " + std::string(expected));
+  }
+  return parsed;
+}
 
 }  // namespace cbwt::util

@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "analysis/jurisdiction.h"
 #include "json_check.h"
 #include "netflow/profile.h"
@@ -232,9 +234,20 @@ TEST(StudyRunReport, RecordsEveryStageAndStaysValidJson) {
         "cbwt_classify_requests_total", "cbwt_classify_rule_hits_total",
         "cbwt_geoloc_cache_misses_total", "cbwt_geoloc_measure_seconds",
         "cbwt_netflow_records_generated_total", "cbwt_netflow_matched_total",
-        "cbwt_runtime_channel_pushed_total", "cbwt_runtime_pool_size"}) {
+        "cbwt_runtime_channel_pushed_total", "cbwt_runtime_pool_size",
+        "cbwt_dns_route_tables"}) {
     EXPECT_NE(report.find(needle), std::string::npos) << "missing " << needle;
   }
+
+  // The report refreshes the resolver's table count: one table per
+  // effective location the study resolved from.
+  const auto gauges = registry.gauges();
+  const auto tables = std::find_if(gauges.begin(), gauges.end(), [](const auto& gauge) {
+    return gauge.first == "cbwt_dns_route_tables";
+  });
+  ASSERT_NE(tables, gauges.end());
+  EXPECT_EQ(tables->second, static_cast<double>(study.resolver().route_tables()));
+  EXPECT_GT(tables->second, 0.0);
 
   // Child spans carry their parents.
   EXPECT_NE(report.find("\"name\":\"classify/stage1_abp\",\"parent\":\"study/classify\""),

@@ -5,8 +5,6 @@
 #include <algorithm>
 #include <cmath>
 #include <map>
-#include <numeric>
-#include <span>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -34,8 +32,9 @@ const World& test_world() {
 }
 
 /// The uncached resolve: the executable spec of Resolver::resolve, which
-/// memoizes the world-dependent half of this computation. Every query
-/// rebuilds, sorts and weights the domain's sites from scratch.
+/// precomputes the world-dependent half of this computation in its route
+/// tables. Every query rebuilds, sorts and weights the domain's sites
+/// from scratch.
 Resolution reference_resolve(const World& world, const ResolverOptions& options,
                              world::DomainId domain, const QueryOrigin& origin,
                              util::Rng& rng) {
@@ -365,38 +364,46 @@ INSTANTIATE_TEST_SUITE_P(EcsAdoption, ResolverMemo, ::testing::Values(0.0, 0.5, 
                          });
 
 TEST(ResolverMemoThreads, ConcurrentColdFillMatchesSerialAnswers) {
-  // Four pool workers fill one cold memo at once, racing on the same
-  // routes (the query order is shuffled); every answer must equal the
+  // Four pool workers race on the first use of every location table:
+  // each query makes its own origin, and the four queries of one origin
+  // are adjacent one-query shards, so the workers build the same tables
+  // at once and all but one discard theirs. Every answer must equal the
   // one a serial resolver gives for the same query and rng seed.
   const auto& world = test_world();
   ResolverOptions options;
-  options.ecs_adoption = 0.5;
-  const Resolver serial(world, options);
-  const auto origins = all_origins(serial);
-  std::vector<std::size_t> order(origins.size() * world.domains().size());
-  std::iota(order.begin(), order.end(), std::size_t{0});
-  util::Rng shuffler(17);
-  shuffler.shuffle(std::span<std::size_t>(order));
-  const auto answer = [&](const Resolver& resolver, std::size_t i) {
-    const std::size_t query = order[i];
+  options.ecs_adoption = 0.5;  // public-DNS origins also bind their home table
+  const auto countries = geo::all_countries();
+  constexpr std::size_t kRacers = 4;
+  const std::size_t queries = countries.size() * 2 * kRacers;
+  const auto answer = [&](const Resolver& resolver, std::size_t query) {
+    const std::size_t origin = query / kRacers;
+    const auto from = resolver.origin_for(countries[origin / 2].code, origin % 2 == 1);
     util::Rng rng(util::mix64(query));
-    const auto& origin = origins[query / world.domains().size()];
-    const auto domain = static_cast<world::DomainId>(query % world.domains().size());
-    return resolver.resolve(domain, origin, rng).server;
+    std::vector<world::ServerId> servers;
+    for (const auto& domain : world.domains()) {
+      servers.push_back(resolver.resolve(domain.id, from, rng).server);
+    }
+    return servers;
   };
-  std::vector<world::ServerId> want(order.size());
-  for (std::size_t i = 0; i < order.size(); ++i) want[i] = answer(serial, i);
+  const Resolver serial(world, options);
+  std::vector<std::vector<world::ServerId>> want(queries);
+  for (std::size_t query = 0; query < queries; ++query) want[query] = answer(serial, query);
 
   const Resolver shared(world, options);
-  runtime::ThreadPool pool(4);
-  std::vector<world::ServerId> got(order.size());
-  runtime::parallel_for(&pool, order.size(), {.min_shard_items = 256},
+  ASSERT_EQ(shared.route_tables(), 0U);
+  runtime::ThreadPool pool(kRacers);
+  std::vector<std::vector<world::ServerId>> got(queries);
+  runtime::parallel_for(&pool, queries, {.min_shard_items = 1, .max_shards = queries},
                         [&](runtime::ShardRange range, std::size_t /*shard*/) {
                           for (std::size_t i = range.begin; i < range.end; ++i) {
                             got[i] = answer(shared, i);
                           }
                         });
   EXPECT_EQ(got, want);
+  // One table per country centroid and per anycast site in use,
+  // however many workers built it.
+  EXPECT_EQ(shared.route_tables(), serial.route_tables());
+  EXPECT_GT(shared.route_tables(), countries.size());
 }
 
 /// Property sweep over origin countries: resolution invariants must hold

@@ -531,6 +531,14 @@ TEST(StoreJoinCounters, SpillBytesMatchDiskExactly) {
   const auto probe = find_span("netflow/join/probe");
   ASSERT_NE(probe, spans.end());
   EXPECT_EQ(probe->items, run.collection.records_seen);
+  // The snapshot file's closing sync and its open-time checksum pass
+  // each run in their own span inside the ISP day, over every record.
+  for (const std::string_view name : {"netflow/snapshot_finalize", "netflow/snapshot_verify"}) {
+    const auto pass = find_span(name);
+    ASSERT_NE(pass, spans.end()) << name;
+    EXPECT_EQ(pass->parent, "study/isp_snapshot") << name;
+    EXPECT_EQ(pass->items, run.exported_records) << name;
+  }
 
   std::uint64_t disk_bytes = 0;
   for (const auto& entry : std::filesystem::recursive_directory_iterator(

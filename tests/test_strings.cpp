@@ -63,6 +63,40 @@ TEST(FmtCount, ThousandsSeparators) {
   EXPECT_EQ(fmt_count(1057000000ULL), "1,057,000,000");
 }
 
+TEST(ParseEnv, AcceptsWholeWellFormedValues) {
+  EXPECT_EQ(parse_env<double>("CBWT_SCALE", "0.02", "a scale"), 0.02);
+  EXPECT_EQ(parse_env<std::uint64_t>("CBWT_SEED", "18446744073709551615", "digits"),
+            ~std::uint64_t{0});
+  EXPECT_EQ(parse_env<unsigned>("--threads", "0", "a count"), 0U);
+}
+
+TEST(ParseEnv, RejectsMalformedValuesNamingTheSetting) {
+  const auto message = [](auto parse) -> std::string {
+    try {
+      (void)parse();
+    } catch (const std::invalid_argument& error) {
+      return error.what();
+    }
+    return "accepted";
+  };
+  EXPECT_EQ(message([] { return parse_env<double>("CBWT_SCALE", "abc", "a scale"); }),
+            "CBWT_SCALE=\"abc\": expected a scale");
+  EXPECT_EQ(message([] { return parse_env<std::uint64_t>("CBWT_SEED", "-1", "digits"); }),
+            "CBWT_SEED=\"-1\": expected digits");
+  // Trailing bytes, empty values, non-finite doubles and out-of-range
+  // integers are all malformed.
+  for (const char* bad : {"2x", "", " 2", "4294967296"}) {
+    EXPECT_NE(message([&] { return parse_env<unsigned>("--threads", bad, "a count"); }),
+              "accepted")
+        << bad;
+  }
+  for (const char* bad : {"nan", "inf", "1e999", "0.02 "}) {
+    EXPECT_NE(message([&] { return parse_env<double>("CBWT_SCALE", bad, "a scale"); }),
+              "accepted")
+        << bad;
+  }
+}
+
 TEST(TextTable, RendersAlignedRows) {
   TextTable table({"name", "value"});
   table.add_row({"alpha", "1"});
