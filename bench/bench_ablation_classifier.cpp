@@ -3,8 +3,9 @@
 // truth (which the classifier itself never sees).
 #include "bench_common.h"
 
-int main() {
+int main(int argc, char** argv) {
   using namespace cbwt;
+  bench::reject_arguments(argc, argv);
   const auto config = bench::bench_config();
   bench::print_header("Ablation: classifier stages (lists / +referrer / +keywords)",
                       config);

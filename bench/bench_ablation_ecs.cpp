@@ -4,8 +4,9 @@
 // this sweep shows ECS closing exactly that gap.
 #include "bench_common.h"
 
-int main() {
+int main(int argc, char** argv) {
   using namespace cbwt;
+  bench::reject_arguments(argc, argv);
   auto base_config = bench::bench_config();
   base_config.world.scale = 0.04;  // several studies below, keep each small
   bench::print_header("Ablation: EDNS-Client-Subnet adoption vs EU28 confinement",

@@ -4,8 +4,9 @@
 #include "bench_common.h"
 #include "geoloc/active.h"
 
-int main() {
+int main(int argc, char** argv) {
   using namespace cbwt;
+  bench::reject_arguments(argc, argv);
   const auto config = bench::bench_config();
   bench::print_header("Ablation: probe-mesh density vs geolocation accuracy", config);
   core::Study study(config);

@@ -5,8 +5,9 @@
 #include "bench_common.h"
 #include "rtb/auction.h"
 
-int main() {
+int main(int argc, char** argv) {
   using namespace cbwt;
+  bench::reject_arguments(argc, argv);
   const auto config = bench::bench_config();
   bench::print_header("Ablation: RTB timeout budget vs bidder locality", config);
   core::Study study(config);

@@ -4,8 +4,9 @@
 #include "bench_common.h"
 #include "netflow/profile.h"
 
-int main() {
+int main(int argc, char** argv) {
   using namespace cbwt;
+  bench::reject_arguments(argc, argv);
   auto config = bench::bench_config();
   bench::print_header("Ablation: NetFlow sampling rate vs confinement estimate",
                       config);

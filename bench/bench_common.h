@@ -1,18 +1,15 @@
-// Shared plumbing for the reproduction harnesses in bench/: one binary
-// per paper table/figure. Each binary builds a Study (scale overridable
-// via the CBWT_SCALE / CBWT_SEED environment variables, worker threads
-// via --threads / CBWT_THREADS; a malformed value is an error that names
-// the setting), regenerates its table, and prints the
-// paper's reported numbers next to the measured ones. Absolute counts
-// are scaled by design; the *shape* is the claim. `--json PATH` writes a
-// machine-readable run summary next to the human-readable table.
+// Shared plumbing for the reproduction harnesses in bench/: bench_paper
+// (every paper table and figure, from one Study) and the separate
+// ablation / design-choice / future-work harnesses. Each builds its
+// Study from the CBWT_SCALE / CBWT_SEED environment variables (a
+// malformed value is an error that names the setting), regenerates its
+// tables, and prints the paper's reported numbers next to the measured
+// ones. Absolute counts are scaled by design; the *shape* is the claim.
 #pragma once
 
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <fstream>
 #include <stdexcept>
 #include <string>
 #include <string_view>
@@ -20,8 +17,6 @@
 #include <vector>
 
 #include "core/study.h"
-#include "obs/metrics.h"
-#include "report/json.h"
 #include "util/stats.h"
 #include "util/strings.h"
 #include "util/table.h"
@@ -57,36 +52,6 @@ inline unsigned parse_threads(std::string_view value) {
   return parse_or_exit([&] { return util::parse_env<unsigned>("--threads", value, kThreadCount); });
 }
 
-/// Command-line options shared by the harnesses. Threads defaults to the
-/// CBWT_THREADS environment variable (1 = serial; 0 = hardware cores);
-/// the study result is bit-identical for every value.
-struct BenchOptions {
-  unsigned threads = env_or<unsigned>("CBWT_THREADS", 1, kThreadCount);
-  std::string json_path;    ///< empty = no machine-readable output
-  std::string report_path;  ///< empty = no Study::run_report() dump
-};
-
-inline BenchOptions parse_options(int argc, char** argv) {
-  BenchOptions options;
-  for (int i = 1; i < argc; ++i) {
-    const std::string_view arg = argv[i];
-    if (arg == "--threads" && i + 1 < argc) {
-      options.threads = parse_threads(argv[++i]);
-    } else if (arg == "--json" && i + 1 < argc) {
-      options.json_path = argv[++i];
-    } else if (arg == "--report" && i + 1 < argc) {
-      options.report_path = argv[++i];
-    } else {
-      std::fprintf(stderr,
-                   "unknown argument '%s' (supported: --threads N, --json PATH, "
-                   "--report PATH)\n",
-                   argv[i]);
-      std::exit(2);
-    }
-  }
-  return options;
-}
-
 /// Standard bench config: 8% of the paper's request volume by default.
 /// CBWT_FAULT_RATE / CBWT_FAULT_SEED additionally arm the deterministic
 /// fault-injection plan (unset = the zero-cost fault-free path), which
@@ -99,80 +64,14 @@ inline core::StudyConfig bench_config() {
   return config;
 }
 
-inline core::StudyConfig bench_config(const BenchOptions& options) {
-  auto config = bench_config();
-  config.threads = options.threads;
-  return config;
-}
-
-/// Accumulates key metrics of one harness run and writes them as one
-/// JSON object {name, seed, scale, threads, wall_ms, metrics{...}}.
-/// Wall time runs from construction to write().
-class JsonReport {
- public:
-  JsonReport(std::string name, const core::StudyConfig& config)
-      : name_(std::move(name)), seed_(config.world.seed), scale_(config.world.scale),
-        threads_(config.threads), start_(std::chrono::steady_clock::now()) {}
-
-  void metric(std::string key, double value) {
-    metrics_.emplace_back(std::move(key), value);
-  }
-
-  /// Appends every counter and gauge of `registry` to the metric list
-  /// (under its registry name), so a --json summary carries the run's
-  /// observability state without a separate file.
-  void metrics_from(const obs::Registry& registry) {
-    for (const auto& [name, value] : registry.counters()) {
-      metric(name, static_cast<double>(value));
-    }
-    for (const auto& [name, value] : registry.gauges()) metric(name, value);
-  }
-
-  /// No-op when `path` is empty (no --json given).
-  void write(const std::string& path) const {
-    if (path.empty()) return;
-    const double wall_ms = std::chrono::duration<double, std::milli>(
-                               std::chrono::steady_clock::now() - start_)
-                               .count();
-    report::JsonWriter json;
-    json.begin_object();
-    json.key("name").value(name_);
-    json.key("seed").value(seed_);
-    json.key("scale").value(scale_);
-    json.key("threads").value(static_cast<std::uint64_t>(threads_));
-    json.key("wall_ms").value(wall_ms);
-    json.key("metrics").begin_object();
-    for (const auto& [key, value] : metrics_) json.key(key).value(value);
-    json.end_object();
-    json.end_object();
-    std::ofstream out(path);
-    out << json.str() << '\n';
-    if (!out) {
-      std::fprintf(stderr, "failed to write JSON report to '%s'\n", path.c_str());
-      std::exit(1);
-    }
-  }
-
- private:
-  std::string name_;
-  std::uint64_t seed_;
-  double scale_;
-  unsigned threads_;
-  std::chrono::steady_clock::time_point start_;
-  std::vector<std::pair<std::string, double>> metrics_;
-};
-
-/// Writes Study::run_report() to `path`; no-op when path is empty (no
-/// --report given). The report carries one span per executed stage plus
-/// every registry metric.
-inline void write_run_report(core::Study& study, const std::string& path) {
-  if (path.empty()) return;
-  std::ofstream out(path);
-  out << study.run_report() << '\n';
-  if (!out) {
-    std::fprintf(stderr, "failed to write run report to '%s'\n", path.c_str());
-    std::exit(1);
-  }
+/// For the harnesses that take no command-line arguments: any argument
+/// ends the process with exit status 2 and a message naming it, so a
+/// flag such as --threads cannot be silently ignored.
+inline void reject_arguments(int argc, char** argv) {
+  if (argc < 2) return;
+  std::fprintf(stderr, "unknown argument '%s' (this harness takes no arguments)\n",
+               argv[1]);
+  std::exit(2);
 }
 
 inline void print_header(const char* experiment, const core::StudyConfig& config) {
@@ -187,5 +86,41 @@ inline void print_header(const char* experiment, const core::StudyConfig& config
 inline void print_paper_note(const char* note) {
   std::printf("\n-- paper reference --\n%s\n", note);
 }
+
+/// Prints one experiment's title block in bench_paper, whose run header
+/// (print_header) is printed once, before the first experiment.
+inline void print_title(const char* title) {
+  std::printf("==================================================================\n");
+  std::printf("%s\n", title);
+  std::printf("==================================================================\n");
+}
+
+/// The --json metrics one paper experiment records, as (key, value) in
+/// order; bench_paper prefixes every key with "<experiment>/".
+using Report = std::vector<std::pair<std::string, double>>;
+
+// bench_paper's experiments (one file each under paper/), in
+// EXPERIMENTS.md order; each prints its title, table and paper note.
+void table1_dataset(core::Study& study, Report& report);
+void table2_classification(core::Study& study, Report& report);
+void fig2_requests_cdf(core::Study& study, Report& report);
+void fig3_top_tlds(core::Study& study, Report& report);
+void pdns_completeness(core::Study& study, Report& report);
+void fig4_domains_per_ip(core::Study& study, Report& report);
+void fig5_multidomain_ips(core::Study& study, Report& report);
+void table3_geo_agreement(core::Study& study, Report& report);
+void table4_maxmind_errors(core::Study& study, Report& report);
+void geo_validation(core::Study& study, Report& report);
+void fig6_continent_sankey(core::Study& study, Report& report);
+void fig7_eu28_geolocation(core::Study& study, Report& report);
+void fig8_country_sankey(core::Study& study, Report& report);
+void table5_localization(core::Study& study, Report& report);
+void table6_cloud_migration(core::Study& study, Report& report);
+void fig9_sensitive_categories(core::Study& study, Report& report);
+void fig10_sensitive_destinations(core::Study& study, Report& report);
+void fig11_sensitive_confinement(core::Study& study, Report& report);
+void table7_isp_profiles(core::Study& study, Report& report);
+void table8_isp_confinement(core::Study& study, Report& report);
+void fig12_isp_destinations(core::Study& study, Report& report);
 
 }  // namespace cbwt::bench

@@ -5,8 +5,9 @@
 #include "bench_common.h"
 #include "collab/graph.h"
 
-int main() {
+int main(int argc, char** argv) {
   using namespace cbwt;
+  bench::reject_arguments(argc, argv);
   const auto config = bench::bench_config();
   bench::print_header(
       "Future work (§9): inter-tracker collaboration and data exchange", config);

@@ -6,8 +6,9 @@
 #include "bench_common.h"
 #include "netflow/sflow.h"
 
-int main() {
+int main(int argc, char** argv) {
   using namespace cbwt;
+  bench::reject_arguments(argc, argv);
   const auto config = bench::bench_config();
   bench::print_header(
       "Sect. 2.3: hostname matching on sFlow vs IP matching on NetFlow", config);

@@ -2,12 +2,8 @@
 // per category.
 #include "bench_common.h"
 
-int main() {
-  using namespace cbwt;
-  const auto config = bench::bench_config();
-  bench::print_header(
-      "Fig. 10: destination regions of sensitive tracking flows (EU28 users)", config);
-  core::Study study(config);
+void cbwt::bench::fig10_sensitive_destinations(core::Study& study, Report&) {
+  print_title("Fig. 10: destination regions of sensitive tracking flows (EU28 users)");
   auto analyzer = study.analyzer();
 
   util::TextTable table(
@@ -39,11 +35,10 @@ int main() {
   for (const auto& category : breakdown.categories) row_for(category.category);
   std::printf("%s", table.render().c_str());
 
-  bench::print_paper_note(
+  print_paper_note(
       "Fig. 10: aggregated sensitive flows mirror general traffic — EU28 84.9%,\n"
       "N.America 12.07%, Rest of Europe 2.4%. The leakiest categories are porn\n"
       "(44% outside EU28), sexual orientation (36%) and alcohol (33%).\n"
       "Reproduced shape: the ALL row tracks the general confinement, with\n"
       "category-level variation around it.");
-  return 0;
 }

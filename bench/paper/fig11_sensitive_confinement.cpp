@@ -2,12 +2,8 @@
 // users — how many sensitive flows leave the user's own country.
 #include "bench_common.h"
 
-int main() {
-  using namespace cbwt;
-  const auto config = bench::bench_config();
-  bench::print_header(
-      "Fig. 11: sensitive tracking flows leaving the user's country (EU28)", config);
-  core::Study study(config);
+void cbwt::bench::fig11_sensitive_confinement(core::Study& study, Report&) {
+  print_title("Fig. 11: sensitive tracking flows leaving the user's country (EU28)");
   auto analyzer = study.analyzer();
 
   const auto sensitive = sensitive::sensitive_flows(
@@ -37,12 +33,11 @@ int main() {
                 it->second.in_country - confinement.in_country);
   }
 
-  bench::print_paper_note(
+  print_paper_note(
       "Fig. 11: the per-country trend matches the aggregate — countries with\n"
       "small populations and thin IT infrastructure (Cyprus, Greece, Denmark,\n"
       "Romania) see nearly all sensitive flows leave the country, while\n"
       "DE/GB/ES keep substantially more at home; sensitive confinement is\n"
       "similar to general-traffic confinement. Reproduced shape: same ordering\n"
       "and near-zero deltas.");
-  return 0;
 }

@@ -3,11 +3,8 @@
 #include "bench_common.h"
 #include "netflow/profile.h"
 
-int main() {
-  using namespace cbwt;
-  const auto config = bench::bench_config();
-  bench::print_header("Fig. 12: top-5 destination countries per ISP (April 4)", config);
-  core::Study study(config);
+void cbwt::bench::fig12_isp_destinations(core::Study& study, Report&) {
+  print_title("Fig. 12: top-5 destination countries per ISP (April 4)");
   auto analyzer = study.analyzer();
   const auto& snapshot = netflow::default_snapshots()[1];  // April 4
 
@@ -33,11 +30,10 @@ int main() {
                 home == destinations.end() ? 0.0 : 100.0 * home->second);
   }
 
-  bench::print_paper_note(
+  print_paper_note(
       "Fig. 12 (April 4): DE-Broadband terminates 69.0% in Germany (then NL\n"
       "7.9%, US 9.7%, IE 5.2%); DE-Mobile 67.3% in Germany; PL only 0.25% in\n"
       "Poland (NL 32.9%, US 20.7%, DE 20.5%); HU 6.85% in Hungary with Austria\n"
       "taking 62.3%. Reproduced shape: German ISPs mostly confined at home;\n"
       "PL/HU leak to neighbouring hosting hubs (DE/NL for PL, AT for HU).");
-  return 0;
 }

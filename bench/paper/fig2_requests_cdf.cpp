@@ -5,11 +5,8 @@
 #include "bench_common.h"
 #include "util/stats.h"
 
-int main() {
-  using namespace cbwt;
-  const auto config = bench::bench_config();
-  bench::print_header("Fig. 2: third-party requests per website (CDFs)", config);
-  core::Study study(config);
+void cbwt::bench::fig2_requests_cdf(core::Study& study, Report&) {
+  print_title("Fig. 2: third-party requests per website (CDFs)");
 
   const auto& dataset = study.dataset();
   const auto& outcomes = study.outcomes();
@@ -47,10 +44,9 @@ int main() {
                   ? 0.0
                   : tracking_cdf.quantile(0.5) / all_cdf.quantile(0.5));
 
-  bench::print_paper_note(
+  print_paper_note(
       "Fig. 2 takeaway: on average most of the third-party requests a website\n"
       "triggers are ad/tracking flows — the 'ad+tracking' CDF hugs the 'all'\n"
       "CDF while 'clean only' sits well below. The ratio above should be\n"
       "clearly above 0.5 to reproduce the claim.");
-  return 0;
 }

@@ -5,11 +5,8 @@
 #include "bench_common.h"
 #include "net/domain.h"
 
-int main() {
-  using namespace cbwt;
-  const auto config = bench::bench_config();
-  bench::print_header("Fig. 3: top 20 tracking TLDs, ABP vs SEMI detection", config);
-  core::Study study(config);
+void cbwt::bench::fig3_top_tlds(core::Study& study, Report&) {
+  print_title("Fig. 3: top 20 tracking TLDs, ABP vs SEMI detection");
 
   const auto& dataset = study.dataset();
   const auto& outcomes = study.outcomes();
@@ -45,10 +42,9 @@ int main() {
   std::printf("\n%zu of the top %zu TLDs are detected mostly by the SEMI stage\n",
               semi_heavy, ranked.size());
 
-  bench::print_paper_note(
+  print_paper_note(
       "Fig. 3: the top-20 list mixes ABP-covered ad networks with domains whose\n"
       "flows are mostly SEMI-detected (chained ad-network traffic an ad blocker\n"
       "would have suppressed). Reproduced shape: both detection modes appear\n"
       "prominently in the top 20, with several SEMI-dominated entries.");
-  return 0;
 }

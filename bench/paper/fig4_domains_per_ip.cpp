@@ -2,11 +2,8 @@
 // by requests — the "are tracker IPs dedicated?" check.
 #include "bench_common.h"
 
-int main() {
-  using namespace cbwt;
-  const auto config = bench::bench_config();
-  bench::print_header("Fig. 4: registrable domains served per tracking IP", config);
-  core::Study study(config);
+void cbwt::bench::fig4_domains_per_ip(core::Study& study, Report&) {
+  print_title("Fig. 4: registrable domains served per tracking IP");
 
   const auto& store = study.pdns_store();
   const auto& ips = study.completed_tracker_ips();
@@ -46,10 +43,9 @@ int main() {
               util::percent(static_cast<double>(multi_domain_ips),
                             static_cast<double>(total_ips)));
 
-  bench::print_paper_note(
+  print_paper_note(
       "Fig. 4: ~85% of requests are served by IPs dedicated to a single TLD;\n"
       "fewer than 2% of IPs serve more than one domain (RTB latency pressure\n"
       "keeps tracking IPs dedicated). Reproduced shape: single-TLD IPs dominate\n"
       "the request mass, multi-TLD IPs are a small minority.");
-  return 0;
 }

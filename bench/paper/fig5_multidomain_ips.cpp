@@ -2,11 +2,8 @@
 // RTB auction hosts, cookie-sync hubs) and where they physically are.
 #include "bench_common.h"
 
-int main() {
-  using namespace cbwt;
-  const auto config = bench::bench_config();
-  bench::print_header("Fig. 5: IPs hosting 10+ tracking domains, by location", config);
-  core::Study study(config);
+void cbwt::bench::fig5_multidomain_ips(core::Study& study, Report&) {
+  print_title("Fig. 5: IPs hosting 10+ tracking domains, by location");
 
   const auto& store = study.pdns_store();
   util::Tally by_country;
@@ -38,10 +35,9 @@ int main() {
   }
   std::printf("shared-exchange servers in the world model: %zu\n", exchange_servers);
 
-  bench::print_paper_note(
+  print_paper_note(
       "Fig. 5: 114 IPs serve 10+ tracking domains; about half sit in the USA\n"
       "and EU28, and closer inspection shows they are ad-exchange / RTB /\n"
       "cookie-sync infrastructure. Reproduced shape: a small set of hub IPs\n"
       "concentrated in the US and the EU hosting magnets.");
-  return 0;
 }

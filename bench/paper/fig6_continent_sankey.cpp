@@ -2,15 +2,8 @@
 // active geolocation — who sends where, and who hosts the backends.
 #include "bench_common.h"
 
-int main(int argc, char** argv) {
-  using namespace cbwt;
-  const auto options = bench::parse_options(argc, argv);
-  obs::Registry registry;
-  auto config = bench::bench_config(options);
-  config.registry = &registry;
-  bench::print_header("Fig. 6: tracking flows between regions (Sankey matrix)", config);
-  core::Study study(config);
-  bench::JsonReport report("fig6_continent_sankey", config);
+void cbwt::bench::fig6_continent_sankey(core::Study& study, Report& report) {
+  print_title("Fig. 6: tracking flows between regions (Sankey matrix)");
 
   auto analyzer = study.analyzer();
   const auto matrix = analyzer.region_matrix(study.flows());
@@ -45,18 +38,14 @@ int main(int argc, char** argv) {
                 100.0 * destination_mass.share(destination));
   }
 
-  bench::print_paper_note(
+  print_paper_note(
       "Fig. 6: EU28-origin flows mostly stay in EU28; South America leaks ~95%\n"
       "(90% into N. America). Terminations concentrate in EU28 (51.7%) and\n"
       "N. America (40.9%). Reproduced shape: high EU self-containment, strong\n"
       "SA->NA leakage, EU+NA hosting nearly all backends.");
 
   for (const auto& [destination, weight] : destination_mass.top(7)) {
-    report.metric("termination_share_" + destination,
-                  destination_mass.share(destination));
+    report.emplace_back("termination_share_" + destination,
+                        destination_mass.share(destination));
   }
-  report.metrics_from(registry);
-  report.write(options.json_path);
-  bench::write_run_report(study, options.report_path);
-  return 0;
 }

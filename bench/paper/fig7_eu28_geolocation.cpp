@@ -3,16 +3,8 @@
 // the single methodological choice that flips the paper's conclusion.
 #include "bench_common.h"
 
-int main(int argc, char** argv) {
-  using namespace cbwt;
-  const auto options = bench::parse_options(argc, argv);
-  obs::Registry registry;
-  auto config = bench::bench_config(options);
-  config.registry = &registry;
-  bench::print_header("Fig. 7: EU28 tracking-flow destinations, MaxMind vs IPmap",
-                      config);
-  core::Study study(config);
-  bench::JsonReport report("fig7_eu28_geolocation", config);
+void cbwt::bench::fig7_eu28_geolocation(core::Study& study, Report& report) {
+  print_title("Fig. 7: EU28 tracking-flow destinations, MaxMind vs IPmap");
 
   const auto eu_flows = analysis::flows_from_region(study.flows(), geo::Region::EU28);
   const auto print_breakdown = [&](geoloc::Tool tool) {
@@ -39,18 +31,15 @@ int main(int argc, char** argv) {
               share(maxmind, geo::Region::NorthAmerica),
               share(ipmap, geo::Region::NorthAmerica));
 
-  bench::print_paper_note(
+  print_paper_note(
       "Fig. 7(a) MaxMind: EU28 33.16%, N.America 65.94%. Fig. 7(b) RIPE IPmap:\n"
       "EU28 84.93%, N.America 10.75%, Rest of Europe 3.07%. Reproduced shape:\n"
       "under the commercial DB most flows appear to leak to N. America; under\n"
       "active geolocation the large majority terminates inside EU28.");
 
-  report.metric("maxmind_eu28_pct", share(maxmind, geo::Region::EU28));
-  report.metric("maxmind_north_america_pct", share(maxmind, geo::Region::NorthAmerica));
-  report.metric("ipmap_eu28_pct", share(ipmap, geo::Region::EU28));
-  report.metric("ipmap_north_america_pct", share(ipmap, geo::Region::NorthAmerica));
-  report.metrics_from(registry);
-  report.write(options.json_path);
-  bench::write_run_report(study, options.report_path);
-  return 0;
+  report.emplace_back("maxmind_eu28_pct", share(maxmind, geo::Region::EU28));
+  report.emplace_back("maxmind_north_america_pct",
+                      share(maxmind, geo::Region::NorthAmerica));
+  report.emplace_back("ipmap_eu28_pct", share(ipmap, geo::Region::EU28));
+  report.emplace_back("ipmap_north_america_pct", share(ipmap, geo::Region::NorthAmerica));
 }

@@ -2,15 +2,8 @@
 // (the national-confinement Sankey) under active geolocation.
 #include "bench_common.h"
 
-int main(int argc, char** argv) {
-  using namespace cbwt;
-  const auto options = bench::parse_options(argc, argv);
-  obs::Registry registry;
-  auto config = bench::bench_config(options);
-  config.registry = &registry;
-  bench::print_header("Fig. 8: EU28 tracking flows, per-country Sankey", config);
-  core::Study study(config);
-  bench::JsonReport report("fig8_country_sankey", config);
+void cbwt::bench::fig8_country_sankey(core::Study& study, Report& report) {
+  print_title("Fig. 8: EU28 tracking flows, per-country Sankey");
 
   const auto eu_flows = analysis::flows_from_region(study.flows(), geo::Region::EU28);
   auto analyzer = study.analyzer();
@@ -41,7 +34,7 @@ int main(int argc, char** argv) {
     std::printf("  %-3s %6.2f%%\n", top[i].first.c_str(), 100.0 * top[i].second);
   }
 
-  bench::print_paper_note(
+  print_paper_note(
       "Fig. 8: UK leads national confinement with 58.4%, Spain 33.1%; small\n"
       "countries are single-digit (Greece 6.77%, Romania 5.1%, Cyprus 1.16%).\n"
       "Destination mass concentrates on hosting magnets: Spain 17.6%,\n"
@@ -53,11 +46,7 @@ int main(int argc, char** argv) {
   for (const std::string origin : {"GB", "DE", "ES", "GR", "RO", "CY"}) {
     const auto it = by_origin.find(origin);
     if (it != by_origin.end()) {
-      report.metric("in_country_pct_" + origin, it->second.in_country);
+      report.emplace_back("in_country_pct_" + origin, it->second.in_country);
     }
   }
-  report.metrics_from(registry);
-  report.write(options.json_path);
-  bench::write_run_report(study, options.report_path);
-  return 0;
 }

@@ -2,11 +2,8 @@
 // flows each one attracts.
 #include "bench_common.h"
 
-int main() {
-  using namespace cbwt;
-  const auto config = bench::bench_config();
-  bench::print_header("Fig. 9: tracking flows on GDPR-sensitive categories", config);
-  core::Study study(config);
+void cbwt::bench::fig9_sensitive_categories(core::Study& study, Report&) {
+  print_title("Fig. 9: tracking flows on GDPR-sensitive categories");
 
   const auto breakdown = sensitive::sensitive_breakdown(
       study.world(), study.sensitive_catalog(), study.dataset(), study.outcomes());
@@ -29,11 +26,10 @@ int main() {
               util::percent(static_cast<double>(breakdown.sensitive_flows),
                             static_cast<double>(breakdown.tracking_flows)));
 
-  bench::print_paper_note(
+  print_paper_note(
       "Fig. 9: 1,067 sensitive domains out of 5,698 inspected; 127K flows =\n"
       "2.89% of all tracking flows. Health leads at 38%, gambling 22%, sexual\n"
       "orientation ~11%, pregnancy ~11%, politics 9%, porn 7%, the rest <3%\n"
       "each. Reproduced shape: ~3% sensitive share with health and gambling on\n"
       "top in that order.");
-  return 0;
 }

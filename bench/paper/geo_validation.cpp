@@ -3,12 +3,8 @@
 // Azure's published ranges: 99.58% country, 100% continent).
 #include "bench_common.h"
 
-int main() {
-  using namespace cbwt;
-  const auto config = bench::bench_config();
-  bench::print_header(
-      "Sect. 3.4: active-geolocation validation against cloud ground truth", config);
-  core::Study study(config);
+void cbwt::bench::geo_validation(core::Study& study, Report&) {
+  print_title("Sect. 3.4: active-geolocation validation against cloud ground truth");
   const auto& world = study.world();
   const auto& geo = study.geo();
 
@@ -49,10 +45,9 @@ int main() {
                                              static_cast<double>(total)))});
   std::printf("%s", table.render().c_str());
 
-  bench::print_paper_note(
+  print_paper_note(
       "Sect. 3.4: against the AWS/Azure published locations, RIPE IPmap was\n"
       "99.58% accurate at country level and 100% at continent level.\n"
       "Reproduced shape: near-perfect continent accuracy and high country\n"
       "accuracy (residual errors sit at tight European borders).");
-  return 0;
 }

@@ -3,11 +3,8 @@
 // split of the result.
 #include "bench_common.h"
 
-int main() {
-  using namespace cbwt;
-  const auto config = bench::bench_config();
-  bench::print_header("Sect. 3.3: tracker-IP completeness via passive DNS", config);
-  core::Study study(config);
+void cbwt::bench::pdns_completeness(core::Study& study, Report&) {
+  print_title("Sect. 3.3: tracker-IP completeness via passive DNS");
 
   const auto& observed = study.observed_tracker_ips();
   const auto& completed = study.completed_tracker_ips();
@@ -56,10 +53,9 @@ int main() {
                 static_cast<unsigned long long>(count));
   }
 
-  bench::print_paper_note(
+  print_paper_note(
       "Sect. 3.3: 28,939 tracker IPs from the users, +806 (+2.78%) from pDNS,\n"
       "~97% IPv4 (60% of the additions IPv4). Reproduced shape: a small\n"
       "single-digit-percent completion, concentrated on replicas outside the\n"
       "recruited users' serving regions.");
-  return 0;
 }

@@ -4,11 +4,8 @@
 
 #include "bench_common.h"
 
-int main() {
-  using namespace cbwt;
-  const auto config = bench::bench_config();
-  bench::print_header("Table 1: the real users dataset statistics", config);
-  core::Study study(config);
+void cbwt::bench::table1_dataset(core::Study& study, Report&) {
+  print_title("Table 1: the real users dataset statistics");
 
   const auto& dataset = study.dataset();
   std::set<std::string_view> third_party_fqdns;
@@ -33,10 +30,9 @@ int main() {
                   : static_cast<double>(dataset.requests.size()) /
                         static_cast<double>(dataset.first_party_visits));
 
-  bench::print_paper_note(
+  print_paper_note(
       "Table 1: 350 users, 5,693 1st-party domains, 76,507 1st-party requests,\n"
       "19,298 3rd-party domains, 7,172,752 3rd-party requests (~94 req/visit).\n"
       "Counts here scale with `scale`; the ~90+ requests/visit density and the\n"
       "3rd-party-domains >> 1st-party-domains ordering are the reproduced shape.");
-  return 0;
 }

@@ -3,16 +3,8 @@
 // counts per stage.
 #include "bench_common.h"
 
-int main(int argc, char** argv) {
-  using namespace cbwt;
-  const auto options = bench::parse_options(argc, argv);
-  obs::Registry registry;
-  auto config = bench::bench_config(options);
-  config.registry = &registry;
-  bench::print_header(
-      "Table 2: ABP lists vs semi-automatic third-party classification", config);
-  core::Study study(config);
-  bench::JsonReport report("table2_classification", config);
+void cbwt::bench::table2_classification(core::Study& study, Report& report) {
+  print_title("Table 2: ABP lists vs semi-automatic third-party classification");
 
   const auto summary = classify::summarize(study.dataset(), study.outcomes());
   util::TextTable table({"", "# FQDN", "# TLD", "# Unique Requests", "# Total Requests"});
@@ -35,17 +27,14 @@ int main(int argc, char** argv) {
               util::percent(static_cast<double>(summary.semi.total_requests),
                             static_cast<double>(summary.abp.total_requests)));
 
-  bench::print_paper_note(
+  print_paper_note(
       "Table 2: ABP 6,259 FQDNs / 1,863 TLDs / 539,293 unique / 2,446,460 total;\n"
       "SEMI adds 3,620 FQDNs / 879 TLDs / 453,457 unique / 1,964,408 total\n"
       "(+80% requests over ABP-only). Reproduced shape: the second stage adds\n"
       "roughly as many tracking flows again as the lists alone.");
 
-  report.metric("abp_requests", static_cast<double>(summary.abp.total_requests));
-  report.metric("semi_requests", static_cast<double>(summary.semi.total_requests));
-  report.metric("untracked_requests", static_cast<double>(summary.untracked_requests));
-  report.metrics_from(registry);
-  report.write(options.json_path);
-  bench::write_run_report(study, options.report_path);
-  return 0;
+  report.emplace_back("abp_requests", static_cast<double>(summary.abp.total_requests));
+  report.emplace_back("semi_requests", static_cast<double>(summary.semi.total_requests));
+  report.emplace_back("untracked_requests",
+                      static_cast<double>(summary.untracked_requests));
 }

@@ -2,11 +2,8 @@
 // geolocation tools over the tracker IP set.
 #include "bench_common.h"
 
-int main() {
-  using namespace cbwt;
-  const auto config = bench::bench_config();
-  bench::print_header("Table 3: pairwise agreement across geolocation tools", config);
-  core::Study study(config);
+void cbwt::bench::table3_geo_agreement(core::Study& study, Report&) {
+  print_title("Table 3: pairwise agreement across geolocation tools");
 
   const auto& ips = study.completed_tracker_ips();
   const auto& geo = study.geo();
@@ -31,10 +28,9 @@ int main() {
   std::printf("%s", table.render().c_str());
   std::printf("\n(%zu tracker IPs compared)\n", ips.size());
 
-  bench::print_paper_note(
+  print_paper_note(
       "Table 3: ip-api vs MaxMind agree on 96.13% of countries and 99.15% of\n"
       "continents; each agrees with RIPE IPmap on only ~53% of countries and\n"
       "~65% of continents. Reproduced shape: the commercial pair is highly\n"
       "consistent with itself and much less consistent with the active tool.");
-  return 0;
 }

@@ -5,12 +5,8 @@
 
 #include "bench_common.h"
 
-int main() {
-  using namespace cbwt;
-  const auto config = bench::bench_config();
-  bench::print_header(
-      "Table 4: commercial-DB mis-geolocation for the top tracking orgs", config);
-  core::Study study(config);
+void cbwt::bench::table4_maxmind_errors(core::Study& study, Report&) {
+  print_title("Table 4: commercial-DB mis-geolocation for the top tracking orgs");
   const auto& world = study.world();
   const auto& geo = study.geo();
 
@@ -69,11 +65,10 @@ int main() {
   }
   std::printf("%s", table.render().c_str());
 
-  bench::print_paper_note(
+  print_paper_note(
       "Table 4: Google ads+tracking — 57.9% of IPs in the wrong country, 43.1%\n"
       "wrong continent (63%/60% by requests); Amazon 59%/59%; Facebook 45%/30%.\n"
       "Reproduced shape: for globally deployed orgs, the commercial database\n"
       "puts roughly half the IPs (and a comparable request share) in the wrong\n"
       "country, mostly at the US legal home.");
-  return 0;
 }

@@ -2,15 +2,8 @@
 // DNS redirection (FQDN / TLD), cloud PoP mirroring, and the combination.
 #include "bench_common.h"
 
-int main(int argc, char** argv) {
-  using namespace cbwt;
-  const auto options = bench::parse_options(argc, argv);
-  obs::Registry registry;
-  auto config = bench::bench_config(options);
-  config.registry = &registry;
-  bench::print_header("Table 5: localization what-if scenarios (EU28 flows)", config);
-  core::Study study(config);
-  bench::JsonReport report("table5_localization", config);
+void cbwt::bench::table5_localization(core::Study& study, Report& report) {
+  print_title("Table 5: localization what-if scenarios (EU28 flows)");
 
   const auto& localization = study.localization();
   using whatif::Scenario;
@@ -27,8 +20,8 @@ int main(int argc, char** argv) {
                          "improvement (cont)"});
   for (const auto& [scenario, key] : scenarios) {
     const auto result = localization.evaluate(scenario);
-    report.metric(std::string("in_country_pct_") + key, result.in_country_pct);
-    report.metric(std::string("in_continent_pct_") + key, result.in_continent_pct);
+    report.emplace_back(std::string("in_country_pct_") + key, result.in_country_pct);
+    report.emplace_back(std::string("in_continent_pct_") + key, result.in_continent_pct);
     table.add_row({std::string(whatif::to_string(scenario)),
                    util::fmt_pct(result.in_country_pct),
                    util::fmt_pct(result.in_continent_pct),
@@ -42,7 +35,7 @@ int main(int argc, char** argv) {
   std::printf("%s", table.render().c_str());
   std::printf("\n(%zu EU28 tracking flows evaluated)\n", localization.flow_count());
 
-  bench::print_paper_note(
+  print_paper_note(
       "Table 5 (1,824,873 EU28 flows): Default 27.60% country / 88.00% continent;\n"
       "FQDN redirection 52.15%/93.53% (+24.55/+5.53); TLD redirection\n"
       "66.13%/98.33% (+38.53/+10.33); PoP mirroring 30.79%/92.09% (+3.19/+4.09);\n"
@@ -50,8 +43,4 @@ int main(int argc, char** argv) {
       "redirection is the big national-level lever; mirroring mainly helps at\n"
       "continent level; the combination is best.");
 
-  report.metrics_from(registry);
-  report.write(options.json_path);
-  bench::write_run_report(study, options.report_path);
-  return 0;
 }

@@ -3,12 +3,8 @@
 // redirection.
 #include "bench_common.h"
 
-int main() {
-  using namespace cbwt;
-  const auto config = bench::bench_config();
-  bench::print_header(
-      "Table 6: per-country gains from PoP mirroring and cloud migration", config);
-  core::Study study(config);
+void cbwt::bench::table6_cloud_migration(core::Study& study, Report&) {
+  print_title("Table 6: per-country gains from PoP mirroring and cloud migration");
 
   const auto& localization = study.localization();
   using whatif::Scenario;
@@ -38,12 +34,11 @@ int main() {
   }
   std::printf("%s", table.render().c_str());
 
-  bench::print_paper_note(
+  print_paper_note(
       "Table 6: mirroring over TLD redirection adds little (UK +5.47%, Spain\n"
       "+1.84%, <1.3% for GR/IT/RO, 0 for CY/DK); migration to any cloud PoP is\n"
       "transformative for small countries with cloud presence (Denmark +96.85%,\n"
       "Greece +79.25%, Romania +72.12%) and modest for the big ones (Italy\n"
       "+25.64%, UK +18.20%, Spain +12.15%); Cyprus gains 0 — no cloud has a\n"
       "PoP there. Reproduced shape: the same ordering and the Cyprus zero.");
-  return 0;
 }

@@ -4,10 +4,8 @@
 #include "netflow/generator.h"
 #include "netflow/profile.h"
 
-int main() {
-  using namespace cbwt;
-  const auto config = bench::bench_config();
-  bench::print_header("Table 7: profiles of the four European ISPs", config);
+void cbwt::bench::table7_isp_profiles(core::Study&, Report&) {
+  print_title("Table 7: profiles of the four European ISPs");
 
   util::TextTable table({"Name", "Country", "Access", "Demographics",
                          "3rd-party DNS share", "paper-scale flows/day"});
@@ -29,11 +27,10 @@ int main() {
   }
   std::printf("\n");
 
-  bench::print_paper_note(
+  print_paper_note(
       "Table 7: DE-Broadband (Germany, 15M+ broadband households), DE-Mobile\n"
       "(Germany, 40M+ mobile), PL (Poland, 11M+ mixed), HU (Hungary, 6M+\n"
       "mostly mobile). Snapshots: Nov 8, April 4, May 16 (pre-GDPR) and\n"
       "June 20 (post-GDPR). The derived flows/day land on Table 8's sampled\n"
       "volumes (DE-Broadband ~1.05e9/day).");
-  return 0;
 }

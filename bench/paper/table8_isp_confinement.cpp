@@ -3,21 +3,13 @@
 #include "bench_common.h"
 #include "netflow/profile.h"
 
-int main(int argc, char** argv) {
-  using namespace cbwt;
-  const auto options = bench::parse_options(argc, argv);
-  obs::Registry registry;
-  auto config = bench::bench_config(options);
-  config.registry = &registry;
+void cbwt::bench::table8_isp_confinement(core::Study& study, Report& report) {
   // NetFlow volume is scaled down 1000x from the paper's Table 8; the
   // destination shares are scale-free.
-  bench::print_header(
+  print_title(
       "Table 8: sampled tracking flows across EU ISPs and over time "
-      "(volumes ~1/1000 of the paper's)",
-      config);
-  core::Study study(config);
+      "(volumes ~1/1000 of the paper's)");
   auto analyzer = study.analyzer();
-  bench::JsonReport report("table8_isp_confinement", config);
 
   for (const auto& isp : netflow::default_isps()) {
     util::TextTable table({"snapshot", "sampled tracking flows", "EU28", "N. America",
@@ -33,12 +25,13 @@ int main(int argc, char** argv) {
                                 share(geo::Region::Africa) + share(geo::Region::Oceania);
       const std::string key =
           std::string(isp.name) + "/" + std::string(snapshot.label);
-      report.metric(key + "/matched_records",
-                    static_cast<double>(run.collection.matched_records));
-      report.metric(key + "/eu28_pct", share(geo::Region::EU28));
-      report.metric(key + "/https_pct",
-                    util::percent(static_cast<double>(run.collection.https_records),
-                                  static_cast<double>(run.collection.matched_records)));
+      report.emplace_back(key + "/matched_records",
+                          static_cast<double>(run.collection.matched_records));
+      report.emplace_back(key + "/eu28_pct", share(geo::Region::EU28));
+      report.emplace_back(
+          key + "/https_pct",
+          util::percent(static_cast<double>(run.collection.https_records),
+                        static_cast<double>(run.collection.matched_records)));
       table.add_row(
           {std::string(snapshot.label), util::fmt_count(run.collection.matched_records),
            util::fmt_pct(share(geo::Region::EU28), 1),
@@ -53,7 +46,7 @@ int main(int argc, char** argv) {
     std::printf("\n[%s]\n%s", std::string(isp.name).c_str(), table.render().c_str());
   }
 
-  bench::print_paper_note(
+  print_paper_note(
       "Table 8: EU28 confinement 86.5-88.5% (DE-Broadband), 89.9-92.5%\n"
       "(DE-Mobile), 74.7-77.5% (PL), 89.5-93.1% (HU); N.America takes most of\n"
       "the remainder; volumes 1,057M / 70M / 14M / 43M sampled flows per day,\n"
@@ -61,8 +54,4 @@ int main(int argc, char** argv) {
       "443. Reproduced shape: high and stable EU28 confinement, N.America the\n"
       "main leak. Not reproduced: mobile above broadband, and PL lowest\n"
       "(DESIGN.md section 8).");
-  report.metrics_from(registry);
-  report.write(options.json_path);
-  bench::write_run_report(study, options.report_path);
-  return 0;
 }

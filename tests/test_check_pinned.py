@@ -22,7 +22,7 @@ import check_pinned  # noqa: E402
 
 
 def bench_report():
-    """Shape of a bench --json report (bench::JsonReport)."""
+    """Shape of a bench --json report (bench_paper --json)."""
     return {
         "name": "table2_classification",
         "seed": 20180901,

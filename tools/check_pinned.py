@@ -6,7 +6,7 @@ Usage: check_pinned.py <report.json> <expectation.json>
 The expectation file decides what is compared:
 
   "metrics"   keys are checked against the report's top-level "metrics"
-              (a bench --json report, e.g. bench_table2_classification);
+              (a bench --json report, e.g. bench_paper's);
   "counters"  keys are checked against the report's "obs"."counters"
               (a Study::run_report() document, e.g. store_scale_run
               --report).
