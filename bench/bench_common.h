@@ -1,10 +1,11 @@
 // Shared plumbing for the reproduction harnesses in bench/: bench_paper
 // (every paper table and figure, from one Study) and the separate
 // ablation / design-choice / future-work harnesses. Each builds its
-// Study from the CBWT_SCALE / CBWT_SEED environment variables (a
-// malformed value is an error that names the setting), regenerates its
-// tables, and prints the paper's reported numbers next to the measured
-// ones. Absolute counts are scaled by design; the *shape* is the claim.
+// Study from the CBWT_SCALE / CBWT_SEED / CBWT_THREADS environment
+// variables (a malformed value is an error that names the setting),
+// regenerates its tables, and prints the paper's reported numbers next
+// to the measured ones. Absolute counts are scaled by design; the
+// *shape* is the claim.
 #pragma once
 
 #include <algorithm>
@@ -52,7 +53,9 @@ inline unsigned parse_threads(std::string_view value) {
   return parse_or_exit([&] { return util::parse_env<unsigned>("--threads", value, kThreadCount); });
 }
 
-/// Standard bench config: 8% of the paper's request volume by default.
+/// Standard bench config: 8% of the paper's request volume by default,
+/// on CBWT_THREADS workers (unset = 1, serial; 0 = one per hardware
+/// core; the results are bit-identical for every value).
 /// CBWT_FAULT_RATE / CBWT_FAULT_SEED additionally arm the deterministic
 /// fault-injection plan (unset = the zero-cost fault-free path), which
 /// is how the EXPERIMENTS.md fault-rate sweeps drive any figure.
@@ -60,6 +63,7 @@ inline core::StudyConfig bench_config() {
   core::StudyConfig config;
   config.world.seed = env_or<std::uint64_t>("CBWT_SEED", 20180901, "decimal digits");
   config.world.scale = env_or<double>("CBWT_SCALE", 0.08, "a finite decimal scale");
+  config.threads = env_or<unsigned>("CBWT_THREADS", config.threads, kThreadCount);
   config.fault_plan = parse_or_exit(fault::FaultPlan::from_env);
   return config;
 }

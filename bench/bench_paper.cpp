@@ -11,6 +11,7 @@
 #include <cstdlib>
 #include <fstream>
 #include <iterator>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -51,11 +52,9 @@ constexpr Experiment kExperiments[] = {
     {"fig12", fig12_isp_destinations},
 };
 
-/// Command-line options. Threads defaults to the CBWT_THREADS
-/// environment variable (1 = serial; 0 = hardware cores); the study
-/// result is bit-identical for every value.
+/// Command-line options.
 struct BenchOptions {
-  unsigned threads = env_or<unsigned>("CBWT_THREADS", 1, kThreadCount);
+  std::optional<unsigned> threads;  ///< --threads; wins over CBWT_THREADS
   std::string json_path;    ///< empty = no machine-readable output
   std::string report_path;  ///< empty = no Study::run_report() dump
   std::vector<bool> selected = std::vector<bool>(std::size(kExperiments), true);
@@ -143,7 +142,7 @@ int main(int argc, char** argv) {
   const auto options = bench::parse_options(argc, argv);
   obs::Registry registry;
   auto config = bench::bench_config();
-  config.threads = options.threads;
+  if (options.threads) config.threads = *options.threads;
   config.registry = &registry;
   bench::print_header("Tracing Cross Border Web Tracking: paper tables and figures", config);
 

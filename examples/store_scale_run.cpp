@@ -19,16 +19,18 @@
 #include <condition_variable>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <mutex>
+#include <stdexcept>
 #include <string>
+#include <string_view>
 
 #include "core/study.h"
 #include "netflow/profile.h"
 #include "obs/proc_stats.h"
 #include "obs/trace_buffer.h"
+#include "util/strings.h"
 
 namespace {
 
@@ -42,15 +44,21 @@ std::uint64_t directory_bytes(const std::string& dir) {
   return total;
 }
 
-double parse_double(const char* flag, const char* value) {
-  char* end = nullptr;
-  const double parsed = std::strtod(value, &end);
-  if (end == value || *end != '\0') {
-    std::fprintf(stderr, "store_scale_run: bad value for %s: '%s'\n", flag, value);
+/// `value`, the setting `name` (a flag or CBWT_THREADS), parsed strictly
+/// as a T (util::parse_env). A malformed value ends the process with exit
+/// status 2 and a message naming the setting, before any study starts.
+template <typename T>
+T parse_setting(std::string_view name, const char* value, std::string_view expected) {
+  try {
+    return cbwt::util::parse_env<T>(name, value, expected);
+  } catch (const std::invalid_argument& error) {
+    std::fprintf(stderr, "store_scale_run: %s\n", error.what());
     std::exit(2);
   }
-  return parsed;
 }
+
+constexpr std::string_view kScale = "a finite decimal scale";
+constexpr std::string_view kCount = "decimal digits";
 
 }  // namespace
 
@@ -67,8 +75,8 @@ int main(int argc, char** argv) {
   // Thread count: --threads wins, else CBWT_THREADS (the same override
   // the bench harness honors), else 0 = one per hardware core.
   unsigned threads = 0;
-  if (const char* env = std::getenv("CBWT_THREADS"); env != nullptr && *env != '\0') {
-    threads = static_cast<unsigned>(std::strtoul(env, nullptr, 10));
+  if (const char* env = std::getenv("CBWT_THREADS"); env != nullptr) {
+    threads = parse_setting<unsigned>("CBWT_THREADS", env, kCount);
   }
   std::uint64_t max_rss_mb = 0;
   int inspect_port = -1;  // -1 = inspector off
@@ -90,25 +98,25 @@ int main(int argc, char** argv) {
       isp_name = value;
       ++i;
     } else if (flag == "--netflow-scale" && value != nullptr) {
-      netflow_scale = parse_double("--netflow-scale", value);
+      netflow_scale = parse_setting<double>(flag, value, kScale);
       ++i;
     } else if (flag == "--world-scale" && value != nullptr) {
-      world_scale = parse_double("--world-scale", value);
+      world_scale = parse_setting<double>(flag, value, kScale);
       ++i;
     } else if (flag == "--day" && value != nullptr) {
-      day = std::atoi(value);
+      day = parse_setting<std::int32_t>(flag, value, "a day number (decimal digits)");
       ++i;
     } else if (flag == "--threads" && value != nullptr) {
-      threads = static_cast<unsigned>(std::atoi(value));
+      threads = parse_setting<unsigned>(flag, value, kCount);
       ++i;
     } else if (flag == "--max-rss-mb" && value != nullptr) {
-      max_rss_mb = static_cast<std::uint64_t>(std::atoll(value));
+      max_rss_mb = parse_setting<std::uint64_t>(flag, value, kCount);
       ++i;
     } else if (flag == "--inspect-port" && value != nullptr) {
-      inspect_port = std::atoi(value);
+      inspect_port = parse_setting<std::uint16_t>(flag, value, "a TCP port (0-65535)");
       ++i;
     } else if (flag == "--linger-s" && value != nullptr) {
-      linger_s = static_cast<unsigned>(std::atoi(value));
+      linger_s = parse_setting<unsigned>(flag, value, kCount);
       ++i;
     } else {
       std::fprintf(stderr,

@@ -63,7 +63,7 @@ std::vector<Outcome> Classifier::run(const browser::ExtensionDataset& dataset,
   std::unordered_set<std::uint64_t> ltf_urls;
   ltf_urls.reserve(requests.size() / 2);
 
-  // Channel throughput of the sharded stages, surfaced after the run.
+  // Claim-window throughput of the sharded stages, surfaced after the run.
   runtime::ChannelStats channel_stats;
 
   // ---- Stage 1: filter lists --------------------------------------

@@ -76,7 +76,7 @@ class Classifier {
   ///
   /// `registry` (optional) records one span per stage plus the Table 2
   /// breakdown counters (cbwt_classify_rule_hits_total, referrer /
-  /// keyword promotions) and the sharded stages' channel throughput.
+  /// keyword promotions) and the sharded stages' claim-window throughput.
   /// Instrumentation never affects the outcomes.
   [[nodiscard]] std::vector<Outcome> run(const browser::ExtensionDataset& dataset,
                                          runtime::ThreadPool* pool = nullptr,

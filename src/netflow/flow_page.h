@@ -83,8 +83,8 @@ class FlowPageBuilder {
 
 /// One wire-ready page image: exactly kFlowPageBytes of encoded page,
 /// as store::RecordFileWriter::append_encoded wants it. The parallel
-/// spill pass moves vectors of these through the runtime's bounded
-/// channels from producing shards to the ordered writer stage.
+/// spill pass moves vectors of these through ordered_stream's claim
+/// window from producing shards to the ordered writer stage.
 struct FlowPageImage {
   std::array<std::uint8_t, kFlowPageBytes> bytes;
 };

@@ -9,6 +9,7 @@
 #include "runtime/parallel.h"
 #include "util/contract.h"
 #include "util/prng.h"
+#include "util/thread_annotations.h"
 
 namespace cbwt::netflow {
 
@@ -31,6 +32,34 @@ AnonRecord anonymize(const RawRecord& record, bool subscriber_is_src,
 }
 
 namespace {
+
+using Batch = std::vector<RawRecord>;
+
+/// Generation batches the sink is done with, cleared and kept for the
+/// next shards to refill. A stream then allocates only as many batches
+/// as are alive at once (ordered_stream's window), instead of freeing a
+/// fresh multi-megabyte batch per shard into whichever worker's malloc
+/// arena, where the freed memory stays resident.
+class SpareBatches {
+ public:
+  [[nodiscard]] Batch take() CBWT_EXCLUDES(mutex_) {
+    util::MutexLock lock(mutex_);
+    if (spare_.empty()) return {};
+    Batch batch = std::move(spare_.back());
+    spare_.pop_back();
+    return batch;
+  }
+
+  void give(Batch&& batch) CBWT_EXCLUDES(mutex_) {
+    batch.clear();
+    util::MutexLock lock(mutex_);
+    spare_.push_back(std::move(batch));
+  }
+
+ private:
+  util::Mutex mutex_;
+  std::vector<Batch> spare_ CBWT_GUARDED_BY(mutex_);
+};
 
 /// Samples `domains` by their organisations' popularity.
 util::DiscreteSampler popularity_sampler(const world::World& world,
@@ -114,7 +143,6 @@ SnapshotCounts generate_snapshot_stream(
       std::llround(tracking_target * config.background_ratio));
   const TrafficMix mix(world, resolver, isp);
   const auto dns_faults = fault::StageSite::resolve(fault_plan, fault::sites::kDns, registry);
-  using Batch = std::vector<RawRecord>;
   // One subscriber fetch of `domain_id`. The subscriber's lookup is
   // decided before it is resolved, so a failed lookup draws nothing more
   // and a surviving one draws exactly what the fault-free path draws. A
@@ -136,11 +164,13 @@ SnapshotCounts generate_snapshot_stream(
   // and shard outputs reach the sink in shard order, so the record
   // sequence is the same for any pool size.
   runtime::ChannelStats channel_stats;
+  SpareBatches spares;
   // The consumer hands each part straight to the sink, in shard order on
-  // the calling thread.
+  // the calling thread, then returns it to the spares.
   const auto deliver = [&](std::size_t /*shard*/, Batch&& part) {
     counts.records += part.size();
     sink(std::span<const RawRecord>(part));
+    spares.give(std::move(part));
   };
   const auto stream = [&](std::uint64_t count, std::uint64_t label, auto pick_domain) {
     runtime::ordered_stream(
@@ -148,7 +178,7 @@ SnapshotCounts generate_snapshot_stream(
         [&](runtime::ShardRange range, std::size_t shard) {
           obs::ScopedTrace trace(registry, "netflow/generate/shard", shard);
           auto rng = runtime::shard_rng(seed, label, shard);
-          Batch part;
+          Batch part = spares.take();
           part.reserve(range.size());
           for (std::size_t i = range.begin; i < range.end; ++i) {
             emit(pick_domain(rng), rng, part, util::mix64(label ^ i));
@@ -172,7 +202,7 @@ SnapshotCounts generate_snapshot_stream(
   const std::uint64_t peering = counts.records / 50;
   auto peering_rng = runtime::shard_rng(seed, kPeeringStream, 0);
   constexpr std::uint64_t kPeeringBatch = 64 * 1024;
-  Batch peering_part;
+  Batch peering_part = spares.take();
   peering_part.reserve(static_cast<std::size_t>(std::min(peering, kPeeringBatch)));
   for (std::uint64_t i = 0; i < peering; ++i) {
     // Two draws, sequenced explicitly (remote first) so the record does

@@ -109,7 +109,7 @@ struct SnapshotCounts {
 ///
 /// `registry` (optional) records a "netflow/generate" span, the
 /// generated/tracking/background record counters, and the sharded
-/// streams' channel throughput; never affects the records.
+/// streams' claim-window throughput; never affects the records.
 ///
 /// `fault_plan` (optional) subjects each record's subscriber DNS lookup
 /// to the `dns` injection site: a lookup that exhausts its retries emits

@@ -28,9 +28,11 @@ static_assert(FlowPageCodec::kRecordSize == kFlowPageBytes);
 
 namespace {
 
-/// Spill pages per streamed chunk in pass 2: 2048 pages = 8 MiB of page
-/// file per probe step, the store's residency unit.
-constexpr std::size_t kProbeChunkPages = 2048;
+/// Spill pages per streamed chunk in pass 2: 256 pages = 1 MiB of page
+/// file per probe step, the store's residency unit. Each step decodes
+/// its pages' records (~164 per page, 80 B each) into about 3.4 MB, once
+/// per probing worker.
+constexpr std::size_t kProbeChunkPages = 256;
 
 /// Manifest schema of the pass-1 spill set.
 constexpr std::string_view kManifestKind = "netflow-join-spill";
@@ -167,8 +169,8 @@ class DenseIpSet {
 
 /// One shard's pass-1 output: per-partition runs of sealed page images
 /// plus the shard's record/drop tallies. ~1.6 MiB per 64 Ki-record
-/// shard at the default geometry; ordered_stream's bounded channel
-/// keeps at most O(threads) of these in flight.
+/// shard at the default geometry; ordered_stream's claim window keeps at
+/// most one per worker, plus the one being written, in flight.
 struct SpillRun {
   std::vector<std::vector<FlowPageImage>> pages;  ///< [partition] -> sealed images
   std::uint64_t records = 0;                      ///< records encoded into pages

@@ -12,8 +12,8 @@
 //   routing every surviving record by destination-IP hash into
 //   per-(shard, partition) runs of sealed 4 KiB compressed flow pages
 //   (netflow/flow_page.h, FlowPageImageBuilder's in-place encoder).
-//   Sealed runs travel through runtime::ordered_stream's bounded
-//   channel to the calling thread, which appends them to the
+//   Sealed runs travel through runtime::ordered_stream's claim window
+//   to the calling thread, which appends them to the
 //   per-partition store::RecordFileWriters strictly in shard order
 //   *while later shards are still encoding* — the writer thread's I/O
 //   overlaps the workers' decode+pack compute. Page boundaries fall
@@ -82,8 +82,9 @@ struct JoinConfig {
   /// the thread count never does. 64 Ki records ≈ 3.6 MiB of wire
   /// input per shard, enough to amortize scheduling.
   std::size_t spill_min_shard_records = 64 * 1024;
-  /// Cap on pass-1 spill shards; bounds the in-flight sealed-run
-  /// memory (ordered_stream's channel holds O(threads) runs).
+  /// Cap on pass-1 spill shards. With the input size it sets how large
+  /// a sealed run is; ordered_stream's claim window holds at most one
+  /// run per worker, plus the one being written.
   std::size_t spill_max_shards = 256;
 };
 

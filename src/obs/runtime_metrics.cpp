@@ -6,7 +6,7 @@ void record_channel_stats(Registry* registry, const runtime::ChannelStats& stats
   if (registry == nullptr) return;
   if (stats.pushed == 0 && stats.popped == 0 && stats.producer_stalls == 0 &&
       stats.consumer_stalls == 0) {
-    return;  // serial path: no channel ever existed
+    return;  // serial path: no claim window ever existed
   }
   registry->counter("cbwt_runtime_channel_pushed_total").add(stats.pushed);
   registry->counter("cbwt_runtime_channel_popped_total").add(stats.popped);

@@ -5,12 +5,12 @@
 #pragma once
 
 #include "obs/metrics.h"
-#include "runtime/channel.h"
+#include "runtime/parallel.h"
 #include "runtime/thread_pool.h"
 
 namespace cbwt::obs {
 
-/// Folds one stage's accumulated channel counters into
+/// Folds one stage's accumulated claim-window counters into
 /// cbwt_runtime_channel_* (counters for throughput/stalls, gauges for
 /// the high-water mark and accumulated stall seconds). No-op when
 /// `registry` is null or the stats are all zero (serial path).

@@ -168,8 +168,10 @@ class RecordFileWriter {
 
  private:
   static constexpr std::size_t kInitialBytes = 1 << 20;
-  /// Payload bytes between RSS-bounding flushes of the written prefix.
-  static constexpr std::size_t kFlushBytes = 8 << 20;
+  /// Payload bytes between RSS-bounding flushes of the written prefix:
+  /// each open writer keeps at most this much of its tail resident, and
+  /// the join's spill pass keeps one writer per partition open.
+  static constexpr std::size_t kFlushBytes = 2 << 20;
 
   /// Grows the mapping if needed and returns the next record's offset.
   [[nodiscard]] std::size_t reserve_record() {

@@ -12,7 +12,7 @@
 #include "obs/trace.h"
 #include "json_check.h"
 #include "report/json.h"
-#include "runtime/channel.h"
+#include "runtime/parallel.h"
 
 namespace cbwt::obs {
 namespace {

@@ -5,7 +5,8 @@
 #include <algorithm>
 #include <array>
 #include <atomic>
-#include <mutex>
+#include <chrono>
+#include <memory>
 #include <numeric>
 #include <stdexcept>
 #include <thread>
@@ -16,71 +17,11 @@
 #include "netflow/profile.h"
 #include "obs/metrics.h"
 #include "obs/trace_buffer.h"
-#include "runtime/channel.h"
 #include "runtime/thread_pool.h"
 #include "util/contract.h"
 
 namespace cbwt::runtime {
 namespace {
-
-// --- Channel ---------------------------------------------------------
-
-TEST(Channel, FifoWithinCapacity) {
-  Channel<int> channel(4);
-  for (int i = 0; i < 4; ++i) channel.push(i);  // never blocks within capacity
-  EXPECT_EQ(channel.stats().producer_stalls, 0u);
-  EXPECT_EQ(channel.stats().high_water, 4u);
-  for (int i = 0; i < 4; ++i) EXPECT_EQ(channel.pop(), i);
-  EXPECT_EQ(channel.stats().popped, 4u);
-}
-
-TEST(Channel, BackpressureBlocksProducerUntilConsumed) {
-  constexpr int kItems = 256;
-  Channel<int> channel(2);
-  std::thread producer([&] {
-    for (int i = 0; i < kItems; ++i) channel.push(i);
-  });
-  std::vector<int> received;
-  for (int i = 0; i < kItems; ++i) received.push_back(channel.pop());
-  producer.join();
-  for (int i = 0; i < kItems; ++i) EXPECT_EQ(received[static_cast<std::size_t>(i)], i);
-  const auto stats = channel.stats();
-  EXPECT_EQ(stats.pushed, static_cast<std::uint64_t>(kItems));
-  EXPECT_EQ(stats.popped, static_cast<std::uint64_t>(kItems));
-  EXPECT_LE(stats.high_water, 2u);
-}
-
-TEST(Channel, ManyProducersManyConsumers) {
-  constexpr int kProducers = 4;
-  constexpr int kConsumers = 4;
-  constexpr int kPerProducer = 500;
-  constexpr int kPerConsumer = kProducers * kPerProducer / kConsumers;
-  Channel<int> channel(8);
-  std::vector<std::thread> threads;
-  for (int p = 0; p < kProducers; ++p) {
-    threads.emplace_back([&, p] {
-      for (int i = 0; i < kPerProducer; ++i) channel.push(p * kPerProducer + i);
-    });
-  }
-  std::mutex sink_mutex;
-  std::vector<int> sink;
-  for (int c = 0; c < kConsumers; ++c) {
-    threads.emplace_back([&] {
-      for (int i = 0; i < kPerConsumer; ++i) {
-        const int value = channel.pop();
-        std::scoped_lock lock(sink_mutex);
-        sink.push_back(value);
-      }
-    });
-  }
-  for (auto& thread : threads) thread.join();
-  ASSERT_EQ(sink.size(), static_cast<std::size_t>(kProducers * kPerProducer));
-  std::sort(sink.begin(), sink.end());
-  for (int i = 0; i < kProducers * kPerProducer; ++i) {
-    EXPECT_EQ(sink[static_cast<std::size_t>(i)], i);
-  }
-  EXPECT_EQ(channel.stats().pushed, channel.stats().popped);
-}
 
 // --- ThreadPool ------------------------------------------------------
 
@@ -303,13 +244,15 @@ TEST(OrderedStream, ChannelStatsSinkSeesEveryPart) {
   ordered_stream(&pool, kN, {.min_shard_items = 256, .channel_stats = &stats}, size_of,
                  [&](std::size_t, std::uint64_t&& part) { total += part; });
   EXPECT_EQ(total, kN);
-  // One part per shard flows through the channel; the sink sees all of
-  // them, and the bounded capacity keeps the high-water finite.
+  // One part per shard passes through the claim window; the sink sees
+  // all of them, and no more parts than the window's four slots ever
+  // wait in it.
   EXPECT_EQ(stats.pushed, plan.size());
   EXPECT_EQ(stats.popped, plan.size());
   EXPECT_GE(stats.high_water, 1u);
+  EXPECT_LE(stats.high_water, 4u);
 
-  // The serial path uses no channel and leaves the sink untouched.
+  // The serial path uses no window and leaves the sink untouched.
   ChannelStats serial_stats;
   ordered_stream(nullptr, kN, {.min_shard_items = 256, .channel_stats = &serial_stats},
                  size_of, [](std::size_t, std::uint64_t&&) {});
@@ -318,7 +261,9 @@ TEST(OrderedStream, ChannelStatsSinkSeesEveryPart) {
 }
 
 TEST(OrderedStream, ThrowingConsumerDrainsAndRethrows) {
-  const auto size_of = [](ShardRange range, std::size_t) {
+  std::atomic<std::size_t> produced{0};
+  const auto size_of = [&](ShardRange range, std::size_t) {
+    produced.fetch_add(1, std::memory_order_relaxed);
     return static_cast<std::uint64_t>(range.size());
   };
   ThreadPool pool(4);
@@ -332,12 +277,69 @@ TEST(OrderedStream, ThrowingConsumerDrainsAndRethrows) {
   };
   EXPECT_THROW(boom(), std::runtime_error);
   EXPECT_EQ(consumed, 2u);  // shards 0 and 1 landed before the throw
-  // The pool is healthy afterwards (no producer left blocked on the
-  // channel) — a follow-up batch completes.
+  // The throw stopped further claims: besides shards 0-2, at most the
+  // window's four slots were claimed, and every claimed shard returned
+  // before the rethrow.
+  EXPECT_LE(produced.load(), 3u + 4u);
+  // The pool is healthy afterwards (no producer left waiting on the
+  // window) — a follow-up batch completes.
   std::uint64_t total = 0;
-  ordered_stream(&pool, 10000, {.min_shard_items = 16}, size_of,
+  ordered_stream(&pool, 10000, {.min_shard_items = 16},
+                 [](ShardRange range, std::size_t) {
+                   return static_cast<std::uint64_t>(range.size());
+                 },
                  [&](std::size_t, std::uint64_t&& part) { total += part; });
   EXPECT_EQ(total, 10000u);
+}
+
+/// Live payloads of the parts HoldsAtMostWindowParts streams, and the
+/// most that were ever alive at once.
+std::atomic<int> g_live_parts{0};
+std::atomic<int> g_peak_parts{0};
+
+struct CountedPayload {
+  CountedPayload() {
+    const int live = g_live_parts.fetch_add(1) + 1;
+    int peak = g_peak_parts.load();
+    while (live > peak && !g_peak_parts.compare_exchange_weak(peak, live)) {
+    }
+  }
+  ~CountedPayload() { g_live_parts.fetch_sub(1); }
+  CountedPayload(const CountedPayload&) = delete;
+  CountedPayload& operator=(const CountedPayload&) = delete;
+};
+
+TEST(OrderedStream, HoldsAtMostWindowParts) {
+  // Shard 0 is slow: it waits until 16 parts are alive (or 200 ms pass).
+  // Later shards finish first, but none may be claimed until its slot in
+  // the window frees, so the parts alive never exceed the window's
+  // workers slots plus the one the consumer holds.
+  constexpr unsigned kWorkers = 4;
+  constexpr std::size_t kShards = 64;
+  g_live_parts = 0;
+  g_peak_parts = 0;
+  ThreadPool pool(kWorkers);
+  std::vector<std::size_t> order;
+  ordered_stream(
+      &pool, kShards, {.min_shard_items = 1, .max_shards = kShards},
+      [](ShardRange, std::size_t shard) {
+        if (shard == 0) {
+          const auto deadline =
+              std::chrono::steady_clock::now() + std::chrono::milliseconds(200);
+          while (g_live_parts.load() < 16 && std::chrono::steady_clock::now() < deadline) {
+            std::this_thread::sleep_for(std::chrono::milliseconds(1));
+          }
+        }
+        return std::make_unique<CountedPayload>();
+      },
+      [&](std::size_t shard, std::unique_ptr<CountedPayload>&& part) {
+        EXPECT_NE(part, nullptr);
+        order.push_back(shard);
+      });
+  EXPECT_LE(g_peak_parts.load(), static_cast<int>(kWorkers) + 1);
+  EXPECT_EQ(g_live_parts.load(), 0);
+  ASSERT_EQ(order.size(), kShards);
+  for (std::size_t i = 0; i < kShards; ++i) EXPECT_EQ(order[i], i);
 }
 
 TEST(OrderedStream, PropagatesShardExceptions) {
@@ -452,13 +454,13 @@ TEST_P(StudyDeterminism, MatchesSerialReference) {
         << name;
   }
   if (GetParam() > 1) {
-    // The sharded stages streamed their parts through bounded channels;
+    // The sharded stages streamed their parts through claim windows;
     // the registry must have seen that throughput.
     EXPECT_GT(got_registry.counter_value("cbwt_runtime_channel_pushed_total"), 0u);
     EXPECT_EQ(got_registry.counter_value("cbwt_runtime_channel_pushed_total"),
               got_registry.counter_value("cbwt_runtime_channel_popped_total"));
   } else {
-    // Serial studies never touch a channel.
+    // Serial studies never open a window.
     EXPECT_EQ(got_registry.counter_value("cbwt_runtime_channel_pushed_total"), 0u);
   }
 
