@@ -11,6 +11,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
+#include <map>
 #include <stdexcept>
 #include <string>
 #include <string_view>
@@ -103,28 +104,52 @@ inline void print_title(const char* title) {
 /// order; bench_paper prefixes every key with "<experiment>/".
 using Report = std::vector<std::pair<std::string, double>>;
 
+/// bench_paper's ISP-day NetFlow runs, memoized by (ISP, day): Fig. 12
+/// reads the four April-4 days that Table 8 runs. core::Study does not
+/// memoize them itself, because a store-backed run writes the day's
+/// store files on every call.
+class IspRuns {
+ public:
+  explicit IspRuns(core::Study& study) : study_(&study) {}
+
+  /// The run of `isp` on `snapshot`'s day, made on first request.
+  const core::Study::IspRun& get(const netflow::IspProfile& isp,
+                                 const netflow::Snapshot& snapshot) {
+    const auto key = std::make_pair(std::string(isp.name), snapshot.day);
+    auto it = runs_.find(key);
+    if (it == runs_.end()) {
+      it = runs_.emplace(key, study_->run_isp_snapshot(isp, snapshot)).first;
+    }
+    return it->second;
+  }
+
+ private:
+  core::Study* study_;
+  std::map<std::pair<std::string, std::int32_t>, core::Study::IspRun> runs_;
+};
+
 // bench_paper's experiments (one file each under paper/), in
 // EXPERIMENTS.md order; each prints its title, table and paper note.
-void table1_dataset(core::Study& study, Report& report);
-void table2_classification(core::Study& study, Report& report);
-void fig2_requests_cdf(core::Study& study, Report& report);
-void fig3_top_tlds(core::Study& study, Report& report);
-void pdns_completeness(core::Study& study, Report& report);
-void fig4_domains_per_ip(core::Study& study, Report& report);
-void fig5_multidomain_ips(core::Study& study, Report& report);
-void table3_geo_agreement(core::Study& study, Report& report);
-void table4_maxmind_errors(core::Study& study, Report& report);
-void geo_validation(core::Study& study, Report& report);
-void fig6_continent_sankey(core::Study& study, Report& report);
-void fig7_eu28_geolocation(core::Study& study, Report& report);
-void fig8_country_sankey(core::Study& study, Report& report);
-void table5_localization(core::Study& study, Report& report);
-void table6_cloud_migration(core::Study& study, Report& report);
-void fig9_sensitive_categories(core::Study& study, Report& report);
-void fig10_sensitive_destinations(core::Study& study, Report& report);
-void fig11_sensitive_confinement(core::Study& study, Report& report);
-void table7_isp_profiles(core::Study& study, Report& report);
-void table8_isp_confinement(core::Study& study, Report& report);
-void fig12_isp_destinations(core::Study& study, Report& report);
+void table1_dataset(core::Study& study, IspRuns& isp_runs, Report& report);
+void table2_classification(core::Study& study, IspRuns& isp_runs, Report& report);
+void fig2_requests_cdf(core::Study& study, IspRuns& isp_runs, Report& report);
+void fig3_top_tlds(core::Study& study, IspRuns& isp_runs, Report& report);
+void pdns_completeness(core::Study& study, IspRuns& isp_runs, Report& report);
+void fig4_domains_per_ip(core::Study& study, IspRuns& isp_runs, Report& report);
+void fig5_multidomain_ips(core::Study& study, IspRuns& isp_runs, Report& report);
+void table3_geo_agreement(core::Study& study, IspRuns& isp_runs, Report& report);
+void table4_maxmind_errors(core::Study& study, IspRuns& isp_runs, Report& report);
+void geo_validation(core::Study& study, IspRuns& isp_runs, Report& report);
+void fig6_continent_sankey(core::Study& study, IspRuns& isp_runs, Report& report);
+void fig7_eu28_geolocation(core::Study& study, IspRuns& isp_runs, Report& report);
+void fig8_country_sankey(core::Study& study, IspRuns& isp_runs, Report& report);
+void table5_localization(core::Study& study, IspRuns& isp_runs, Report& report);
+void table6_cloud_migration(core::Study& study, IspRuns& isp_runs, Report& report);
+void fig9_sensitive_categories(core::Study& study, IspRuns& isp_runs, Report& report);
+void fig10_sensitive_destinations(core::Study& study, IspRuns& isp_runs, Report& report);
+void fig11_sensitive_confinement(core::Study& study, IspRuns& isp_runs, Report& report);
+void table7_isp_profiles(core::Study& study, IspRuns& isp_runs, Report& report);
+void table8_isp_confinement(core::Study& study, IspRuns& isp_runs, Report& report);
+void fig12_isp_destinations(core::Study& study, IspRuns& isp_runs, Report& report);
 
 }  // namespace cbwt::bench

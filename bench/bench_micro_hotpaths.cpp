@@ -252,6 +252,8 @@ void BM_NetflowCollect(benchmark::State& state) {
 }
 BENCHMARK(BM_NetflowCollect);
 
+/// One locator throughout: once the popular focus probes' refinement
+/// tables are built, this times the warm path.
 void BM_ActiveGeolocate(benchmark::State& state) {
   const auto& world = micro_world();
   util::Rng mesh_rng(5);
@@ -268,6 +270,26 @@ void BM_ActiveGeolocate(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
 BENCHMARK(BM_ActiveGeolocate);
+
+/// As BM_ActiveGeolocate, but a fresh locator every 1,000 IPs, so the
+/// refinement tables are rebuilt at the rate a new study builds them.
+void BM_ActiveGeolocateCold(benchmark::State& state) {
+  const auto& world = micro_world();
+  util::Rng mesh_rng(5);
+  const geoloc::ProbeMesh mesh({}, mesh_rng);
+  std::unique_ptr<geoloc::ActiveGeolocator> locator;
+  util::Rng rng(6);
+  std::size_t i = 0;
+  std::size_t non_empty = 0;
+  for (auto _ : state) {
+    if (i % 1000 == 0) locator = std::make_unique<geoloc::ActiveGeolocator>(world, mesh);
+    const auto& server = world.servers()[i++ % world.servers().size()];
+    non_empty += locator->locate(server.ip, rng).country.empty() ? 0 : 1;
+  }
+  benchmark::DoNotOptimize(non_empty);
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK(BM_ActiveGeolocateCold);
 
 // --- cbwt::runtime sharded stages -----------------------------------
 // Each benchmark takes the pool size as its argument (1 = the serial

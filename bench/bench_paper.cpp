@@ -25,7 +25,7 @@ namespace {
 
 struct Experiment {
   std::string_view name;  ///< the --only name and the --json key prefix
-  void (*run)(core::Study& study, Report& report);
+  void (*run)(core::Study& study, IspRuns& isp_runs, Report& report);
 };
 
 constexpr Experiment kExperiments[] = {
@@ -147,12 +147,13 @@ int main(int argc, char** argv) {
   bench::print_header("Tracing Cross Border Web Tracking: paper tables and figures", config);
 
   core::Study study(config);
+  bench::IspRuns isp_runs(study);
   bench::Report metrics;
   for (std::size_t i = 0; i < std::size(bench::kExperiments); ++i) {
     if (!options.selected[i]) continue;
     const auto& experiment = bench::kExperiments[i];
     const auto first = metrics.size();
-    experiment.run(study, metrics);
+    experiment.run(study, isp_runs, metrics);
     for (auto k = first; k < metrics.size(); ++k) {
       metrics[k].first = std::string(experiment.name) + "/" + metrics[k].first;
     }

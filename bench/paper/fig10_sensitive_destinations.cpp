@@ -2,7 +2,7 @@
 // per category.
 #include "bench_common.h"
 
-void cbwt::bench::fig10_sensitive_destinations(core::Study& study, Report&) {
+void cbwt::bench::fig10_sensitive_destinations(core::Study& study, IspRuns&, Report&) {
   print_title("Fig. 10: destination regions of sensitive tracking flows (EU28 users)");
   auto analyzer = study.analyzer();
 

@@ -2,7 +2,7 @@
 // users — how many sensitive flows leave the user's own country.
 #include "bench_common.h"
 
-void cbwt::bench::fig11_sensitive_confinement(core::Study& study, Report&) {
+void cbwt::bench::fig11_sensitive_confinement(core::Study& study, IspRuns&, Report&) {
   print_title("Fig. 11: sensitive tracking flows leaving the user's country (EU28)");
   auto analyzer = study.analyzer();
 

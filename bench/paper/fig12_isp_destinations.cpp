@@ -3,13 +3,13 @@
 #include "bench_common.h"
 #include "netflow/profile.h"
 
-void cbwt::bench::fig12_isp_destinations(core::Study& study, Report&) {
+void cbwt::bench::fig12_isp_destinations(core::Study& study, IspRuns& isp_runs, Report&) {
   print_title("Fig. 12: top-5 destination countries per ISP (April 4)");
   auto analyzer = study.analyzer();
   const auto& snapshot = netflow::default_snapshots()[1];  // April 4
 
   for (const auto& isp : netflow::default_isps()) {
-    const auto run = study.run_isp_snapshot(isp, snapshot);
+    const auto& run = isp_runs.get(isp, snapshot);
     const auto destinations = analyzer.destination_countries(run.flows);
     std::vector<std::pair<std::string, double>> ranked(destinations.begin(),
                                                        destinations.end());

@@ -5,7 +5,7 @@
 #include "bench_common.h"
 #include "util/stats.h"
 
-void cbwt::bench::fig2_requests_cdf(core::Study& study, Report&) {
+void cbwt::bench::fig2_requests_cdf(core::Study& study, IspRuns&, Report&) {
   print_title("Fig. 2: third-party requests per website (CDFs)");
 
   const auto& dataset = study.dataset();

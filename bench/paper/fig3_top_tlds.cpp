@@ -5,7 +5,7 @@
 #include "bench_common.h"
 #include "net/domain.h"
 
-void cbwt::bench::fig3_top_tlds(core::Study& study, Report&) {
+void cbwt::bench::fig3_top_tlds(core::Study& study, IspRuns&, Report&) {
   print_title("Fig. 3: top 20 tracking TLDs, ABP vs SEMI detection");
 
   const auto& dataset = study.dataset();

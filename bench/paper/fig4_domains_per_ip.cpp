@@ -2,7 +2,7 @@
 // by requests — the "are tracker IPs dedicated?" check.
 #include "bench_common.h"
 
-void cbwt::bench::fig4_domains_per_ip(core::Study& study, Report&) {
+void cbwt::bench::fig4_domains_per_ip(core::Study& study, IspRuns&, Report&) {
   print_title("Fig. 4: registrable domains served per tracking IP");
 
   const auto& store = study.pdns_store();

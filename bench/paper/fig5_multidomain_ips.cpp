@@ -2,7 +2,7 @@
 // RTB auction hosts, cookie-sync hubs) and where they physically are.
 #include "bench_common.h"
 
-void cbwt::bench::fig5_multidomain_ips(core::Study& study, Report&) {
+void cbwt::bench::fig5_multidomain_ips(core::Study& study, IspRuns&, Report&) {
   print_title("Fig. 5: IPs hosting 10+ tracking domains, by location");
 
   const auto& store = study.pdns_store();

@@ -2,7 +2,7 @@
 // active geolocation — who sends where, and who hosts the backends.
 #include "bench_common.h"
 
-void cbwt::bench::fig6_continent_sankey(core::Study& study, Report& report) {
+void cbwt::bench::fig6_continent_sankey(core::Study& study, IspRuns&, Report& report) {
   print_title("Fig. 6: tracking flows between regions (Sankey matrix)");
 
   auto analyzer = study.analyzer();

@@ -3,7 +3,7 @@
 // the single methodological choice that flips the paper's conclusion.
 #include "bench_common.h"
 
-void cbwt::bench::fig7_eu28_geolocation(core::Study& study, Report& report) {
+void cbwt::bench::fig7_eu28_geolocation(core::Study& study, IspRuns&, Report& report) {
   print_title("Fig. 7: EU28 tracking-flow destinations, MaxMind vs IPmap");
 
   const auto eu_flows = analysis::flows_from_region(study.flows(), geo::Region::EU28);

@@ -2,7 +2,7 @@
 // (the national-confinement Sankey) under active geolocation.
 #include "bench_common.h"
 
-void cbwt::bench::fig8_country_sankey(core::Study& study, Report& report) {
+void cbwt::bench::fig8_country_sankey(core::Study& study, IspRuns&, Report& report) {
   print_title("Fig. 8: EU28 tracking flows, per-country Sankey");
 
   const auto eu_flows = analysis::flows_from_region(study.flows(), geo::Region::EU28);

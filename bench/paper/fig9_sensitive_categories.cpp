@@ -2,7 +2,7 @@
 // flows each one attracts.
 #include "bench_common.h"
 
-void cbwt::bench::fig9_sensitive_categories(core::Study& study, Report&) {
+void cbwt::bench::fig9_sensitive_categories(core::Study& study, IspRuns&, Report&) {
   print_title("Fig. 9: tracking flows on GDPR-sensitive categories");
 
   const auto breakdown = sensitive::sensitive_breakdown(

@@ -3,7 +3,7 @@
 // Azure's published ranges: 99.58% country, 100% continent).
 #include "bench_common.h"
 
-void cbwt::bench::geo_validation(core::Study& study, Report&) {
+void cbwt::bench::geo_validation(core::Study& study, IspRuns&, Report&) {
   print_title("Sect. 3.4: active-geolocation validation against cloud ground truth");
   const auto& world = study.world();
   const auto& geo = study.geo();

@@ -3,7 +3,7 @@
 // split of the result.
 #include "bench_common.h"
 
-void cbwt::bench::pdns_completeness(core::Study& study, Report&) {
+void cbwt::bench::pdns_completeness(core::Study& study, IspRuns&, Report&) {
   print_title("Sect. 3.3: tracker-IP completeness via passive DNS");
 
   const auto& observed = study.observed_tracker_ips();

@@ -4,7 +4,7 @@
 
 #include "bench_common.h"
 
-void cbwt::bench::table1_dataset(core::Study& study, Report&) {
+void cbwt::bench::table1_dataset(core::Study& study, IspRuns&, Report&) {
   print_title("Table 1: the real users dataset statistics");
 
   const auto& dataset = study.dataset();

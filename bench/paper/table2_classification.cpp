@@ -3,7 +3,7 @@
 // counts per stage.
 #include "bench_common.h"
 
-void cbwt::bench::table2_classification(core::Study& study, Report& report) {
+void cbwt::bench::table2_classification(core::Study& study, IspRuns&, Report& report) {
   print_title("Table 2: ABP lists vs semi-automatic third-party classification");
 
   const auto summary = classify::summarize(study.dataset(), study.outcomes());

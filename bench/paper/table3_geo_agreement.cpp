@@ -2,7 +2,7 @@
 // geolocation tools over the tracker IP set.
 #include "bench_common.h"
 
-void cbwt::bench::table3_geo_agreement(core::Study& study, Report&) {
+void cbwt::bench::table3_geo_agreement(core::Study& study, IspRuns&, Report&) {
   print_title("Table 3: pairwise agreement across geolocation tools");
 
   const auto& ips = study.completed_tracker_ips();

@@ -5,7 +5,7 @@
 
 #include "bench_common.h"
 
-void cbwt::bench::table4_maxmind_errors(core::Study& study, Report&) {
+void cbwt::bench::table4_maxmind_errors(core::Study& study, IspRuns&, Report&) {
   print_title("Table 4: commercial-DB mis-geolocation for the top tracking orgs");
   const auto& world = study.world();
   const auto& geo = study.geo();

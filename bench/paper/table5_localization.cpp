@@ -2,7 +2,7 @@
 // DNS redirection (FQDN / TLD), cloud PoP mirroring, and the combination.
 #include "bench_common.h"
 
-void cbwt::bench::table5_localization(core::Study& study, Report& report) {
+void cbwt::bench::table5_localization(core::Study& study, IspRuns&, Report& report) {
   print_title("Table 5: localization what-if scenarios (EU28 flows)");
 
   const auto& localization = study.localization();

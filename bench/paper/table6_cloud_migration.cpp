@@ -3,7 +3,7 @@
 // redirection.
 #include "bench_common.h"
 
-void cbwt::bench::table6_cloud_migration(core::Study& study, Report&) {
+void cbwt::bench::table6_cloud_migration(core::Study& study, IspRuns&, Report&) {
   print_title("Table 6: per-country gains from PoP mirroring and cloud migration");
 
   const auto& localization = study.localization();

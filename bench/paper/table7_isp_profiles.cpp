@@ -4,7 +4,7 @@
 #include "netflow/generator.h"
 #include "netflow/profile.h"
 
-void cbwt::bench::table7_isp_profiles(core::Study&, Report&) {
+void cbwt::bench::table7_isp_profiles(core::Study&, IspRuns&, Report&) {
   print_title("Table 7: profiles of the four European ISPs");
 
   util::TextTable table({"Name", "Country", "Access", "Demographics",

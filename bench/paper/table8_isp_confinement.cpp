@@ -3,7 +3,7 @@
 #include "bench_common.h"
 #include "netflow/profile.h"
 
-void cbwt::bench::table8_isp_confinement(core::Study& study, Report& report) {
+void cbwt::bench::table8_isp_confinement(core::Study& study, IspRuns& isp_runs, Report& report) {
   // NetFlow volume is scaled down 1000x from the paper's Table 8; the
   // destination shares are scale-free.
   print_title(
@@ -15,7 +15,7 @@ void cbwt::bench::table8_isp_confinement(core::Study& study, Report& report) {
     util::TextTable table({"snapshot", "sampled tracking flows", "EU28", "N. America",
                            "Rest Europe", "Asia", "Rest World", "HTTPS share"});
     for (const auto& snapshot : netflow::default_snapshots()) {
-      const auto run = study.run_isp_snapshot(isp, snapshot);
+      const auto& run = isp_runs.get(isp, snapshot);
       const auto regions = analyzer.destination_regions(run.flows);
       const auto share = [&](geo::Region region) {
         const auto it = regions.share.find(region);

@@ -238,6 +238,7 @@ const geoloc::GeoService& Study::geo() {
     geo_.emplace(built_world, std::move(maxmind), std::move(ipapi), *mesh_,
                  config_.active, config_.world.seed ^ 0xAC7173ULL, workers,
                  config_.registry, &config_.fault_plan);
+    built_geo_.store(&*geo_, std::memory_order_release);
   }
   return *geo_;
 }
@@ -342,8 +343,9 @@ Study::IspRun Study::run_isp_snapshot(const netflow::IspProfile& isp,
 }
 
 std::string Study::run_report() {
-  // Pool counters and the resolver's table count are point-in-time
-  // snapshots; refresh them so the report reflects the state at export.
+  // Pool counters and the resolver's and geolocator's table counts are
+  // point-in-time snapshots; refresh them so the report reflects the
+  // state at export.
   // The pool pointer is read under the pool mutex (the inspector thread
   // may be here while the main thread first creates the pool); the pool
   // itself is safe to snapshot concurrently and outlives every reader of
@@ -358,6 +360,11 @@ std::string Study::run_report() {
   if (dns != nullptr && config_.registry != nullptr) {
     config_.registry->gauge("cbwt_dns_route_tables")
         .set(static_cast<double>(dns->route_tables()));
+  }
+  const geoloc::GeoService* geo = built_geo_.load(std::memory_order_acquire);
+  if (geo != nullptr && config_.registry != nullptr) {
+    config_.registry->gauge("cbwt_geoloc_refine_tables")
+        .set(static_cast<double>(geo->refine_tables()));
   }
 
   report::JsonWriter json;

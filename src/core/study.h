@@ -170,9 +170,10 @@ class Study {
   /// registry's full metric state (counters, gauges, histograms, one
   /// span per executed stage) as a JSON document. With no registry
   /// attached the report is still valid JSON with empty metric sections.
-  /// Call after the stages of interest have run; pool counters and the
-  /// resolver's route-table count (cbwt_dns_route_tables) are refreshed
-  /// into the registry on each call.
+  /// Call after the stages of interest have run; pool counters, the
+  /// resolver's route-table count (cbwt_dns_route_tables) and the active
+  /// geolocator's refinement-table count (cbwt_geoloc_refine_tables) are
+  /// refreshed into the registry on each call.
   [[nodiscard]] std::string run_report();
 
   /// Persists the completed early stages (extension dataset + the pDNS
@@ -223,6 +224,9 @@ class Study {
   std::optional<std::vector<net::IpAddress>> completed_ips_;
   std::optional<geoloc::ProbeMesh> mesh_;
   std::optional<geoloc::GeoService> geo_;
+  /// &*geo_ once built: run_report() may read its refinement-table count
+  /// on the inspector thread while the main thread first builds it.
+  std::atomic<const geoloc::GeoService*> built_geo_{nullptr};
   std::optional<std::vector<analysis::Flow>> flows_;
   std::optional<whatif::LocalizationStudy> localization_;
   std::optional<sensitive::Catalog> sensitive_;

@@ -3,8 +3,10 @@
 #include <algorithm>
 #include <cmath>
 #include <map>
+#include <memory>
 
 #include "fault/retry.h"
+#include "util/contract.h"
 
 namespace cbwt::geoloc {
 
@@ -34,7 +36,56 @@ std::size_t ProbeMesh::count_in(std::string_view country) const {
 
 ActiveGeolocator::ActiveGeolocator(const world::World& world, const ProbeMesh& mesh,
                                    ActiveGeolocatorOptions options)
-    : world_(&world), mesh_(&mesh), options_(options) {}
+    : world_(&world),
+      mesh_(&mesh),
+      options_(options),
+      refine_tables_(std::make_unique<std::atomic<const util::DiscreteSampler*>[]>(
+          mesh.probes().size())) {
+  // A panel of three probes has one scout, whose probe is the focus the
+  // refinement round samples around; a smaller panel has none.
+  CBWT_EXPECTS(std::min<std::size_t>(options.probes_per_measurement, mesh.probes().size()) >=
+               3);
+}
+
+ActiveGeolocator::~ActiveGeolocator() {
+  for (std::size_t focus = 0; focus < mesh_->probes().size(); ++focus) {
+    delete refine_tables_[focus].load();
+  }
+}
+
+std::size_t ActiveGeolocator::refine_tables() const noexcept {
+  std::size_t built = 0;
+  for (std::size_t focus = 0; focus < mesh_->probes().size(); ++focus) {
+    if (refine_tables_[focus].load(std::memory_order_acquire) != nullptr) ++built;
+  }
+  return built;
+}
+
+std::vector<double> ActiveGeolocator::refine_weights(std::size_t focus) const {
+  const auto& probes = mesh_->probes();
+  const geo::LatLon& center = probes[focus].location;
+  std::vector<double> weights(probes.size());
+  for (std::size_t i = 0; i < probes.size(); ++i) {
+    const double km = geo::distance_km(probes[i].location, center);
+    weights[i] = 1.0 / ((km + 50.0) * (km + 50.0));
+  }
+  return weights;
+}
+
+const util::DiscreteSampler& ActiveGeolocator::refine_table(std::size_t focus) const {
+  std::atomic<const util::DiscreteSampler*>& entry = refine_tables_[focus];
+  const util::DiscreteSampler* published = entry.load(std::memory_order_acquire);
+  if (published != nullptr) return *published;
+  auto built = std::make_unique<const util::DiscreteSampler>(
+      util::DiscreteSampler::cumulative_only(refine_weights(focus)));
+  if (entry.compare_exchange_strong(published, built.get(), std::memory_order_acq_rel,
+                                    std::memory_order_acquire)) {
+    return *built.release();
+  }
+  // Another thread published first; every build of a focus is identical,
+  // so its table draws exactly as this one would.
+  return *published;
+}
 
 double ActiveGeolocator::measure_rtt(const Probe& probe, const geo::LatLon& target,
                                      util::Rng& rng) const {
@@ -71,16 +122,13 @@ GeoEstimate ActiveGeolocator::locate(const net::IpAddress& ip, util::Rng& rng,
   const auto best_scout =
       std::min_element(samples.begin(), samples.end(),
                        [](const Sample& a, const Sample& b) { return a.rtt < b.rtt; });
-  const geo::LatLon focus = best_scout->probe->location;
+  const auto focus = static_cast<std::size_t>(best_scout->probe - probes.data());
   // Refinement round: sample probes with weight falling off in distance
   // from the scouting winner, so the local neighbourhood is represented.
-  std::vector<double> refine_weights(probes.size());
-  for (std::size_t i = 0; i < probes.size(); ++i) {
-    const double km = geo::distance_km(probes[i].location, focus);
-    refine_weights[i] = 1.0 / ((km + 50.0) * (km + 50.0));
-  }
+  const util::DiscreteSampler& refine = refine_table(focus);
+  const auto weights = [&] { return refine_weights(focus); };
   for (std::size_t i = scout_size; i < panel_size; ++i) {
-    const auto& probe = probes[util::sample_discrete(rng, refine_weights)];
+    const auto& probe = probes[refine.sample(rng, weights)];
     samples.push_back({measure_rtt(probe, dc.location, rng), &probe});
   }
   GeoEstimate estimate;

@@ -5,7 +5,9 @@
 // at country granularity for European infrastructure (§3.4).
 #pragma once
 
+#include <atomic>
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -50,7 +52,9 @@ struct GeoEstimate {
 };
 
 struct ActiveGeolocatorOptions {
-  std::uint32_t probes_per_measurement = 100;  ///< paper: >100 probes per IP
+  /// Probes per IP (paper: >100), the first third scouting the whole
+  /// mesh. At least 3, from a mesh of at least 3 probes.
+  std::uint32_t probes_per_measurement = 100;
   std::uint32_t voters = 12;                   ///< lowest-RTT probes that vote
   /// Probe-side access latency (min over repeated pings keeps this low).
   double last_mile_ms_min = 0.5;
@@ -72,10 +76,22 @@ struct ActiveGeolocatorOptions {
 /// Measurement-driven geolocator over a World (the World provides the
 /// hidden ground truth that RTTs are synthesized from; the estimator
 /// itself never reads the true country).
+///
+/// The refinement round's probe weights depend only on which probe won
+/// the scouting round (the focus). The first locate() that needs a focus
+/// builds its refinement table, a cumulative-only util::DiscreteSampler,
+/// and publishes it with one compare_exchange; later calls reuse it. The
+/// table draws exactly as sample_discrete over the same weights, so every
+/// verdict and every rng state is the same as without it. locate() is
+/// safe from many threads on one geolocator.
 class ActiveGeolocator {
  public:
   ActiveGeolocator(const world::World& world, const ProbeMesh& mesh,
                    ActiveGeolocatorOptions options = {});
+  ~ActiveGeolocator();
+
+  ActiveGeolocator(const ActiveGeolocator&) = delete;
+  ActiveGeolocator& operator=(const ActiveGeolocator&) = delete;
 
   /// Locates a server IP. Unknown IPs (not in the world) return an empty
   /// estimate. Deterministic given the Rng.
@@ -92,13 +108,24 @@ class ActiveGeolocator {
   [[nodiscard]] GeoEstimate locate(const net::IpAddress& ip, util::Rng& rng,
                                    const fault::FaultPlan* fault_plan = nullptr) const;
 
+  /// Refinement tables built so far (at most one per mesh probe).
+  [[nodiscard]] std::size_t refine_tables() const noexcept;
+
  private:
   [[nodiscard]] double measure_rtt(const Probe& probe, const geo::LatLon& target,
                                    util::Rng& rng) const;
+  /// The refinement weights around mesh probe `focus`: 1 / (km + 50)^2
+  /// in each probe's distance from it.
+  [[nodiscard]] std::vector<double> refine_weights(std::size_t focus) const;
+  /// The refinement table of mesh probe `focus`, built on first use.
+  [[nodiscard]] const util::DiscreteSampler& refine_table(std::size_t focus) const;
 
   const world::World* world_;
   const ProbeMesh* mesh_;
   ActiveGeolocatorOptions options_;
+  /// One slot per mesh probe: null until that focus's table is published
+  /// by a single compare_exchange. Owned.
+  std::unique_ptr<std::atomic<const util::DiscreteSampler*>[]> refine_tables_;
 };
 
 }  // namespace cbwt::geoloc

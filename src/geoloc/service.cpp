@@ -4,6 +4,7 @@
 #include <chrono>
 #include <unordered_set>
 
+#include "obs/trace.h"
 #include "obs/trace_buffer.h"
 #include "runtime/parallel.h"
 #include "util/contract.h"
@@ -130,6 +131,8 @@ void GeoService::prefetch(std::span<const net::IpAddress> ips) const {
     }
   }
   if (missing.empty()) return;
+  obs::ScopedSpan span(registry_, "geoloc/prefetch");
+  span.set_items(missing.size());
   if (batches_ != nullptr) {
     batches_->add(1);
     batch_ips_->add(missing.size());

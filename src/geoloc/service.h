@@ -81,6 +81,10 @@ class GeoService {
 
   [[nodiscard]] const world::World& world() const noexcept { return *world_; }
 
+  /// The active tool's refinement tables built so far (one per focus
+  /// probe that has won a scouting round; at most the mesh size).
+  [[nodiscard]] std::size_t refine_tables() const noexcept { return active_.refine_tables(); }
+
  private:
   /// The per-IP generator: stateless in (seed, ip), the root of the
   /// order- and thread-count-independence of active verdicts. Attempt 0

@@ -9,7 +9,7 @@
 #include "runtime/parallel.h"
 #include "util/contract.h"
 #include "util/prng.h"
-#include "util/thread_annotations.h"
+#include "util/spare_vectors.h"
 
 namespace cbwt::netflow {
 
@@ -34,32 +34,6 @@ AnonRecord anonymize(const RawRecord& record, bool subscriber_is_src,
 namespace {
 
 using Batch = std::vector<RawRecord>;
-
-/// Generation batches the sink is done with, cleared and kept for the
-/// next shards to refill. A stream then allocates only as many batches
-/// as are alive at once (ordered_stream's window), instead of freeing a
-/// fresh multi-megabyte batch per shard into whichever worker's malloc
-/// arena, where the freed memory stays resident.
-class SpareBatches {
- public:
-  [[nodiscard]] Batch take() CBWT_EXCLUDES(mutex_) {
-    util::MutexLock lock(mutex_);
-    if (spare_.empty()) return {};
-    Batch batch = std::move(spare_.back());
-    spare_.pop_back();
-    return batch;
-  }
-
-  void give(Batch&& batch) CBWT_EXCLUDES(mutex_) {
-    batch.clear();
-    util::MutexLock lock(mutex_);
-    spare_.push_back(std::move(batch));
-  }
-
- private:
-  util::Mutex mutex_;
-  std::vector<Batch> spare_ CBWT_GUARDED_BY(mutex_);
-};
 
 /// Samples `domains` by their organisations' popularity.
 util::DiscreteSampler popularity_sampler(const world::World& world,
@@ -164,7 +138,9 @@ SnapshotCounts generate_snapshot_stream(
   // and shard outputs reach the sink in shard order, so the record
   // sequence is the same for any pool size.
   runtime::ChannelStats channel_stats;
-  SpareBatches spares;
+  // Batches the sink is done with, refilled by later shards: a stream
+  // allocates only as many batches as ordered_stream's window keeps alive.
+  util::SpareVectors<RawRecord> spares;
   // The consumer hands each part straight to the sink, in shard order on
   // the calling thread, then returns it to the spares.
   const auto deliver = [&](std::size_t /*shard*/, Batch&& part) {

@@ -15,6 +15,7 @@
 #include "store/superblock.h"
 #include "util/contract.h"
 #include "util/prng.h"
+#include "util/spare_vectors.h"
 
 namespace cbwt::netflow {
 
@@ -216,6 +217,10 @@ void partition_spill(const SnapshotReader& input,
 
   const auto options = spill_shard_options(config, channel_stats);
   stats.spill_shards = runtime::plan_shards(input.size(), options).size();
+  // Decode buffers (one chunk, ~5 MiB at the default chunk size) pass
+  // from each finished shard to the next, so the pass allocates one per
+  // busy worker rather than one per shard.
+  util::SpareVectors<RawRecord> decode_buffers;
   runtime::ordered_stream(
       pool, input.size(), options,
       [&](runtime::ShardRange range, std::size_t shard) {
@@ -223,8 +228,9 @@ void partition_spill(const SnapshotReader& input,
         SpillRun run;
         run.pages.resize(config.partitions);
         std::vector<FlowPageImageBuilder> builders(config.partitions);
+        std::vector<RawRecord> buffer = decode_buffers.take();
         input.for_each_chunk_range(
-            range.begin, range.end, config.chunk_records,
+            range.begin, range.end, config.chunk_records, buffer,
             [&](std::span<const RawRecord> chunk, std::uint64_t base) {
               for (std::size_t i = 0; i < chunk.size(); ++i) {
                 if (export_site.live() &&
@@ -242,6 +248,7 @@ void partition_spill(const SnapshotReader& input,
                 ++run.records;
               }
             });
+        decode_buffers.give(std::move(buffer));
         // Seal open pages at the shard boundary: the page layout then
         // depends on the shard plan, not on which thread ran the shard.
         for (std::size_t p = 0; p < config.partitions; ++p) {

@@ -278,20 +278,24 @@ class RecordFileReader {
   /// are dropped from the resident set, so memory stays O(chunk).
   template <typename Fn>
   void for_each_chunk(std::size_t chunk_records, Fn&& fn) const {
-    for_each_chunk_range(0, count_, chunk_records, std::forward<Fn>(fn));
+    std::vector<value_type> buffer;
+    for_each_chunk_range(0, count_, chunk_records, buffer, std::forward<Fn>(fn));
   }
 
   /// Ranged variant: streams records [begin, end) with absolute base
-  /// indices. Safe to call concurrently from several threads (the
+  /// indices, decoding into the caller's `buffer` (its contents are
+  /// replaced, its capacity reused), so a caller that streams many
+  /// ranges can recycle one buffer across them. Safe to call
+  /// concurrently from several threads with distinct buffers (the
   /// sharded spill pass does): the mapping is read-only, the metric
-  /// handles are atomic, and the decode buffer is per-call — a
-  /// drop_range racing another shard's read merely re-faults the page.
+  /// handles are atomic, and a drop_range racing another shard's read
+  /// merely re-faults the page.
   template <typename Fn>
   void for_each_chunk_range(std::uint64_t begin, std::uint64_t end,
-                            std::size_t chunk_records, Fn&& fn) const {
+                            std::size_t chunk_records, std::vector<value_type>& buffer,
+                            Fn&& fn) const {
     CBWT_EXPECTS(chunk_records > 0);
     CBWT_EXPECTS(begin <= end && end <= count_);
-    std::vector<value_type> buffer;
     buffer.reserve(std::min<std::uint64_t>(chunk_records, end - begin));
     for (std::uint64_t base = begin; base < end; base += chunk_records) {
       const std::uint64_t n = std::min<std::uint64_t>(chunk_records, end - base);

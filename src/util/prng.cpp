@@ -122,40 +122,49 @@ std::size_t pick_discrete(std::span<const double> weights, double u) noexcept {
   return walk(weights, u * total);
 }
 
-DiscreteSampler::DiscreteSampler(std::span<const double> weights) {
+DiscreteSampler::DiscreteSampler(std::span<const double> weights)
+    : DiscreteSampler(cumulative_only(weights)) {
   weights_.reserve(weights.size());
-  cumulative_.reserve(weights.size());
+  for (const double w : weights) weights_.push_back(std::max(w, 0.0));
+}
+
+DiscreteSampler DiscreteSampler::cumulative_only(std::span<const double> weights) {
+  DiscreteSampler sampler;
+  sampler.cumulative_.reserve(weights.size());
   for (const double w : weights) {
-    weights_.push_back(std::max(w, 0.0));
-    total_ += weights_.back();
-    cumulative_.push_back(total_);
+    sampler.total_ += std::max(w, 0.0);
+    sampler.cumulative_.push_back(sampler.total_);
   }
   // The running sums and the sequential walk each round once per weight,
   // every time by at most half an ulp of the total, so the walk's value
   // after index i and target - cumulative_[i] differ by under (2n + 1)
   // such half-ulps. The margin is at least 8(n + 1) of them, which also
   // covers sums that pass through subnormals.
-  margin_ = total_ * (4.0 * std::numeric_limits<double>::epsilon() *
-                      static_cast<double>(weights_.size() + 1));
+  sampler.margin_ = sampler.total_ * (4.0 * std::numeric_limits<double>::epsilon() *
+                                      static_cast<double>(weights.size() + 1));
+  return sampler;
 }
 
 std::size_t DiscreteSampler::sample(Rng& rng) const noexcept {
-  // Like sample_discrete, an all-zero or empty sampler draws nothing.
-  if (total_ <= 0.0) return 0;
-  return pick(rng.next_double());
+  return sample(rng, [this] { return std::span<const double>(weights_); });
 }
 
 std::size_t DiscreteSampler::pick(double u) const noexcept {
-  if (total_ <= 0.0) return 0;
-  const double target = u * total_;
+  return pick(u, [this] { return std::span<const double>(weights_); });
+}
+
+std::size_t DiscreteSampler::clear_of_margin(double target) const noexcept {
   const auto it = std::lower_bound(cumulative_.begin(), cumulative_.end(), target);
-  if (it != cumulative_.end()) {
-    const auto j = static_cast<std::size_t>(it - cumulative_.begin());
-    const double below = j == 0 ? 0.0 : cumulative_[j - 1];
-    // Written so a NaN or infinite total fails the test and falls back.
-    if (target - below > margin_ && *it - target > margin_) return j;
-  }
-  return walk(weights_, target);
+  if (it == cumulative_.end()) return kInsideMargin;
+  const auto j = static_cast<std::size_t>(it - cumulative_.begin());
+  const double below = j == 0 ? 0.0 : cumulative_[j - 1];
+  // Written so a NaN or infinite total fails the test and falls back.
+  if (target - below > margin_ && *it - target > margin_) return j;
+  return kInsideMargin;
+}
+
+std::size_t DiscreteSampler::walk(std::span<const double> weights, double target) noexcept {
+  return cbwt::util::walk(weights, target);
 }
 
 std::vector<double> zipf_masses(std::size_t n, double s) {

@@ -9,6 +9,7 @@
 #include <cstdint>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace cbwt::util {
@@ -136,18 +137,52 @@ class Rng {
 /// summation orders; otherwise it reruns sample_discrete's sequential walk
 /// from the same target. It therefore returns sample_discrete's index, and
 /// consumes the same draws, for every rng state.
+///
+/// The lean form (cumulative_only) keeps the cumulative sums alone, half
+/// the memory, for callers that hold many samplers and can recompute the
+/// weights: its draws take a callable that returns the weights the sampler
+/// was built from, called only for a target inside the margin.
 class DiscreteSampler {
  public:
   DiscreteSampler() = default;
   explicit DiscreteSampler(std::span<const double> weights);
+  [[nodiscard]] static DiscreteSampler cumulative_only(std::span<const double> weights);
 
+  /// A draw from the full form (a cumulative-only sampler has no weights
+  /// to fall back on and draws only through the overloads below).
   [[nodiscard]] std::size_t sample(Rng& rng) const noexcept;
   /// The index sample() returns when its uniform draw is `u` in [0, 1).
   [[nodiscard]] std::size_t pick(double u) const noexcept;
 
+  /// A draw from either form; `weights()` must return the weights (a
+  /// span or vector) the sampler was built from.
+  template <typename Weights>
+  [[nodiscard]] std::size_t sample(Rng& rng, Weights&& weights) const {
+    // Like sample_discrete, an all-zero or empty sampler draws nothing.
+    if (total_ <= 0.0) return 0;
+    return pick(rng.next_double(), std::forward<Weights>(weights));
+  }
+  /// The index sample(rng, weights) returns when its uniform draw is `u`.
+  template <typename Weights>
+  [[nodiscard]] std::size_t pick(double u, Weights&& weights) const {
+    if (total_ <= 0.0) return 0;
+    const double target = u * total_;
+    const std::size_t clear = clear_of_margin(target);
+    return clear != kInsideMargin ? clear : walk(weights(), target);
+  }
+
  private:
-  std::vector<double> weights_;     ///< clamped to >= 0
-  std::vector<double> cumulative_;  ///< running sums of weights_
+  static constexpr std::size_t kInsideMargin = static_cast<std::size_t>(-1);
+
+  /// The lower_bound index of `target`, or kInsideMargin unless both
+  /// neighbouring boundaries lie farther than the margin from it.
+  [[nodiscard]] std::size_t clear_of_margin(double target) const noexcept;
+  /// sample_discrete's sequential walk from `target`.
+  [[nodiscard]] static std::size_t walk(std::span<const double> weights,
+                                        double target) noexcept;
+
+  std::vector<double> weights_;     ///< clamped to >= 0; empty in the lean form
+  std::vector<double> cumulative_;  ///< running sums of the clamped weights
   double total_ = 0.0;
   double margin_ = 0.0;  ///< bound on |cumulative - sequential| rounding
 };

@@ -235,7 +235,7 @@ TEST(StudyRunReport, RecordsEveryStageAndStaysValidJson) {
         "cbwt_geoloc_cache_misses_total", "cbwt_geoloc_measure_seconds",
         "cbwt_netflow_records_generated_total", "cbwt_netflow_matched_total",
         "cbwt_runtime_channel_pushed_total", "cbwt_runtime_pool_size",
-        "cbwt_dns_route_tables"}) {
+        "cbwt_dns_route_tables", "\"geoloc/prefetch\"", "cbwt_geoloc_refine_tables"}) {
     EXPECT_NE(report.find(needle), std::string::npos) << "missing " << needle;
   }
 
@@ -248,6 +248,23 @@ TEST(StudyRunReport, RecordsEveryStageAndStaysValidJson) {
   ASSERT_NE(tables, gauges.end());
   EXPECT_EQ(tables->second, static_cast<double>(study.resolver().route_tables()));
   EXPECT_GT(tables->second, 0.0);
+
+  // Active probing runs inside geoloc/prefetch spans that count the IPs
+  // they measured, and the report refreshes the geolocator's table count:
+  // one table per focus probe that won a scouting round.
+  std::uint64_t prefetched = 0;
+  for (const auto& span : registry.spans()) {
+    if (span.name == "geoloc/prefetch") prefetched += span.items;
+  }
+  EXPECT_GT(prefetched, 0U);
+  EXPECT_EQ(prefetched, registry.counter_value("cbwt_geoloc_probe_batch_ips_total"));
+  const auto refine = std::find_if(gauges.begin(), gauges.end(), [](const auto& gauge) {
+    return gauge.first == "cbwt_geoloc_refine_tables";
+  });
+  ASSERT_NE(refine, gauges.end());
+  EXPECT_EQ(refine->second, static_cast<double>(study.geo().refine_tables()));
+  EXPECT_GT(refine->second, 0.0);
+  EXPECT_LE(refine->second, static_cast<double>(config.mesh.probes));
 
   // Child spans carry their parents.
   EXPECT_NE(report.find("\"name\":\"classify/stage1_abp\",\"parent\":\"study/classify\""),

@@ -4,11 +4,114 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cmath>
+#include <map>
+
 #include "fault/fault.h"
+#include "fault/retry.h"
 #include "obs/metrics.h"
+#include "runtime/thread_pool.h"
+#include "util/contract.h"
 
 namespace cbwt::geoloc {
 namespace {
+
+/// The uncached locate: the executable spec of ActiveGeolocator::locate,
+/// which builds each focus probe's refinement table once. Every call
+/// recomputes the refinement weights around the scouting winner and
+/// draws the refinement panel with sample_discrete over them.
+GeoEstimate reference_locate(const world::World& world, const ProbeMesh& mesh,
+                             const ActiveGeolocatorOptions& options,
+                             const net::IpAddress& ip, util::Rng& rng,
+                             const fault::FaultPlan* fault_plan = nullptr) {
+  const world::Server* server = world.find_server(ip);
+  if (server == nullptr) return {};
+  const auto& dc = world.datacenter(server->datacenter);
+  const auto measure_rtt = [&](const Probe& probe) {
+    const double propagation = 2.0 * geo::propagation_delay_ms(probe.location, dc.location);
+    const double last_mile =
+        rng.next_double_in(options.last_mile_ms_min, options.last_mile_ms_max);
+    const double queueing = rng.next_exponential(options.queue_noise_rate);
+    return propagation + last_mile + queueing;
+  };
+
+  const auto& probes = mesh.probes();
+  const std::size_t panel_size =
+      std::min<std::size_t>(options.probes_per_measurement, probes.size());
+  const std::size_t scout_size = panel_size / 3;
+  struct Sample {
+    double rtt;
+    const Probe* probe;
+  };
+  std::vector<Sample> samples;
+  samples.reserve(panel_size);
+  for (std::size_t i = 0; i < scout_size; ++i) {
+    const auto& probe = probes[static_cast<std::size_t>(rng.next_below(probes.size()))];
+    samples.push_back({measure_rtt(probe), &probe});
+  }
+  const auto best_scout =
+      std::min_element(samples.begin(), samples.end(),
+                       [](const Sample& a, const Sample& b) { return a.rtt < b.rtt; });
+  const geo::LatLon focus = best_scout->probe->location;
+  std::vector<double> refine_weights(probes.size());
+  for (std::size_t i = 0; i < probes.size(); ++i) {
+    const double km = geo::distance_km(probes[i].location, focus);
+    refine_weights[i] = 1.0 / ((km + 50.0) * (km + 50.0));
+  }
+  for (std::size_t i = scout_size; i < panel_size; ++i) {
+    const auto& probe = probes[util::sample_discrete(rng, refine_weights)];
+    samples.push_back({measure_rtt(probe), &probe});
+  }
+  GeoEstimate estimate;
+  const auto probe_site =
+      fault::StageSite::resolve(fault_plan, fault::sites::kGeoProbe, /*registry=*/nullptr);
+  if (probe_site.live()) {
+    std::size_t kept = 0;
+    for (std::size_t slot = 0; slot < samples.size(); ++slot) {
+      const fault::FaultKind kind =
+          probe_site.decide(ip.hash(), static_cast<std::uint32_t>(slot));
+      if (fault::is_loss(kind)) {
+        ++estimate.lost_probes;
+        continue;
+      }
+      if (kind == fault::FaultKind::SlowResponse) {
+        samples[slot].rtt += options.slow_probe_penalty_ms;
+      }
+      samples[kept++] = samples[slot];
+    }
+    samples.resize(kept);
+    if (samples.size() < options.quorum) return estimate;
+  }
+  std::sort(samples.begin(), samples.end(),
+            [](const Sample& a, const Sample& b) { return a.rtt < b.rtt; });
+
+  const std::size_t voters = std::min<std::size_t>(options.voters, samples.size());
+  std::map<std::string, double> votes;
+  std::map<std::string, std::size_t> headcount;
+  for (std::size_t i = 0; i < voters; ++i) {
+    const double weight = 1.0 / std::pow(std::max(samples[i].rtt, 0.1), options.vote_falloff);
+    votes[samples[i].probe->country] += weight;
+    ++headcount[samples[i].probe->country];
+  }
+  double best = 0.0;
+  for (const auto& [country, weight] : votes) {
+    if (weight > best) {
+      best = weight;
+      estimate.country = country;
+    }
+  }
+  estimate.country_agreement =
+      voters == 0 ? 0.0
+                  : static_cast<double>(headcount[estimate.country]) /
+                        static_cast<double>(voters);
+  estimate.min_rtt_ms = samples.empty() ? 0.0 : samples.front().rtt;
+  if (const geo::Country* country = geo::find_country(estimate.country)) {
+    estimate.continent = country->continent;
+  }
+  return estimate;
+}
 
 class GeolocTest : public ::testing::Test {
  protected:
@@ -271,6 +374,122 @@ TEST_F(GeolocTest, PrefetchUnderFaultsCountsEachMissOnce) {
   EXPECT_EQ(registry.counter_value("cbwt_geoloc_probe_batches_total"), batches);
   EXPECT_EQ(registry.counter_value("cbwt_geoloc_unlocated_total"), degraded);
   EXPECT_EQ(registry.counter_value("cbwt_geoloc_cache_hits_total"), ips.size());
+}
+
+TEST_F(GeolocTest, LocateMatchesTheUncachedReference) {
+  // Every fixture server, fault-free and under a live geoloc_probe plan
+  // (losses and slow probes): the same estimate, field for field and
+  // bit for bit, and the same rng state after every call. One locator
+  // serves both passes, so the second runs on warm tables.
+  fault::FaultPlan plan;
+  plan.seed = 0x9E0;
+  plan.site_rates[std::string(fault::sites::kGeoProbe)] = {
+      .timeout = 0.1, .error = 0.05, .slow = 0.1};
+  const ActiveGeolocatorOptions options;
+  const ActiveGeolocator locator(*world_, *mesh_, options);
+  const std::vector<const fault::FaultPlan*> plans = {nullptr, &plan};
+  for (const fault::FaultPlan* faults : plans) {
+    SCOPED_TRACE(faults == nullptr ? "fault-free" : "geoloc_probe faults");
+    std::uint32_t lost = 0;
+    for (const auto& server : world_->servers()) {
+      util::Rng want_rng(util::mix64(1234 ^ server.ip.hash()));
+      util::Rng got_rng = want_rng;
+      const auto want =
+          reference_locate(*world_, *mesh_, options, server.ip, want_rng, faults);
+      const auto got = locator.locate(server.ip, got_rng, faults);
+      const auto where = server.ip.to_string();
+      ASSERT_EQ(got.country, want.country) << where;
+      ASSERT_EQ(got.continent, want.continent) << where;
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(got.country_agreement),
+                std::bit_cast<std::uint64_t>(want.country_agreement))
+          << where;
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(got.min_rtt_ms),
+                std::bit_cast<std::uint64_t>(want.min_rtt_ms))
+          << where;
+      ASSERT_EQ(got.lost_probes, want.lost_probes) << where;
+      ASSERT_EQ(got_rng(), want_rng()) << where;
+      lost += got.lost_probes;
+    }
+    EXPECT_EQ(lost > 0, faults != nullptr);
+  }
+  // Tables exist only for probes that won a scouting round.
+  EXPECT_GT(locator.refine_tables(), 0U);
+  EXPECT_LT(locator.refine_tables(), mesh_->probes().size());
+}
+
+TEST_F(GeolocTest, PanelWithoutAScoutIsRejected) {
+  // Below three probes the panel has no scouting round, so no focus probe
+  // to refine around.
+  const util::ContractPolicy saved = util::contract_policy();
+  util::set_contract_policy(util::ContractPolicy::Throw);
+  ActiveGeolocatorOptions options;
+  options.probes_per_measurement = 2;
+  EXPECT_THROW(ActiveGeolocator(*world_, *mesh_, options), util::ContractViolation);
+  options.probes_per_measurement = 3;
+  EXPECT_NO_THROW(ActiveGeolocator(*world_, *mesh_, options));
+  util::set_contract_policy(saved);
+}
+
+TEST_F(GeolocTest, PrefetchOpensOneSpanPerMeasuredBatch) {
+  obs::Registry registry;
+  util::Rng db_rng(2);
+  auto maxmind = build_maxmind_like(*world_, CommercialDbOptions{}, db_rng);
+  auto ipapi = build_ipapi_like(*world_, maxmind, 0.93, db_rng);
+  const GeoService service(*world_, std::move(maxmind), std::move(ipapi), *mesh_,
+                           ActiveGeolocatorOptions{}, 1234, nullptr, &registry);
+  std::vector<net::IpAddress> ips;
+  for (const auto& server : world_->servers()) {
+    ips.push_back(server.ip);
+    if (ips.size() >= 30) break;
+  }
+  service.prefetch(std::span(ips).first(20));
+  service.prefetch(ips);  // measures only the last 10
+  service.prefetch(ips);  // all cached: no batch, no span
+  std::vector<std::uint64_t> items;
+  for (const auto& span : registry.spans()) {
+    if (span.name == "geoloc/prefetch") items.push_back(span.items);
+  }
+  EXPECT_EQ(items, (std::vector<std::uint64_t>{20, 10}));
+  EXPECT_EQ(registry.counter_value("cbwt_geoloc_probe_batch_ips_total"), 30U);
+  EXPECT_GT(service.refine_tables(), 0U);
+}
+
+TEST(GeoServiceThreads, ColdPrefetchMatchesSerial) {
+  // Four pool workers measure a cold service's IPs, so they race to
+  // build and publish the same focus probes' refinement tables (popular
+  // foci such as the Frankfurt hub win many scouting rounds). Every
+  // verdict must equal a serial service's, and each focus keeps one
+  // table however many workers built it.
+  world::WorldConfig config;
+  config.seed = 9002;
+  config.scale = 0.01;
+  config.publishers = 300;
+  const world::World world = world::build_world(config);
+  util::Rng mesh_rng(1);
+  const ProbeMesh mesh(MeshConfig{}, mesh_rng);
+  const auto make_service = [&](runtime::ThreadPool* pool) {
+    util::Rng db_rng(2);
+    auto maxmind = build_maxmind_like(world, CommercialDbOptions{}, db_rng);
+    auto ipapi = build_ipapi_like(world, maxmind, 0.93, db_rng);
+    return std::make_unique<GeoService>(world, std::move(maxmind), std::move(ipapi), mesh,
+                                        ActiveGeolocatorOptions{}, 77, pool);
+  };
+  std::vector<net::IpAddress> ips;
+  for (const auto& server : world.servers()) {
+    ips.push_back(server.ip);
+    if (ips.size() >= 600) break;
+  }
+  const auto serial = make_service(nullptr);
+  runtime::ThreadPool pool(4);
+  const auto shared = make_service(&pool);
+  ASSERT_EQ(shared->refine_tables(), 0U);
+  shared->prefetch(ips);
+  for (const auto& ip : ips) {
+    ASSERT_EQ(shared->locate(ip, Tool::ActiveIpmap), serial->locate(ip, Tool::ActiveIpmap))
+        << ip.to_string();
+  }
+  EXPECT_EQ(shared->refine_tables(), serial->refine_tables());
+  EXPECT_LE(shared->refine_tables(), mesh.probes().size());
 }
 
 TEST(CommercialDb, EmptyLocatesNothing) {

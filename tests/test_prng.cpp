@@ -200,22 +200,29 @@ TEST(SampleDiscrete, NegativeWeightsTreatedAsZero) {
 
 // --- DiscreteSampler vs sample_discrete --------------------------------
 
-/// Draws `draws` indices through sample_discrete and through a
-/// DiscreteSampler on twin rngs: every index and the final rng states
-/// must agree.
+/// Draws `draws` indices through sample_discrete, a DiscreteSampler and
+/// a cumulative-only one on triplet rngs: every index and the final rng
+/// states must agree.
 void expect_same_draws(std::span<const double> weights, std::uint64_t seed, int draws) {
   const DiscreteSampler sampler(weights);
+  const auto lean = DiscreteSampler::cumulative_only(weights);
+  const auto recompute = [&] { return std::vector<double>(weights.begin(), weights.end()); };
   Rng reference(seed);
   Rng candidate(seed);
+  Rng lean_candidate(seed);
   for (int i = 0; i < draws; ++i) {
     const std::size_t want = sample_discrete(reference, weights);
     const std::size_t got = sampler.sample(candidate);
-    if (want != got) {
-      ADD_FAILURE() << "draw " << i << ": sample_discrete " << want << ", sampler " << got;
+    const std::size_t got_lean = lean.sample(lean_candidate, recompute);
+    if (want != got || want != got_lean) {
+      ADD_FAILURE() << "draw " << i << ": sample_discrete " << want << ", sampler " << got
+                    << ", cumulative-only " << got_lean;
       return;
     }
   }
-  EXPECT_EQ(reference(), candidate());
+  const auto next = reference();
+  EXPECT_EQ(candidate(), next);
+  EXPECT_EQ(lean_candidate(), next);
 }
 
 /// Uniform draws that put the target on, and a few ulps either side of,
@@ -240,8 +247,10 @@ std::vector<double> boundary_draws(std::span<const double> weights) {
 
 void expect_same_boundary_picks(std::span<const double> weights) {
   const DiscreteSampler sampler(weights);
+  const auto lean = DiscreteSampler::cumulative_only(weights);
   for (const double u : boundary_draws(weights)) {
     ASSERT_EQ(sampler.pick(u), pick_discrete(weights, u)) << "u = " << u;
+    ASSERT_EQ(lean.pick(u, [&] { return weights; }), pick_discrete(weights, u)) << "u = " << u;
   }
 }
 
@@ -281,7 +290,8 @@ TEST(DiscreteSampler, MatchesSampleDiscreteOnEdgeWeights) {
 
 TEST(DiscreteSampler, BoundaryTargetsReachTheFallback) {
   // Boundary draws where the lower_bound index alone differs from the
-  // sequential walk: the sampler must still return the walk's index.
+  // sequential walk: both forms must still return the walk's index, the
+  // cumulative-only one by recomputing its weights for each such draw.
   std::size_t disagreements = 0;
   for (std::uint64_t seed = 1; seed <= 20; ++seed) {
     const auto weights = spread_weights(200, seed);
@@ -289,14 +299,32 @@ TEST(DiscreteSampler, BoundaryTargetsReachTheFallback) {
     double total = 0.0;
     for (const double w : weights) cumulative.push_back(total += w);
     const DiscreteSampler sampler(weights);
+    const auto lean = DiscreteSampler::cumulative_only(weights);
     for (const double u : boundary_draws(weights)) {
       const std::size_t want = pick_discrete(weights, u);
       const auto it = std::lower_bound(cumulative.begin(), cumulative.end(), u * total);
       const auto naive = std::min<std::size_t>(
           static_cast<std::size_t>(it - cumulative.begin()), weights.size() - 1);
-      if (naive != want) ++disagreements;
+      bool recomputed = false;
+      const auto recompute = [&] {
+        recomputed = true;
+        return weights;
+      };
       ASSERT_EQ(sampler.pick(u), want) << "seed " << seed << ", u = " << u;
+      ASSERT_EQ(lean.pick(u, recompute), want) << "seed " << seed << ", u = " << u;
+      if (naive != want) {
+        ++disagreements;
+        ASSERT_TRUE(recomputed) << "seed " << seed << ", u = " << u;
+      }
     }
+    // A draw well inside one probe's interval never recomputes.
+    bool recomputed = false;
+    const double u = (cumulative[99] + weights[100] / 2) / total;
+    EXPECT_EQ(lean.pick(u, [&] {
+      recomputed = true;
+      return weights;
+    }), 100U);
+    EXPECT_FALSE(recomputed) << "seed " << seed;
   }
   EXPECT_GT(disagreements, 0U);
 }
