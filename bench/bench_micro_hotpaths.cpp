@@ -1,14 +1,16 @@
 // google-benchmark microbenchmarks of the pipeline's hot paths: filter
 // matching, longest-prefix lookup, DNS server selection, NetFlow
-// collection against the tracker-IP list, and the cbwt::runtime sharded
-// stages (classification, active-geolocation panels, snapshot
-// generation) swept over pool sizes.
+// collection against the tracker-IP list, saving and resuming a panel
+// checkpoint, and the cbwt::runtime sharded stages (classification,
+// active-geolocation panels, snapshot generation) swept over pool sizes.
 //
 // Flags beyond google-benchmark's own: `--threads N` sets the largest
 // pool size in the sweep (0 = hardware cores), `--json PATH` is a
 // shorthand for --benchmark_out=PATH --benchmark_out_format=json.
 #include <benchmark/benchmark.h>
+#include <unistd.h>
 
+#include <filesystem>
 #include <memory>
 #include <span>
 #include <string>
@@ -292,6 +294,58 @@ void BM_ActiveGeolocateCold(benchmark::State& state) {
 BENCHMARK(BM_ActiveGeolocateCold);
 
 // --- cbwt::runtime sharded stages -----------------------------------
+// --- panel checkpoint ----------------------------------------------------
+// The store layer's half of panel_reanalysis: Study::save_checkpoint of a
+// scale-0.03 panel after pDNS replication (192 k requests, ~22 MB on
+// disk), and the resume that reads it back into a fresh Study.
+
+core::StudyConfig checkpoint_config() {
+  core::StudyConfig config;
+  config.world.seed = 1000;
+  config.world.scale = 0.03;
+  return config;
+}
+
+/// A per-process scratch directory holding one saved checkpoint.
+const std::string& checkpoint_dir() {
+  static const std::string dir = [] {
+    const auto path = std::filesystem::temp_directory_path() /
+                      ("cbwt_bench_checkpoint_" + std::to_string(::getpid()));
+    std::filesystem::remove_all(path);
+    return path.string();
+  }();
+  return dir;
+}
+
+core::Study& checkpoint_study() {
+  static core::Study study(checkpoint_config());
+  (void)study.pdns_store();
+  return study;
+}
+
+void BM_CheckpointSave(benchmark::State& state) {
+  auto& study = checkpoint_study();
+  for (auto _ : state) study.save_checkpoint(checkpoint_dir());
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(study.dataset().requests.size()));
+}
+BENCHMARK(BM_CheckpointSave)->Unit(benchmark::kMillisecond);
+
+void BM_CheckpointLoad(benchmark::State& state) {
+  checkpoint_study().save_checkpoint(checkpoint_dir());
+  auto config = checkpoint_config();
+  config.storage.resume_from = checkpoint_dir();
+  std::size_t requests = 0;
+  for (auto _ : state) {
+    core::Study resumed(config);
+    requests = resumed.dataset().requests.size();
+    benchmark::DoNotOptimize(requests);
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(requests));
+}
+BENCHMARK(BM_CheckpointLoad)->Unit(benchmark::kMillisecond);
+
 // Each benchmark takes the pool size as its argument (1 = the serial
 // inline path, no pool object at all) and produces bit-identical results
 // at every size; the sweep measures the speedup alone.
@@ -419,5 +473,6 @@ int main(int argc, char** argv) {
   if (benchmark::ReportUnrecognizedArguments(count, args.data())) return 1;
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
+  std::filesystem::remove_all(checkpoint_dir());
   return 0;
 }

@@ -1,11 +1,12 @@
 #include "browser/dataset_store.h"
 
+#include <limits>
 #include <span>
-#include <utility>
 
 #include "store/bytes.h"
 #include "store/record_file.h"
 #include "store/superblock.h"
+#include "util/contract.h"
 
 namespace cbwt::browser {
 
@@ -58,11 +59,21 @@ std::optional<RequestRow> RequestRowCodec::decode(const std::uint8_t* in) {
 void save_requests(const ExtensionDataset& dataset, const std::string& records_path,
                    const std::string& blobs_path) {
   store::BlobFileWriter blobs(blobs_path);
+  const util::Arena* text = dataset.text.get();
+  if (text != nullptr) {
+    text->for_each_run([&](std::string_view run) { (void)blobs.append(run); });
+  }
+  const auto ref = [&](std::string_view view) -> store::BlobRef {
+    if (view.empty()) return {};
+    CBWT_EXPECTS(view.size() <= std::numeric_limits<std::uint32_t>::max());
+    const auto offset = text != nullptr ? text->offset_of(view) : std::nullopt;
+    return {offset ? *offset : blobs.append(view), static_cast<std::uint32_t>(view.size())};
+  };
   store::RecordFileWriter<RequestRowCodec> rows(records_path);
   for (const ThirdPartyRequest& request : dataset.requests) {
     RequestRow row;
-    row.url = blobs.intern(request.url);
-    row.referrer = blobs.intern(request.referrer);
+    row.url = ref(request.url);
+    row.referrer = ref(request.referrer);
     row.user = request.user;
     row.publisher = request.publisher;
     row.domain = request.domain;
@@ -77,12 +88,21 @@ void save_requests(const ExtensionDataset& dataset, const std::string& records_p
   blobs.finalize();
 }
 
-std::vector<ThirdPartyRequest> load_requests(const std::string& records_path,
-                                             const std::string& blobs_path) {
+ExtensionDataset load_requests(const std::string& records_path,
+                               const std::string& blobs_path) {
   const store::BlobFileReader blobs(blobs_path);
   const store::RecordFileReader<RequestRowCodec> rows(records_path);
-  std::vector<ThirdPartyRequest> requests;
-  requests.reserve(rows.size());
+  ExtensionDataset dataset;
+  dataset.requests.reserve(rows.size());
+  const std::string_view mapped = blobs.payload();
+  const char* const kept = dataset.add_text(mapped).data();
+  // blobs.view checks the ref against the payload; the request keeps the
+  // same slice of the copy.
+  const auto text = [&](const store::BlobRef& ref) {
+    const std::string_view view = blobs.view(ref);
+    return view.empty() ? view
+                        : std::string_view(kept + (view.data() - mapped.data()), view.size());
+  };
   rows.for_each_chunk(store::kDefaultChunkRecords,
                       [&](std::span<const RequestRow> chunk, std::uint64_t /*base*/) {
                         for (const RequestRow& row : chunk) {
@@ -90,17 +110,17 @@ std::vector<ThirdPartyRequest> load_requests(const std::string& records_path,
                           request.user = row.user;
                           request.publisher = row.publisher;
                           request.domain = row.domain;
-                          request.url = std::string(blobs.view(row.url));
-                          request.referrer = std::string(blobs.view(row.referrer));
+                          request.url = text(row.url);
+                          request.referrer = text(row.referrer);
                           request.server_ip = row.server_ip;
                           request.day = row.day;
                           request.chain_depth = row.chain_depth;
                           request.https = row.https;
                           request.interaction_triggered = row.interaction_triggered;
-                          requests.push_back(std::move(request));
+                          dataset.requests.push_back(request);
                         }
                       });
-  return requests;
+  return dataset;
 }
 
 }  // namespace cbwt::browser

@@ -1,7 +1,9 @@
 // Extension-dataset checkpointing: the logged third-party requests as a
-// fixed-width record file (ids, IP, day, flags) plus a blob file (URLs
-// and referrers, interned — chain URLs repeat across users). Loading
-// restores the request vector in logged order; the two dataset-level
+// fixed-width record file (ids, IP, day, flags) plus a blob file whose
+// payload is the dataset's text buffer as it is, each URL once (see
+// ExtensionDataset), so a row's url and referrer BlobRefs are their
+// views' offsets into that buffer. Loading restores the requests in
+// logged order over one copy of the payload. The two dataset-level
 // aggregates (first-party visits, distinct publishers) travel in the
 // checkpoint manifest, which owns all scalar state.
 #pragma once
@@ -9,7 +11,6 @@
 #include <cstdint>
 #include <optional>
 #include <string>
-#include <vector>
 
 #include "browser/extension.h"
 #include "store/blob_file.h"
@@ -45,13 +46,19 @@ struct RequestRowCodec {
 
 /// Persists `dataset.requests` to `records_path` + `blobs_path` (the
 /// scalar aggregates are the caller's to persist — see the checkpoint
-/// manifest).
+/// manifest). The blob payload is `dataset.text`'s bytes in append
+/// order, one blob per buffer chunk, with no lookup or hashing per
+/// string; a view from outside that buffer is appended after it.
 void save_requests(const ExtensionDataset& dataset, const std::string& records_path,
                    const std::string& blobs_path);
 
-/// Restores the request vector saved by save_requests, in logged order.
-/// Throws store::StoreError on validation failure.
-[[nodiscard]] std::vector<ThirdPartyRequest> load_requests(
-    const std::string& records_path, const std::string& blobs_path);
+/// Restores the requests saved by save_requests, in logged order, with
+/// `text` holding one copy of the blob payload that every url and
+/// referrer views; the aggregates are left zero. Any blob file whose
+/// refs lie inside its payload loads, interned ones included. Throws
+/// store::StoreError on validation failure, a ref past the payload
+/// included.
+[[nodiscard]] ExtensionDataset load_requests(const std::string& records_path,
+                                             const std::string& blobs_path);
 
 }  // namespace cbwt::browser

@@ -90,8 +90,8 @@ void Study::maybe_resume() {
   if (!scale || *scale != config_.world.scale) {
     throw store::StoreError("study: checkpoint '" + dir + "' has a different scale");
   }
-  browser::ExtensionDataset data;
-  data.requests = browser::load_requests(dir + "/dataset.rec", dir + "/dataset.blob");
+  browser::ExtensionDataset data =
+      browser::load_requests(dir + "/dataset.rec", dir + "/dataset.blob");
   data.first_party_visits = manifest.get_u64("dataset_first_party_visits").value_or(0);
   data.distinct_publishers = manifest.get_u64("dataset_distinct_publishers").value_or(0);
   dataset_ = std::move(data);

@@ -34,16 +34,23 @@ BlobRef BlobFileWriter::intern(std::string_view text) {
   if (const auto it = interned_.find(text); it != interned_.end()) {
     return it->second;
   }
-  const std::size_t offset = kSuperblockSize + used_;
-  if (offset + text.size() > file_.size()) {
-    file_.grow_to(std::max(offset + text.size(), file_.size() * 2));
-  }
-  std::memcpy(file_.data() + offset, text.data(), text.size());
-  const BlobRef ref{used_, static_cast<std::uint32_t>(text.size())};
+  const BlobRef ref{append(text), static_cast<std::uint32_t>(text.size())};
   interned_.emplace(std::string(text), ref);
-  used_ += text.size();
   ++count_;
   return ref;
+}
+
+std::uint64_t BlobFileWriter::append(std::string_view bytes) {
+  CBWT_EXPECTS(!finalized_);
+  const std::uint64_t start = used_;
+  if (bytes.empty()) return start;
+  const std::size_t offset = kSuperblockSize + used_;
+  if (offset + bytes.size() > file_.size()) {
+    file_.grow_to(std::max(offset + bytes.size(), file_.size() * 2));
+  }
+  std::memcpy(file_.data() + offset, bytes.data(), bytes.size());
+  used_ += bytes.size();
+  return start;
 }
 
 void BlobFileWriter::finalize() {

@@ -3,8 +3,10 @@
 // struct held a string; the referenced bytes live in a sibling blob
 // file and read back zero-copy as std::string_view into the mapping —
 // the on-disk twin of util::Arena's intern-once/view-forever idiom.
-// A writer deduplicates repeated payloads (registrable domains, URLs
-// repeat heavily), so interning is also the compression.
+// A writer either interns (deduplicates repeated payloads: registrable
+// domains repeat heavily, so interning is also the compression) or
+// appends bytes as they are, for a caller that already holds its text
+// once, in one buffer, and derives the refs from their offsets.
 #pragma once
 
 #include <cstddef>
@@ -14,6 +16,7 @@
 
 #include "store/bytes.h"
 #include "store/mapped_file.h"
+#include "store/superblock.h"
 #include "util/transparent_hash.h"
 
 namespace cbwt::store {
@@ -52,10 +55,16 @@ class BlobFileWriter {
   /// only for the writer's lifetime).
   [[nodiscard]] BlobRef intern(std::string_view text);
 
-  /// Distinct blobs interned.
+  /// Writes `bytes` (any length) at the end of the payload, without
+  /// looking them up, indexing or counting them, and returns the payload
+  /// offset of their first byte. A payload written only this way has a
+  /// blob count of 0, whatever runs it was written in.
+  std::uint64_t append(std::string_view bytes);
+
+  /// Distinct blobs interned (appended bytes are not counted).
   [[nodiscard]] std::uint64_t size() const noexcept { return count_; }
 
-  /// Payload bytes written (deduplicated).
+  /// Payload bytes written.
   [[nodiscard]] std::uint64_t bytes_used() const noexcept { return used_; }
 
   /// Stamps the superblock, trims and syncs. Idempotent.
@@ -65,7 +74,7 @@ class BlobFileWriter {
 
  private:
   MappedFile file_;
-  util::StringMap<BlobRef> interned_;
+  util::StringMap<BlobRef> interned_;  ///< intern()'s index; append() skips it
   std::uint64_t count_ = 0;
   std::uint64_t used_ = 0;
   bool finalized_ = false;
@@ -85,6 +94,11 @@ class BlobFileReader {
   /// come from a sibling record file, which may be corrupt or mismatched
   /// independently of this file's own checksum).
   [[nodiscard]] std::string_view view(const BlobRef& ref) const;
+
+  /// The whole payload, zero-copy; view(ref) is a slice of it.
+  [[nodiscard]] std::string_view payload() const noexcept {
+    return {reinterpret_cast<const char*>(file_.data() + kSuperblockSize), payload_};
+  }
 
   [[nodiscard]] std::uint64_t size() const noexcept { return count_; }
   [[nodiscard]] std::uint64_t payload_bytes() const noexcept { return payload_; }

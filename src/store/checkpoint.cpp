@@ -13,6 +13,8 @@ namespace cbwt::store {
 
 namespace {
 
+constexpr std::string_view kManifestTag = "cbwt-checkpoint";
+
 [[nodiscard]] std::string hex_u64(std::uint64_t value) {
   char buf[19];
   std::snprintf(buf, sizeof buf, "0x%016llx",
@@ -90,15 +92,55 @@ std::vector<std::string_view> Manifest::get_all(std::string_view key) const {
   return values;
 }
 
+std::string format_manifest(const Manifest& manifest) {
+  std::string text = std::string(kManifestTag) + ' ' + std::to_string(kManifestVersion) + '\n';
+  for (const auto& [key, value] : manifest.entries()) {
+    text.append(key).append(1, ' ').append(value).append(1, '\n');
+  }
+  return text;
+}
+
+Manifest parse_manifest(std::string_view text) {
+  const auto next_line = [&text] {
+    const std::size_t end = text.find('\n');
+    const std::string_view line = text.substr(0, end);
+    text.remove_prefix(end == std::string_view::npos ? text.size() : end + 1);
+    return line;
+  };
+  if (text.empty()) throw StoreError("store: empty manifest");
+  // Header: `cbwt-checkpoint <version>`, the version in plain decimal.
+  const std::string_view header = next_line();
+  const std::size_t space = header.find(' ');
+  if (space == std::string_view::npos || header.substr(0, space) != kManifestTag) {
+    throw StoreError("store: not a checkpoint manifest");
+  }
+  const std::string_view digits = header.substr(space + 1);
+  std::uint32_t version = 0;
+  const auto [end, error] =
+      std::from_chars(digits.data(), digits.data() + digits.size(), version);
+  if (error != std::errc{} || end != digits.data() + digits.size() ||
+      version != kManifestVersion) {
+    throw StoreError("store: unsupported manifest version");
+  }
+  Manifest manifest;
+  while (!text.empty()) {
+    const std::string_view line = next_line();
+    if (line.empty()) continue;
+    const std::size_t key_end = line.find(' ');
+    if (key_end == 0 || key_end == std::string_view::npos) {
+      throw StoreError("store: malformed manifest line");
+    }
+    manifest.set(std::string(line.substr(0, key_end)), std::string(line.substr(key_end + 1)));
+  }
+  return manifest;
+}
+
 void write_manifest(const std::string& path, const Manifest& manifest) {
   const std::string tmp = path + ".tmp";
   {
-    std::ofstream out(tmp, std::ios::trunc);
+    std::ofstream out(tmp, std::ios::trunc | std::ios::binary);
     if (!out) throw StoreError("store: cannot write manifest '" + tmp + "'");
-    out << "cbwt-checkpoint " << kManifestVersion << '\n';
-    for (const auto& [key, value] : manifest.entries()) {
-      out << key << ' ' << value << '\n';
-    }
+    out << format_manifest(manifest);
     out.flush();
     if (!out) throw StoreError("store: cannot write manifest '" + tmp + "'");
   }
@@ -108,34 +150,15 @@ void write_manifest(const std::string& path, const Manifest& manifest) {
 }
 
 Manifest read_manifest(const std::string& path) {
-  std::ifstream in(path);
+  std::ifstream in(path, std::ios::binary);
   if (!in) throw StoreError("store: cannot open manifest '" + path + "'");
-  std::string header;
-  if (!std::getline(in, header)) {
-    throw StoreError("store: empty manifest '" + path + "'");
+  std::ostringstream text;
+  text << in.rdbuf();
+  try {
+    return parse_manifest(text.view());
+  } catch (const StoreError& error) {
+    throw StoreError(std::string(error.what()) + " in '" + path + "'");
   }
-  std::uint32_t version = 0;
-  {
-    std::istringstream line(header);
-    std::string tag;
-    if (!(line >> tag >> version) || tag != "cbwt-checkpoint") {
-      throw StoreError("store: '" + path + "' is not a checkpoint manifest");
-    }
-  }
-  if (version != kManifestVersion) {
-    throw StoreError("store: unsupported manifest version in '" + path + "'");
-  }
-  Manifest manifest;
-  std::string line;
-  while (std::getline(in, line)) {
-    if (line.empty()) continue;
-    const std::size_t space = line.find(' ');
-    if (space == 0 || space == std::string::npos) {
-      throw StoreError("store: malformed manifest line in '" + path + "'");
-    }
-    manifest.set(line.substr(0, space), line.substr(space + 1));
-  }
-  return manifest;
 }
 
 }  // namespace cbwt::store

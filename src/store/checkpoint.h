@@ -44,12 +44,22 @@ class Manifest {
   std::vector<std::pair<std::string, std::string>> entries_;
 };
 
+/// The text write_manifest stores: the header line, then one
+/// `key value` line per entry.
+[[nodiscard]] std::string format_manifest(const Manifest& manifest);
+
+/// Parses manifest text. Throws StoreError on a bad header, an
+/// unsupported version or a line without a key; never crashes, whatever
+/// the bytes (the input is a file on disk, fuzzed by fuzz_manifest).
+/// parse_manifest(format_manifest(m)) has m's entries.
+[[nodiscard]] Manifest parse_manifest(std::string_view text);
+
 /// Writes `manifest` to `path` atomically (temp file + rename).
 /// Throws StoreError on I/O failure.
 void write_manifest(const std::string& path, const Manifest& manifest);
 
-/// Parses the manifest at `path`. Throws StoreError on I/O failure,
-/// a bad header, an unsupported version, or a malformed line.
+/// Reads the file at `path` and parses it. Throws StoreError on I/O
+/// failure or whatever parse_manifest rejects, naming `path`.
 [[nodiscard]] Manifest read_manifest(const std::string& path);
 
 }  // namespace cbwt::store

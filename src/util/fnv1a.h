@@ -1,6 +1,9 @@
-// FNV-1a 64: the one stable byte hash. Store checksums, fault-site
-// hashes, URL-identity hashes and string-keyed containers all use it,
-// so its values are part of the on-disk format and must never change.
+// FNV-1a 64: the one stable byte hash. Two of its uses are on disk, so
+// its values must never change: store superblock checksums, and the
+// fault-site hashes folded into a join manifest's fault signature (which
+// also fix which records a fault plan drops). URL-identity hashes and
+// string-keyed containers use it too, but live only in memory; they
+// need it to be deterministic, not stable across versions.
 #pragma once
 
 #include <cstddef>

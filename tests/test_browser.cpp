@@ -2,12 +2,60 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <optional>
+#include <string>
+#include <unordered_map>
 #include <unordered_set>
 
 #include "net/url.h"
 
 namespace cbwt::browser {
 namespace {
+
+/// sample_orgs as it was before OrgSampler: every call rescans all orgs
+/// for the pool and walks the weights with sample_discrete per draw. The
+/// executable spec OrgSampler must match draw for draw.
+std::vector<world::OrgId> reference_sample_orgs(const world::World& world,
+                                                world::OrgRole role, std::size_t count,
+                                                std::string_view local_country,
+                                                util::Rng& rng) {
+  std::vector<world::OrgId> pool;
+  std::vector<double> weights;
+  for (const auto& org : world.orgs()) {
+    if (org.role == role) {
+      pool.push_back(org.id);
+      weights.push_back(org.popularity * (org.hq_country == local_country ? 4.0 : 1.0));
+    }
+  }
+  std::vector<world::OrgId> out;
+  for (std::size_t i = 0; i < count * 3 && out.size() < count; ++i) {
+    const auto picked = pool[util::sample_discrete(rng, weights)];
+    if (std::find(out.begin(), out.end(), picked) == out.end()) out.push_back(picked);
+  }
+  return out;
+}
+
+/// publisher_weights as it was before topic masks: a linear search of
+/// the user's interests per publisher topic.
+std::vector<double> reference_publisher_weights(const world::World& world,
+                                                const world::ExtensionUser& user) {
+  const auto& publishers = world.publishers();
+  std::vector<double> weights(publishers.size());
+  for (std::size_t i = 0; i < publishers.size(); ++i) {
+    double weight = publishers[i].popularity;
+    for (const auto topic : publishers[i].topics) {
+      if (std::find(user.interests.begin(), user.interests.end(), topic) !=
+          user.interests.end()) {
+        weight *= 3.0;
+        break;
+      }
+    }
+    if (publishers[i].country == user.country) weight *= 5.0;
+    weights[i] = weight;
+  }
+  return weights;
+}
 
 class BrowserTest : public ::testing::Test {
  protected:
@@ -86,6 +134,64 @@ TEST_F(BrowserTest, ChainedRequestsReferenceARealParentUrl) {
   EXPECT_GT(chained, dataset_->requests.size() / 5);
 }
 
+TEST_F(BrowserTest, EachUrlIsStoredOnceAndChainsShareIt) {
+  // The text buffer holds the stored URLs plus one page URL per rendered
+  // visit, nothing else. A chained request's referrer is its parent's
+  // url view, not a copy, and an entry request's referrer is its visit's
+  // page URL view.
+  std::unordered_map<const char*, std::string_view> stored;
+  for (const auto& request : dataset_->requests) stored.emplace(request.url.data(), request.url);
+  std::unordered_set<const char*> page_urls;
+  std::size_t text_bytes = 0;
+  for (const auto& [start, url] : stored) text_bytes += url.size();
+  for (const auto& request : dataset_->requests) {
+    if (request.chain_depth == 0) {
+      if (page_urls.insert(request.referrer.data()).second) text_bytes += request.referrer.size();
+    } else {
+      EXPECT_TRUE(stored.contains(request.referrer.data())) << request.referrer;
+    }
+  }
+  EXPECT_LE(page_urls.size(), dataset_->first_party_visits);
+  EXPECT_EQ(dataset_->text->bytes_used(), text_bytes);
+
+  // URLs without a random id (tag versions, app bundles, widget embeds)
+  // repeat across requests and are stored once each; the rest repeat
+  // only by chance, so a URL is stored twice for well under 1% of them.
+  std::unordered_map<std::string_view, const char*> first_copy;
+  std::size_t extra_copies = 0;
+  for (const auto& [start, url] : stored) {
+    const auto [it, fresh] = first_copy.emplace(url, start);
+    if (fresh) continue;
+    ++extra_copies;
+    EXPECT_EQ(url.find("/adserve/tag.js"), std::string_view::npos) << url;
+    EXPECT_EQ(url.find("/assets/app-"), std::string_view::npos) << url;
+    EXPECT_EQ(url.find("/widget/embed"), std::string_view::npos) << url;
+  }
+  EXPECT_LT(stored.size(), dataset_->requests.size() * 9 / 10);
+  EXPECT_LT(extra_copies * 100, dataset_->requests.size());
+}
+
+TEST_F(BrowserTest, ViewsOutliveTheDatasetTheyWereCopiedOrMovedFrom) {
+  // A fresh run with the fixture's seed, so it is the only owner of its
+  // text; AddressSanitizer reports any view left dangling below.
+  util::Rng rng(7);
+  std::optional<ExtensionDataset> source(
+      collect_extension_dataset(*world_, *resolver_, CollectorConfig{}, rng));
+  std::optional<ExtensionDataset> copy(*source);
+  const ExtensionDataset moved = std::move(*source);
+  source.reset();
+  const auto expect_fixture_text = [&](const ExtensionDataset& dataset) {
+    ASSERT_EQ(dataset.requests.size(), dataset_->requests.size());
+    for (std::size_t i = 0; i < dataset.requests.size(); ++i) {
+      ASSERT_EQ(dataset.requests[i].url, dataset_->requests[i].url);
+      ASSERT_EQ(dataset.requests[i].referrer, dataset_->requests[i].referrer);
+    }
+  };
+  expect_fixture_text(*copy);
+  copy.reset();  // `moved` is now the text's only owner
+  expect_fixture_text(moved);
+}
+
 TEST_F(BrowserTest, ChainDepthsFormTheRtbCascade) {
   bool depth1 = false;
   bool depth2 = false;
@@ -148,6 +254,53 @@ TEST_F(BrowserTest, DaysStayInsideTheWindow) {
   }
 }
 
+TEST_F(BrowserTest, OrgSamplerMatchesTheRescanningReference) {
+  // One sampler for the whole sweep, so later calls hit cached pools;
+  // "ZZ" is a market no org calls home.
+  std::vector<std::string> countries{"ZZ"};
+  for (const auto& user : world_->users()) {
+    if (std::find(countries.begin(), countries.end(), user.country) == countries.end()) {
+      countries.push_back(user.country);
+    }
+  }
+  OrgSampler sampler(*world_);
+  util::Rng rng(404);
+  util::Rng reference_rng(404);
+  std::size_t draws = 0;
+  for (int round = 0; round < 3; ++round) {
+    for (const auto role : {world::OrgRole::Dsp, world::OrgRole::SyncService}) {
+      for (const auto& country : countries) {
+        for (std::size_t count = 1; count <= 6; ++count) {
+          const auto got = sampler.sample(role, count, country, rng);
+          const auto want = reference_sample_orgs(*world_, role, count, country, reference_rng);
+          ASSERT_EQ(got, want) << world::to_string(role) << " " << country << " " << count;
+          ASSERT_EQ(rng(), reference_rng()) << world::to_string(role) << " " << country;
+          draws += got.size();
+        }
+      }
+    }
+  }
+  EXPECT_GT(draws, 1000U);
+}
+
+TEST_F(BrowserTest, PublisherWeightsMatchTheTopicScanReference) {
+  const auto masks = publisher_topic_masks(*world_);
+  for (const auto& user : world_->users()) {
+    const auto want = reference_publisher_weights(*world_, user);
+    const auto got = publisher_weights(*world_, masks, user);
+    ASSERT_EQ(got, want) << "user " << user.id;  // bitwise: same products, same order
+    ASSERT_EQ(publisher_weights(*world_, user), want) << "user " << user.id;
+    // The draws a visit makes from them: same index, same next rng output.
+    const util::DiscreteSampler sampler(got);
+    util::Rng rng(user.id);
+    util::Rng reference_rng(user.id);
+    for (int draw = 0; draw < 8; ++draw) {
+      ASSERT_EQ(sampler.sample(rng), util::sample_discrete(reference_rng, want));
+    }
+    ASSERT_EQ(rng(), reference_rng());
+  }
+}
+
 TEST(BrowserAblation, CrawlerSeesFewerRequestsThanRealUsers) {
   world::WorldConfig config;
   config.seed = 2024;
@@ -183,7 +336,7 @@ TEST(BrowserUnit, VisitsFillTheCookieJar) {
   const auto world = world::build_world(config);
   const dns::Resolver resolver(world);
   util::Rng rng(9);
-  std::vector<ThirdPartyRequest> out;
+  ExtensionDataset out;
   CollectorConfig collector;
   rtb::CookieJar jar;
   // A few visits accumulate org ids and sync edges in the jar.
@@ -210,12 +363,12 @@ TEST(BrowserUnit, RenderVisitAppendsForOnePage) {
   const auto world = world::build_world(config);
   const dns::Resolver resolver(world);
   util::Rng rng(3);
-  std::vector<ThirdPartyRequest> out;
+  ExtensionDataset out;
   CollectorConfig collector;
   render_visit(world, resolver, world.users().front(), world.publishers().front(), 7,
                collector, rng, out);
-  EXPECT_FALSE(out.empty());
-  for (const auto& request : out) {
+  EXPECT_FALSE(out.requests.empty());
+  for (const auto& request : out.requests) {
     EXPECT_EQ(request.user, world.users().front().id);
     EXPECT_EQ(request.publisher, world.publishers().front().id);
     EXPECT_EQ(request.day, 7);

@@ -10,11 +10,11 @@ namespace {
 /// Builds a tiny hand-made dataset exercising each classification stage.
 browser::ExtensionDataset hand_dataset() {
   browser::ExtensionDataset dataset;
-  const auto add = [&](std::string url, std::string referrer) {
+  const auto add = [&](std::string_view url, std::string_view referrer) {
     browser::ThirdPartyRequest request;
-    request.url = std::move(url);
-    request.referrer = std::move(referrer);
-    dataset.requests.push_back(std::move(request));
+    request.url = dataset.add_text(url);
+    request.referrer = dataset.add_text(referrer);
+    dataset.requests.push_back(request);
   };
   // 0: listed ad request (stage 1)
   add("https://ads.known.com/tag.js?v=1", "https://pub.com/");
@@ -74,10 +74,10 @@ TEST(Classifier, KeywordMatchesArgumentKeysExactly) {
   browser::ExtensionDataset dataset;
   browser::ThirdPartyRequest request;
   // "cm" must match as a key, not as a substring of "cmx" or of a value.
-  request.url = "https://a.com/p?cmx=1&v=cm";
-  request.referrer = "https://nowhere.com/";
+  request.url = dataset.add_text("https://a.com/p?cmx=1&v=cm");
+  request.referrer = dataset.add_text("https://nowhere.com/");
   dataset.requests.push_back(request);
-  request.url = "https://a.com/p?cm=1";
+  request.url = dataset.add_text("https://a.com/p?cm=1");
   dataset.requests.push_back(request);
   const auto outcomes = hand_classifier().run(dataset);
   EXPECT_EQ(outcomes[0].method, Method::None);
@@ -86,11 +86,11 @@ TEST(Classifier, KeywordMatchesArgumentKeysExactly) {
 
 TEST(Classifier, ChainDepthBeyondTwoIsReached) {
   browser::ExtensionDataset dataset;
-  const auto add = [&](std::string url, std::string referrer) {
+  const auto add = [&](std::string_view url, std::string_view referrer) {
     browser::ThirdPartyRequest request;
-    request.url = std::move(url);
-    request.referrer = std::move(referrer);
-    dataset.requests.push_back(std::move(request));
+    request.url = dataset.add_text(url);
+    request.referrer = dataset.add_text(referrer);
+    dataset.requests.push_back(request);
   };
   add("https://ads.known.com/t.js?v=1", "https://pub.com/");
   add("https://a.com/x?d=1", "https://ads.known.com/t.js?v=1");

@@ -8,6 +8,8 @@
 #include <cstdint>
 #include <cstdio>
 #include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -312,6 +314,21 @@ TEST(StoreBlobFile, InternsAndReadsBack) {
   EXPECT_THROW((void)reader.view(store::BlobRef{1000, 50}), store::StoreError);
 }
 
+TEST(StoreBlobFile, AppendWritesBytesAsTheyAre) {
+  const std::string path = temp_path("appended.blob");
+  {
+    store::BlobFileWriter writer(path);
+    EXPECT_EQ(writer.append("tracker.example"), 0u);
+    EXPECT_EQ(writer.append("tracker.example"), 15u);  // no dedupe
+    EXPECT_EQ(writer.intern("cdn.example").offset, 30u);
+    EXPECT_EQ(writer.intern("tracker.example").offset, 30u + 11u);  // appends are not indexed
+    EXPECT_EQ(writer.size(), 2u);  // interned blobs only
+  }
+  const store::BlobFileReader reader(path);
+  EXPECT_EQ(reader.payload(), "tracker.exampletracker.examplecdn.exampletracker.example");
+  EXPECT_EQ(reader.view(store::BlobRef{15, 7}), "tracker");
+}
+
 // --- checkpoint manifest ----------------------------------------------
 
 TEST(StoreManifest, RoundTripsExactly) {
@@ -335,6 +352,34 @@ TEST(StoreManifest, RoundTripsExactly) {
   EXPECT_FALSE(loaded.get("absent").has_value());
   EXPECT_THROW((void)store::read_manifest(temp_path("no_manifest.txt")),
                store::StoreError);
+}
+
+TEST(StoreManifest, FormatParseRoundTrips) {
+  store::Manifest manifest;
+  manifest.set_u64("seed", 20180901);
+  manifest.set("file", "dataset.rec");
+  manifest.set("note", "two words  and a trailing space ");
+  manifest.set("empty", "");
+  const std::string text = store::format_manifest(manifest);
+  EXPECT_TRUE(text.starts_with("cbwt-checkpoint 1\n")) << text;
+  EXPECT_EQ(store::parse_manifest(text).entries(), manifest.entries());
+}
+
+TEST(StoreManifest, ParseRejectsMalformedText) {
+  for (const std::string_view text :
+       {"", "\n", "cbwt-checkpoint\n", "cbwt-snapshot 1\nseed 1\n", "cbwt-checkpoint 2\n",
+        "cbwt-checkpoint 01x\n", "cbwt-checkpoint -1\n", "cbwt-checkpoint  1\n",
+        "cbwt-checkpoint 18446744073709551617\n", "cbwt-checkpoint 1\nseed\n",
+        "cbwt-checkpoint 1\n value\n"}) {
+    EXPECT_THROW((void)store::parse_manifest(text), store::StoreError) << text;
+  }
+  // Blank lines are skipped; a missing final newline is fine; an
+  // oversized number parses as text and reads as no value.
+  const auto manifest =
+      store::parse_manifest("cbwt-checkpoint 1\n\nseed 18446744073709551616\nfile a b");
+  EXPECT_EQ(manifest.get("seed"), "18446744073709551616");
+  EXPECT_EQ(manifest.get_u64("seed"), std::nullopt);
+  EXPECT_EQ(manifest.get("file"), "a b");
 }
 
 TEST(StoreManifest, GetU64AcceptsOnlyWhatSetWrites) {
@@ -401,32 +446,40 @@ TEST(StorePdnsCheckpoint, RestoredStoreIsIndistinguishable) {
 
 // --- browser dataset checkpoint ---------------------------------------
 
-TEST(StoreBrowserCheckpoint, RestoredRequestsMatchExactly) {
+/// 2,000 requests over 25 × 7 URLs and 90 page URLs, each added to the
+/// dataset's text per request (so the text repeats, as collection's
+/// does); every seventh referrer is a literal outside that text.
+browser::ExtensionDataset checkpoint_fixture() {
   browser::ExtensionDataset dataset;
   for (std::uint32_t i = 0; i < 2'000; ++i) {
     browser::ThirdPartyRequest request;
     request.user = i % 350;
     request.publisher = i % 90;
     request.domain = i % 200;
-    request.url = "https://t" + std::to_string(i % 25) + ".example/pix?id=" +
-                  std::to_string(i % 7);
-    request.referrer = (i % 3) != 0 ? "https://pub" + std::to_string(i % 90) + ".example/"
-                                    : std::string{};
+    request.url = dataset.add_text("https://t" + std::to_string(i % 25) + ".example/pix?id=" +
+                                   std::to_string(i % 7));
+    if (i % 7 == 0) {
+      request.referrer = "https://static.example/";
+    } else if (i % 3 != 0) {
+      request.referrer = dataset.add_text("https://pub" + std::to_string(i % 90) + ".example/");
+    }
     request.server_ip = (i % 5) != 0 ? net::IpAddress::v4(0x0B000000u + i % 100)
                                      : net::IpAddress::v6(0x20010DB8, i % 17);
     request.day = static_cast<pdns::Day>(i % 135);
     request.chain_depth = static_cast<std::uint8_t>(i % 4);
     request.https = (i % 6) != 0;
     request.interaction_triggered = (i % 11) == 0;
-    dataset.requests.push_back(std::move(request));
+    dataset.requests.push_back(request);
   }
-  const std::string dir = temp_dir("browser_ckpt");
-  browser::save_requests(dataset, dir + "/dataset.rec", dir + "/dataset.blob");
-  const auto restored = browser::load_requests(dir + "/dataset.rec", dir + "/dataset.blob");
-  ASSERT_EQ(restored.size(), dataset.requests.size());
-  for (std::size_t i = 0; i < restored.size(); ++i) {
-    const auto& a = dataset.requests[i];
-    const auto& b = restored[i];
+  return dataset;
+}
+
+void expect_same_requests(const browser::ExtensionDataset& got,
+                          const browser::ExtensionDataset& want) {
+  ASSERT_EQ(got.requests.size(), want.requests.size());
+  for (std::size_t i = 0; i < got.requests.size(); ++i) {
+    const auto& a = want.requests[i];
+    const auto& b = got.requests[i];
     EXPECT_EQ(a.user, b.user);
     EXPECT_EQ(a.publisher, b.publisher);
     EXPECT_EQ(a.domain, b.domain);
@@ -438,6 +491,87 @@ TEST(StoreBrowserCheckpoint, RestoredRequestsMatchExactly) {
     EXPECT_EQ(a.https, b.https);
     EXPECT_EQ(a.interaction_triggered, b.interaction_triggered);
   }
+}
+
+std::string file_bytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
+}
+
+TEST(StoreBrowserCheckpoint, RestoredRequestsMatchExactly) {
+  const auto dataset = checkpoint_fixture();
+  const std::string dir = temp_dir("browser_ckpt");
+  browser::save_requests(dataset, dir + "/dataset.rec", dir + "/dataset.blob");
+  const auto restored = browser::load_requests(dir + "/dataset.rec", dir + "/dataset.blob");
+  expect_same_requests(restored, dataset);
+  EXPECT_EQ(restored.first_party_visits, 0U);  // the manifest carries the aggregates
+  EXPECT_EQ(restored.distinct_publishers, 0U);
+
+  // The payload is the text buffer as it is, then the one literal that
+  // lies outside it (appended once per request that views it).
+  const store::BlobFileReader blobs(dir + "/dataset.blob");
+  const std::size_t literals = (dataset.requests.size() + 6) / 7;
+  EXPECT_EQ(blobs.payload_bytes(),
+            dataset.text->bytes_used() + literals * std::string_view("https://static.example/").size());
+  std::string image;
+  dataset.text->for_each_run([&](std::string_view run) { image.append(run); });
+  EXPECT_EQ(blobs.payload().substr(0, image.size()), image);
+  // Every restored view lies inside the one copy of the payload.
+  for (const auto& request : restored.requests) {
+    EXPECT_TRUE(restored.text->offset_of(request.url).has_value());
+  }
+}
+
+TEST(StoreBrowserCheckpoint, ResavingARestoredDatasetWritesTheSameBytes) {
+  const std::string dir = temp_dir("browser_resave");
+  browser::save_requests(checkpoint_fixture(), dir + "/a.rec", dir + "/a.blob");
+  const auto restored = browser::load_requests(dir + "/a.rec", dir + "/a.blob");
+  browser::save_requests(restored, dir + "/b.rec", dir + "/b.blob");
+  EXPECT_EQ(file_bytes(dir + "/b.rec"), file_bytes(dir + "/a.rec"));
+  EXPECT_EQ(file_bytes(dir + "/b.blob"), file_bytes(dir + "/a.blob"));
+}
+
+TEST(StoreBrowserCheckpoint, LoadsInternedBlobFiles) {
+  // Earlier writers interned every URL and referrer (one copy per
+  // distinct string, refs shared between rows); such checkpoints resume.
+  const auto dataset = checkpoint_fixture();
+  const std::string dir = temp_dir("browser_interned");
+  {
+    store::BlobFileWriter blobs(dir + "/dataset.blob");
+    store::RecordFileWriter<browser::RequestRowCodec> rows(dir + "/dataset.rec");
+    for (const auto& request : dataset.requests) {
+      browser::RequestRow row;
+      row.url = blobs.intern(request.url);
+      row.referrer = blobs.intern(request.referrer);
+      row.user = request.user;
+      row.publisher = request.publisher;
+      row.domain = request.domain;
+      row.server_ip = request.server_ip;
+      row.day = request.day;
+      row.chain_depth = request.chain_depth;
+      row.https = request.https;
+      row.interaction_triggered = request.interaction_triggered;
+      rows.append(row);
+    }
+  }
+  expect_same_requests(
+      browser::load_requests(dir + "/dataset.rec", dir + "/dataset.blob"), dataset);
+}
+
+TEST(StoreBrowserCheckpoint, RefPastThePayloadFailsTheLoad) {
+  const std::string dir = temp_dir("browser_bad_ref");
+  {
+    store::BlobFileWriter blobs(dir + "/dataset.blob");
+    const store::BlobRef url = blobs.intern("https://t.example/pix");
+    store::RecordFileWriter<browser::RequestRowCodec> rows(dir + "/dataset.rec");
+    browser::RequestRow row;
+    row.url = url;
+    rows.append(row);
+    row.referrer = store::BlobRef{url.offset + 4, url.length};  // ends 4 bytes past it
+    rows.append(row);
+  }
+  EXPECT_THROW((void)browser::load_requests(dir + "/dataset.rec", dir + "/dataset.blob"),
+               store::StoreError);
 }
 
 // --- end-to-end: store-backed == in-memory, resume == straight-through -

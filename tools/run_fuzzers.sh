@@ -21,10 +21,11 @@ declare -A corpus=(
   [fuzz_netflow_record]=fuzz/corpus/netflow
   [fuzz_store_superblock]=fuzz/corpus/store_superblock
   [fuzz_flow_page]=fuzz/corpus/flow_page
+  [fuzz_manifest]=fuzz/corpus/manifest
 )
 
 for harness in fuzz_url fuzz_rule fuzz_netflow_record fuzz_store_superblock \
-               fuzz_flow_page; do
+               fuzz_flow_page fuzz_manifest; do
   bin="$build_dir/fuzz/$harness"
   if [ ! -x "$bin" ]; then
     echo "run_fuzzers: $bin not built (configure with -DCBWT_BUILD_FUZZERS=ON)" >&2
