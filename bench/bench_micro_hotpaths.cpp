@@ -1,6 +1,7 @@
 // google-benchmark microbenchmarks of the pipeline's hot paths: filter
-// matching, longest-prefix lookup, DNS server selection, NetFlow
-// collection against the tracker-IP list, saving and resuming a panel
+// matching, longest-prefix lookup, DNS server selection, pDNS
+// replication, NetFlow collection against the tracker-IP list, saving
+// and resuming a panel
 // checkpoint, and the cbwt::runtime sharded stages (classification,
 // active-geolocation panels, snapshot generation) swept over pool sizes.
 //
@@ -25,6 +26,7 @@
 #include "netflow/collector.h"
 #include "netflow/generator.h"
 #include "netflow/profile.h"
+#include "pdns/replication.h"
 #include "runtime/parallel.h"
 #include "runtime/thread_pool.h"
 
@@ -233,6 +235,27 @@ void BM_DnsResolve(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
 BENCHMARK(BM_DnsResolve);
+
+/// Study::pdns_store()'s serial path at the default replication config:
+/// 444 k background queries drawn into one batch, folded into an empty
+/// store. Items are queries.
+void BM_PdnsReplicate(benchmark::State& state) {
+  const auto& world = micro_world();
+  const dns::Resolver resolver(world);
+  const pdns::ReplicationConfig config;
+  std::size_t records = 0;
+  for (auto _ : state) {
+    pdns::Store store;
+    util::Rng rng(9);
+    pdns::replicate_background(store, resolver, config, rng);
+    records = store.record_count();
+    benchmark::DoNotOptimize(records);
+  }
+  const auto samples = (config.window_end - config.window_start) / config.sample_every + 1;
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * samples *
+                          config.queries_per_sample);
+}
+BENCHMARK(BM_PdnsReplicate)->Unit(benchmark::kMillisecond);
 
 void BM_NetflowCollect(benchmark::State& state) {
   const auto& world = micro_world();

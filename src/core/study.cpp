@@ -15,6 +15,7 @@
 #include "obs/trace_buffer.h"
 #include "pdns/checkpoint.h"
 #include "report/json.h"
+#include "runtime/parallel.h"
 #include "store/checkpoint.h"
 #include "store/mapped_file.h"
 #include "util/contract.h"
@@ -131,11 +132,33 @@ const browser::ExtensionDataset& Study::dataset() {
     // stages never appear as children of the stage that tripped them.
     const auto& built_world = world();
     const auto& dns = resolver();
+    runtime::ThreadPool* workers = pool();
     obs::ScopedSpan span(config_.registry, "study/dataset");
     if (!pdns_) pdns_.emplace();
-    auto rng = stage_rng(0xDA7A);
-    dataset_ = browser::collect_extension_dataset(built_world, dns, config_.collector,
-                                                  rng, &*pdns_);
+    const auto collect = [&] {
+      auto rng = stage_rng(0xDA7A);
+      dataset_ = browser::collect_extension_dataset(built_world, dns, config_.collector,
+                                                    rng, &*pdns_);
+    };
+    if (workers == nullptr) {
+      collect();
+    } else {
+      // Replication's batch draws from its own stage RNG and reads only
+      // the world and the thread-safe resolver, never the store that
+      // collection feeds, so the two run as the two shards of one
+      // parallel_for and every output stays what the serial order gives.
+      runtime::parallel_for(workers, 2, {.min_shard_items = 1, .max_shards = 2},
+                            [&](runtime::ShardRange range, std::size_t /*shard*/) {
+                              if (range.begin == 0) {
+                                collect();
+                              } else {
+                                auto rng = stage_rng(0x9D45);
+                                pending_batch_ = pdns::replicate_batch(
+                                    dns, config_.replication, rng, &config_.fault_plan,
+                                    config_.registry);
+                              }
+                            });
+    }
     span.set_items(dataset_->requests.size());
   }
   return *dataset_;
@@ -146,9 +169,14 @@ const pdns::Store& Study::pdns_store() {
   if (!pdns_replicated_) {
     const auto& dns = resolver();
     obs::ScopedSpan span(config_.registry, "study/pdns_replication");
-    auto rng = stage_rng(0x9D45);
-    pdns::replicate_background(*pdns_, dns, config_.replication, rng, &config_.fault_plan,
-                               config_.registry);
+    if (pending_batch_) {
+      pdns::fold_batch(*pdns_, dns.world(), *pending_batch_);
+      pending_batch_.reset();
+    } else {
+      auto rng = stage_rng(0x9D45);
+      pdns::replicate_background(*pdns_, dns, config_.replication, rng, &config_.fault_plan,
+                                 config_.registry);
+    }
     pdns_replicated_ = true;
     span.set_items(pdns_->all_ips().size());
   }

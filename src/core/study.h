@@ -114,6 +114,8 @@ class Study {
   [[nodiscard]] const dns::Resolver& resolver();
 
   /// The recruited users' collected dataset (collection feeds pDNS).
+  /// With a pool, background pDNS replication's batch is drawn beside
+  /// collection on a second worker and kept until pdns_store() folds it.
   [[nodiscard]] const browser::ExtensionDataset& dataset();
 
   /// pDNS store after extension feeding + background replication.
@@ -217,6 +219,10 @@ class Study {
   std::optional<browser::ExtensionDataset> dataset_;
   std::optional<pdns::Store> pdns_;
   bool pdns_replicated_ = false;
+  /// Replication's batch, drawn beside collection and not yet folded
+  /// into pdns_; a checkpoint saved meanwhile records replication as not
+  /// run, exactly as the serial path would.
+  std::optional<std::vector<pdns::BatchEntry>> pending_batch_;
   std::optional<classify::Classifier> classifier_;
   std::optional<std::vector<classify::Outcome>> outcomes_;
   std::optional<std::vector<net::IpAddress>> observed_ips_;

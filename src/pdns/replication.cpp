@@ -1,8 +1,11 @@
 #include "pdns/replication.h"
 
+#include <algorithm>
+#include <unordered_map>
 #include <vector>
 
 #include "geo/country.h"
+#include "obs/trace_buffer.h"
 
 namespace cbwt::pdns {
 
@@ -18,9 +21,11 @@ Day stale_lag_days(const fault::StageSite& pdns, std::uint64_t key) noexcept {
 
 }  // namespace
 
-void replicate_background(Store& store, const dns::Resolver& resolver,
-                          const ReplicationConfig& config, util::Rng& rng,
-                          const fault::FaultPlan* fault_plan, obs::Registry* registry) {
+std::vector<BatchEntry> replicate_batch(const dns::Resolver& resolver,
+                                        const ReplicationConfig& config, util::Rng& rng,
+                                        const fault::FaultPlan* fault_plan,
+                                        obs::Registry* registry) {
+  obs::ScopedTrace trace(registry, "pdns/replicate_batch");
   const world::World& world = resolver.world();
 
   const auto pdns = fault::StageSite::resolve(fault_plan, fault::sites::kPdns, registry);
@@ -49,6 +54,23 @@ void replicate_background(Store& store, const dns::Resolver& resolver,
   }
   const util::DiscreteSampler domain_sampler(domain_weights);
 
+  // One entry per (domain, server) pair, in first-observation order.
+  std::vector<BatchEntry> batch;
+  std::unordered_map<std::uint64_t, std::size_t> entry_of;
+  const auto observe = [&](world::DomainId domain, world::ServerId server,
+                           const net::IpAddress& ip, Day day) {
+    const std::uint64_t key = (static_cast<std::uint64_t>(domain) << 32) | server;
+    const auto [it, inserted] = entry_of.try_emplace(key, batch.size());
+    if (inserted) {
+      batch.push_back(BatchEntry{domain, server, ip, day, day, 1});
+      return;
+    }
+    BatchEntry& entry = batch[it->second];
+    entry.first_seen = std::min(entry.first_seen, day);
+    entry.last_seen = std::max(entry.last_seen, day);
+    ++entry.observations;
+  };
+
   for (Day day = config.window_start; day <= config.window_end; day += config.sample_every) {
     for (std::uint32_t q = 0; q < config.queries_per_sample; ++q) {
       const std::size_t country = country_sampler.sample(rng);
@@ -59,7 +81,6 @@ void replicate_background(Store& store, const dns::Resolver& resolver,
       // the fault-free stream.
       const auto answer =
           resolver.resolve(domain_id, origins[2 * country + (third_party ? 1 : 0)], rng);
-      const auto& domain = world.domain(domain_id);
       Day observed_day = day;
       if (pdns.live()) {
         const std::uint64_t key =
@@ -77,7 +98,7 @@ void replicate_background(Store& store, const dns::Resolver& resolver,
           pdns.metrics.count_degraded();
         }
       }
-      store.observe(domain.fqdn, domain.registrable, answer.ip, observed_day);
+      observe(domain_id, answer.server, answer.ip, observed_day);
     }
   }
 
@@ -92,12 +113,33 @@ void replicate_background(Store& store, const dns::Resolver& resolver,
     const auto& victim = world.domain(victim_id);
     const auto& donor = world.domain(donor_id);
     if (victim.org == donor.org || donor.servers.empty()) continue;
-    const auto& donor_server = world.server(donor.servers.front());
+    const world::ServerId donor_server = donor.servers.front();
+    const net::IpAddress& donor_ip = world.server(donor_server).ip;
     const Day stale_start = config.window_start - 400 + static_cast<Day>(rng.next_below(300));
-    store.observe(victim.fqdn, victim.registrable, donor_server.ip, stale_start);
-    store.observe(victim.fqdn, victim.registrable, donor_server.ip,
-                  stale_start + static_cast<Day>(rng.next_below(60)));
+    observe(victim_id, donor_server, donor_ip, stale_start);
+    observe(victim_id, donor_server, donor_ip,
+            stale_start + static_cast<Day>(rng.next_below(60)));
   }
+  return batch;
+}
+
+void fold_batch(Store& store, const world::World& world, const std::vector<BatchEntry>& batch) {
+  // A pair's record is created by its earliest observation, and batch
+  // order is first-observation order, so records append in the order
+  // per-observation feeding appends them; window bounds and counts are
+  // min, max and sum either way.
+  for (const BatchEntry& entry : batch) {
+    const auto& domain = world.domain(entry.domain);
+    store.fold(domain.fqdn, domain.registrable, entry.ip, entry.first_seen, entry.last_seen,
+               entry.observations);
+  }
+}
+
+void replicate_background(Store& store, const dns::Resolver& resolver,
+                          const ReplicationConfig& config, util::Rng& rng,
+                          const fault::FaultPlan* fault_plan, obs::Registry* registry) {
+  fold_batch(store, resolver.world(),
+             replicate_batch(resolver, config, rng, fault_plan, registry));
 }
 
 }  // namespace cbwt::pdns

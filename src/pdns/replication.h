@@ -6,6 +6,7 @@
 #pragma once
 
 #include <cstdint>
+#include <vector>
 
 #include "dns/resolver.h"
 #include "fault/retry.h"
@@ -30,7 +31,20 @@ struct ReplicationConfig {
   std::uint32_t stale_pairs = 50;
 };
 
-/// Runs the background population against the resolver, filling `store`.
+/// Every observation replication made of one (domain, server) pair.
+struct BatchEntry {
+  world::DomainId domain = 0;
+  world::ServerId server = 0;
+  net::IpAddress ip;  ///< the server's address
+  Day first_seen = 0;
+  Day last_seen = 0;
+  std::uint64_t observations = 0;
+};
+
+/// Runs the background population against the resolver and returns its
+/// observations, one entry per (domain, server) pair in the order each
+/// pair was first observed. Touches no Store, so it may run on another
+/// thread while collection feeds the store.
 ///
 /// `fault_plan` (optional) subjects each replication query to the
 /// `pdns` injection site: a query that exhausts its retries is dropped
@@ -40,6 +54,19 @@ struct ReplicationConfig {
 /// §3.3 that validity-window filtering is meant to absorb. The query's
 /// rng draws happen either way, so the surviving observations are
 /// bit-identical to the fault-free run's.
+[[nodiscard]] std::vector<BatchEntry> replicate_batch(const dns::Resolver& resolver,
+                                                      const ReplicationConfig& config,
+                                                      util::Rng& rng,
+                                                      const fault::FaultPlan* fault_plan = nullptr,
+                                                      obs::Registry* registry = nullptr);
+
+/// Folds a batch into `store` in batch order: the store ends with the
+/// record table that observing each of the batch's observations in draw
+/// order builds. Two servers of a domain that share an IP fold into one
+/// record.
+void fold_batch(Store& store, const world::World& world, const std::vector<BatchEntry>& batch);
+
+/// replicate_batch, then fold_batch into `store`: the serial path.
 void replicate_background(Store& store, const dns::Resolver& resolver,
                           const ReplicationConfig& config, util::Rng& rng,
                           const fault::FaultPlan* fault_plan = nullptr,

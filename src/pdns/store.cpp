@@ -2,24 +2,28 @@
 
 #include <algorithm>
 
+#include "util/contract.h"
+
 namespace cbwt::pdns {
 
-void Store::observe(const std::string& fqdn, const std::string& registrable,
-                    const net::IpAddress& ip, Day day) {
+void Store::fold(const std::string& fqdn, const std::string& registrable,
+                 const net::IpAddress& ip, Day first_seen, Day last_seen,
+                 std::uint64_t observations) {
+  CBWT_EXPECTS(observations >= 1 && first_seen <= last_seen);
   // Try to extend an existing record for this exact (fqdn, ip) pair.
   if (const auto it = by_fqdn_.find(fqdn); it != by_fqdn_.end()) {
     for (const std::size_t idx : it->second) {
       Record& record = records_[idx];
       if (record.ip == ip) {
-        record.first_seen = std::min(record.first_seen, day);
-        record.last_seen = std::max(record.last_seen, day);
-        ++record.observations;
+        record.first_seen = std::min(record.first_seen, first_seen);
+        record.last_seen = std::max(record.last_seen, last_seen);
+        record.observations += observations;
         return;
       }
     }
   }
   const std::size_t idx = records_.size();
-  records_.push_back(Record{fqdn, registrable, ip, day, day, 1});
+  records_.push_back(Record{fqdn, registrable, ip, first_seen, last_seen, observations});
   by_fqdn_[fqdn].push_back(idx);
   by_ip_[ip].push_back(idx);
   by_registrable_[registrable].push_back(idx);
@@ -35,36 +39,6 @@ Store Store::from_records(std::vector<Record> records) {
     store.by_registrable_[record.registrable].push_back(idx);
   }
   return store;
-}
-
-std::vector<const Record*> Store::forward(const std::string& fqdn) const {
-  std::vector<const Record*> out;
-  if (const auto it = by_fqdn_.find(fqdn); it != by_fqdn_.end()) {
-    out.reserve(it->second.size());
-    for (const std::size_t idx : it->second) out.push_back(&records_[idx]);
-  }
-  return out;
-}
-
-std::vector<const Record*> Store::reverse(const net::IpAddress& ip) const {
-  std::vector<const Record*> out;
-  if (const auto it = by_ip_.find(ip); it != by_ip_.end()) {
-    out.reserve(it->second.size());
-    for (const std::size_t idx : it->second) out.push_back(&records_[idx]);
-  }
-  return out;
-}
-
-bool Store::valid_at(const std::string& fqdn, const net::IpAddress& ip, Day day) const {
-  if (const auto it = by_fqdn_.find(fqdn); it != by_fqdn_.end()) {
-    for (const std::size_t idx : it->second) {
-      const Record& record = records_[idx];
-      if (record.ip == ip && record.first_seen <= day && day <= record.last_seen) {
-        return true;
-      }
-    }
-  }
-  return false;
 }
 
 std::size_t Store::registrable_count(const net::IpAddress& ip) const {

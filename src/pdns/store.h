@@ -1,6 +1,7 @@
 // Passive DNS replication (Weimer-style): observed (fqdn, IP) pairs with
-// first-seen / last-seen validity windows, queryable forward (domain ->
-// IPs) and reverse (IP -> domains). The paper uses a pDNS database to
+// first-seen / last-seen validity windows, queryable by registrable
+// domain (-> IPs) and by IP (-> domains, observations). The paper uses a
+// pDNS database to
 // (i) complete the tracker IP set beyond what its 350 users observed and
 // (ii) bound the time window in which an IP actually served a tracking
 // domain, removing dynamic-IP noise (§3.3).
@@ -31,23 +32,24 @@ struct Record {
   std::uint64_t observations = 0;
 };
 
-/// Append-only pDNS database with forward and reverse indices.
+/// Append-only pDNS database with IP and registrable-domain indices.
 class Store {
  public:
+  /// Records `observations` (>= 1) observations of `fqdn` resolving to
+  /// `ip`, the earliest on `first_seen` and the latest on `last_seen`.
+  /// The (fqdn, ip) record's window widens to cover them and its count
+  /// grows by `observations`; an unseen pair appends a new record. So
+  /// folding a pair's observations in one call builds the same record
+  /// as observing them one by one.
+  void fold(const std::string& fqdn, const std::string& registrable,
+            const net::IpAddress& ip, Day first_seen, Day last_seen,
+            std::uint64_t observations);
+
   /// Records one observation of `fqdn` resolving to `ip` on `day`.
-  /// Windows extend monotonically; repeated observations are counted.
   void observe(const std::string& fqdn, const std::string& registrable,
-               const net::IpAddress& ip, Day day);
-
-  /// All records for an FQDN (forward lookup). Empty when unseen.
-  [[nodiscard]] std::vector<const Record*> forward(const std::string& fqdn) const;
-
-  /// All records for an IP (reverse lookup). Empty when unseen.
-  [[nodiscard]] std::vector<const Record*> reverse(const net::IpAddress& ip) const;
-
-  /// True when (fqdn, ip) was a valid pair on `day` (within the window).
-  [[nodiscard]] bool valid_at(const std::string& fqdn, const net::IpAddress& ip,
-                              Day day) const;
+               const net::IpAddress& ip, Day day) {
+    fold(fqdn, registrable, ip, day, day, 1);
+  }
 
   /// Distinct registrable domains served by `ip` over its lifetime.
   [[nodiscard]] std::size_t registrable_count(const net::IpAddress& ip) const;

@@ -241,10 +241,16 @@ TEST_F(BrowserTest, RolesEmitTheirUrlShapes) {
 
 TEST_F(BrowserTest, FeedsPdnsWithItsResolutions) {
   EXPECT_GT(store_->record_count(), 100U);
-  // Spot-check: a random request's (fqdn, ip, day) is valid in the store.
+  // Spot-check: the first request's (fqdn, ip) record covers its day.
   const auto& request = dataset_->requests.front();
   const auto& domain = world_->domain(request.domain);
-  EXPECT_TRUE(store_->valid_at(domain.fqdn, request.server_ip, request.day));
+  const auto& records = store_->records();
+  const auto record = std::find_if(records.begin(), records.end(), [&](const auto& r) {
+    return r.fqdn == domain.fqdn && r.ip == request.server_ip;
+  });
+  ASSERT_NE(record, records.end());
+  EXPECT_LE(record->first_seen, request.day);
+  EXPECT_GE(record->last_seen, request.day);
 }
 
 TEST_F(BrowserTest, DaysStayInsideTheWindow) {

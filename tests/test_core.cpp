@@ -10,6 +10,7 @@
 #include "json_check.h"
 #include "netflow/profile.h"
 #include "obs/metrics.h"
+#include "obs/trace_buffer.h"
 #include "util/stats.h"
 
 namespace cbwt::core {
@@ -279,6 +280,43 @@ TEST(StudyRunReport, RecordsEveryStageAndStaysValidJson) {
   EXPECT_EQ(registry.counter_value("cbwt_classify_rule_hits_total"), rule_hits);
   EXPECT_EQ(registry.counter_value("cbwt_classify_requests_total"),
             study.dataset().requests.size());
+}
+
+TEST(StudyRunReport, ReplicationBatchRunsOnAWorkerBesideCollection) {
+  obs::Registry registry;
+  obs::TraceBuffer trace;
+  StudyConfig config;
+  config.world.seed = 20180901;
+  config.world.scale = 0.01;
+  config.threads = 2;
+  config.registry = &registry;
+  config.trace = &trace;
+  Study study(config);
+
+  // dataset() draws the batch on a pool worker, which records a trace
+  // event but opens no span: study/dataset is the only span so far.
+  (void)study.dataset();
+  const auto spans = registry.spans();
+  ASSERT_EQ(spans.size(), 1U);
+  EXPECT_EQ(spans[0].name, "study/dataset");
+  bool batch_on_worker = false;
+  for (const auto& thread : trace.snapshot()) {
+    for (const auto& event : thread.events) {
+      if (event.name != "pdns/replicate_batch") continue;
+      EXPECT_TRUE(thread.label.starts_with("pool-worker-")) << thread.label;
+      batch_on_worker = true;
+    }
+  }
+  EXPECT_TRUE(batch_on_worker);
+
+  // pdns_store() folds it under study/pdns_replication, whose item count
+  // stays the store's distinct IPs.
+  const auto ips = study.pdns_store().all_ips().size();
+  const auto after = registry.spans();
+  ASSERT_EQ(after.size(), 2U);
+  EXPECT_EQ(after[1].name, "study/pdns_replication");
+  EXPECT_EQ(after[1].parent, "");
+  EXPECT_EQ(after[1].items, ips);
 }
 
 TEST(StudyRunReport, NoRegistryStillProducesValidEmptyReport) {

@@ -771,5 +771,77 @@ TEST(CheckpointResumeEdge, RejectsMismatchedSeedOrScale) {
   EXPECT_THROW((void)bad_scale.dataset(), store::StoreError);
 }
 
+/// Every regular file under `dir`, by file name, with the FNV-1a hash of
+/// its bytes (a short failure message, unlike the bytes themselves).
+std::vector<std::pair<std::string, std::uint64_t>> directory_files(const std::string& dir) {
+  std::vector<std::pair<std::string, std::uint64_t>> files;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    if (entry.is_regular_file()) {
+      files.emplace_back(entry.path().filename().string(),
+                         util::fnv1a(file_bytes(entry.path().string())));
+    }
+  }
+  std::sort(files.begin(), files.end());
+  return files;
+}
+
+void expect_same_pdns_records(const pdns::Store& got, const pdns::Store& want) {
+  ASSERT_EQ(got.record_count(), want.record_count());
+  for (std::size_t i = 0; i < want.records().size(); ++i) {
+    const auto& a = got.records()[i];
+    const auto& b = want.records()[i];
+    ASSERT_TRUE(a.fqdn == b.fqdn && a.registrable == b.registrable && a.ip == b.ip &&
+                a.first_seen == b.first_seen && a.last_seen == b.last_seen &&
+                a.observations == b.observations)
+        << "record " << i;
+  }
+}
+
+/// With a pool, replication's batch is drawn beside collection and
+/// folded by pdns_store(). The store and every checkpoint file must be
+/// the serial path's: saved while the batch is still pending (the
+/// manifest says replication has not run), saved after the fold, and
+/// after resuming from the pending checkpoint.
+TEST(CheckpointThreads, OverlappedReplicationSavesAndFoldsLikeTheSerialPath) {
+  struct Run {
+    std::string pending_dir;
+    std::string replicated_dir;
+    std::string resumed_dir;
+  };
+  std::vector<Run> runs;
+  std::optional<pdns::Store> reference;
+  for (const unsigned threads : {1u, 2u, 4u}) {
+    SCOPED_TRACE("threads " + std::to_string(threads));
+    const std::string tag = "overlap_t" + std::to_string(threads);
+    Run run{temp_dir(tag + "_pending"), temp_dir(tag + "_replicated"),
+            temp_dir(tag + "_resumed")};
+    {
+      core::Study study(small_config(threads));
+      (void)study.dataset();
+      study.save_checkpoint(run.pending_dir);
+      const pdns::Store& store = study.pdns_store();
+      if (!reference) reference.emplace(store);
+      expect_same_pdns_records(store, *reference);
+      study.save_checkpoint(run.replicated_dir);
+    }
+    {
+      auto config = small_config(threads);
+      config.storage.resume_from = run.pending_dir;
+      core::Study resumed(config);
+      expect_same_pdns_records(resumed.pdns_store(), *reference);
+      resumed.save_checkpoint(run.resumed_dir);
+    }
+    runs.push_back(std::move(run));
+  }
+  const Run& serial = runs.front();
+  EXPECT_NE(directory_files(serial.pending_dir), directory_files(serial.replicated_dir));
+  EXPECT_EQ(directory_files(serial.resumed_dir), directory_files(serial.replicated_dir));
+  for (std::size_t i = 1; i < runs.size(); ++i) {
+    EXPECT_EQ(directory_files(runs[i].pending_dir), directory_files(serial.pending_dir));
+    EXPECT_EQ(directory_files(runs[i].replicated_dir), directory_files(serial.replicated_dir));
+    EXPECT_EQ(directory_files(runs[i].resumed_dir), directory_files(serial.replicated_dir));
+  }
+}
+
 }  // namespace
 }  // namespace cbwt
