@@ -5,6 +5,8 @@
 //   - documented accessor invariants hold on every accepted parse
 //   - to_string() of an accepted parse re-parses to the same value
 //     (canonicalization is a fixpoint)
+//   - net::query_of, the classifier's in-place query scan, views exactly
+//     the query an accepted parse keeps
 #include <cstdint>
 #include <string_view>
 
@@ -32,6 +34,7 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data, std::size_t size
   const auto url = cbwt::net::Url::parse(text);
   if (!url) return 0;
   check_invariants(*url);
+  CBWT_ASSERT(cbwt::net::query_of(text) == url->query());
 
   const auto reparsed = cbwt::net::Url::parse(url->to_string());
   CBWT_ASSERT(reparsed.has_value());

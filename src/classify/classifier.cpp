@@ -36,6 +36,88 @@ bool url_has_arguments(std::string_view url) noexcept {
   return q != std::string_view::npos && q + 1 < url.size();
 }
 
+/// True when some non-empty '&'-separated pair of `query` has a key
+/// (the text before its first '=') equal to one of `keywords`: the test
+/// Url::arguments() followed by a key comparison makes, without
+/// materialising the pairs.
+bool has_keyword_key(std::string_view query,
+                     const std::vector<std::string>& keywords) noexcept {
+  while (!query.empty()) {
+    const std::size_t amp = query.find('&');
+    const std::string_view pair = query.substr(0, amp);
+    query = amp == std::string_view::npos ? std::string_view{} : query.substr(amp + 1);
+    if (pair.empty()) continue;
+    const std::string_view key = pair.substr(0, pair.find('='));
+    for (const auto& keyword : keywords) {
+      if (key == keyword) return true;
+    }
+  }
+  return false;
+}
+
+/// The LTF identity set: `hash_url` values in one flat open-addressing
+/// table (power-of-two slots kept at most half full, linear probing).
+/// Slot value 0 marks an empty slot, so a real hash 0 lives in a flag.
+class UrlHashSet {
+ public:
+  [[nodiscard]] bool contains(std::uint64_t hash) const noexcept {
+    if (hash == 0) return has_zero_;
+    const std::size_t mask = slots_.size() - 1;
+    for (std::size_t index = hash & mask;; index = (index + 1) & mask) {
+      if (slots_[index] == hash) return true;
+      if (slots_[index] == 0) return false;
+    }
+  }
+
+  void insert(std::uint64_t hash) {
+    if (hash == 0) {
+      has_zero_ = true;
+      return;
+    }
+    if ((size_ + 1) * 2 > slots_.size()) grow();
+    if (place(slots_, hash)) ++size_;
+  }
+
+ private:
+  /// Puts `hash` into `slots`; false when it was there already.
+  static bool place(std::vector<std::uint64_t>& slots, std::uint64_t hash) noexcept {
+    const std::size_t mask = slots.size() - 1;
+    for (std::size_t index = hash & mask;; index = (index + 1) & mask) {
+      if (slots[index] == hash) return false;
+      if (slots[index] == 0) {
+        slots[index] = hash;
+        return true;
+      }
+    }
+  }
+
+  void grow() {
+    std::vector<std::uint64_t> wider(slots_.size() * 2, 0);
+    for (const std::uint64_t hash : slots_) {
+      if (hash != 0) place(wider, hash);
+    }
+    slots_ = std::move(wider);
+  }
+
+  std::vector<std::uint64_t> slots_ = std::vector<std::uint64_t>(1024, 0);
+  std::size_t size_ = 0;
+  bool has_zero_ = false;
+};
+
+/// A stage-2 candidate: an unlabelled request with URL arguments and a
+/// referrer, and that referrer's `hash_url`.
+struct Candidate {
+  std::size_t index = 0;
+  std::uint64_t referrer_hash = 0;
+};
+
+/// What one stage-1 shard hands back for stage 2, in index order (both
+/// empty when stage 2 is off).
+struct Stage1Part {
+  std::vector<std::uint64_t> hits;     ///< hash_url of each listed URL
+  std::vector<Candidate> candidates;
+};
+
 }  // namespace
 
 std::string_view to_string(Method method) noexcept {
@@ -58,18 +140,21 @@ std::vector<Outcome> Classifier::run(const browser::ExtensionDataset& dataset,
   CBWT_EXPECTS(config_.max_iterations > 0 || !config_.enable_referrer_stage);
   std::vector<Outcome> outcomes(requests.size());
 
-  // LTF identity: hashes of classified tracking URLs. Referrers of chained
-  // requests carry the full parent URL, so exact identity suffices.
-  std::unordered_set<std::uint64_t> ltf_urls;
-  ltf_urls.reserve(requests.size() / 2);
-
-  // Claim-window throughput of the sharded stages, surfaced after the run.
+  // Claim-window throughput of the sharded stage, surfaced after the run.
   runtime::ChannelStats channel_stats;
 
   // ---- Stage 1: filter lists --------------------------------------
-  // Request-local: each shard writes its own outcome slots and returns
-  // the URL hashes it classified; hashes land in the LTF set in shard
-  // order (set membership is order-free anyway).
+  // Request-local: each shard writes its own outcome slots and returns,
+  // for stage 2, the URL hashes it classified and its unlabelled
+  // requests that could be promoted. Parts land in shard order, so the
+  // shards' candidate lists, read in turn, are in index order; they stay
+  // one list per shard rather than one concatenated copy. LTF identity:
+  // hashes of classified tracking URLs. Referrers of chained requests
+  // carry the full parent URL, so exact identity suffices.
+  const bool referrer_stage = config_.enable_referrer_stage;
+  UrlHashSet ltf_urls;
+  std::vector<std::vector<Candidate>> candidates;
+  std::size_t candidate_count = 0;
   {
     obs::ScopedSpan span(registry, "classify/stage1_abp");
     span.set_items(requests.size());
@@ -77,55 +162,69 @@ std::vector<Outcome> Classifier::run(const browser::ExtensionDataset& dataset,
         pool, requests.size(), {.channel_stats = &channel_stats},
         [&](runtime::ShardRange range, std::size_t shard) {
           obs::ScopedTrace trace(registry, "classify/stage1/shard", shard);
-          std::unordered_set<std::uint64_t> local;
+          Stage1Part part;
           for (std::size_t i = range.begin; i < range.end; ++i) {
             const auto& request = requests[i];
             const std::string_view host = host_of(request.url);
-            const std::string_view page_host = host_of(request.referrer).empty()
-                                                   ? host  // defensive; referrer always set
-                                                   : host_of(request.referrer);
+            const std::string_view referrer_host = host_of(request.referrer);
             filterlist::RequestContext context;
             context.url = request.url;
             context.host = host;
-            context.page_host = page_host;
+            // Defensive: collection always sets the referrer.
+            context.page_host = referrer_host.empty() ? host : referrer_host;
             context.third_party = true;
             const filterlist::MatchResult hit = engine_.match(context);
             if (hit.matched) {
               outcomes[i] = {Method::AbpList, hit.list};
-              local.insert(hash_url(request.url));
+              if (referrer_stage) part.hits.push_back(hash_url(request.url));
+            } else if (referrer_stage && !request.referrer.empty() &&
+                       url_has_arguments(request.url)) {
+              part.candidates.push_back({i, hash_url(request.referrer)});
             }
           }
-          return local;
+          return part;
         },
-        [&](std::size_t /*shard*/, std::unordered_set<std::uint64_t>&& part) {
-          ltf_urls.merge(part);
+        [&](std::size_t /*shard*/, Stage1Part&& part) {
+          for (const std::uint64_t hash : part.hits) ltf_urls.insert(hash);
+          candidate_count += part.candidates.size();
+          candidates.push_back(std::move(part.candidates));
         });
   }
 
   // ---- Stage 2: referrer chaining to fixpoint ----------------------
-  if (config_.enable_referrer_stage) {
+  // Each pass walks only the candidates still unpromoted, in index
+  // order, and compacts the lists as it goes. A promotion is visible to
+  // later candidates of the same pass, so the fixpoint and what the
+  // max_iterations cap cuts off are those of a full index-order sweep.
+  std::uint64_t referrer_passes = 0;
+  if (referrer_stage) {
     obs::ScopedSpan span(registry, "classify/stage2_referrer");
-    span.set_items(requests.size());
+    span.set_items(candidate_count);
     bool changed = true;
-    for (std::size_t pass = 0; changed && pass < config_.max_iterations; ++pass) {
+    while (changed && referrer_passes < config_.max_iterations) {
+      ++referrer_passes;
       changed = false;
-      for (std::size_t i = 0; i < requests.size(); ++i) {
-        if (outcomes[i].method != Method::None) continue;
-        const auto& request = requests[i];
-        if (!url_has_arguments(request.url)) continue;
-        if (request.referrer.empty()) continue;
-        if (ltf_urls.contains(hash_url(request.referrer))) {
-          outcomes[i] = {Method::Referrer, {}};
-          ltf_urls.insert(hash_url(request.url));
-          changed = true;
+      for (auto& list : candidates) {
+        std::size_t kept = 0;
+        for (const Candidate& candidate : list) {
+          if (ltf_urls.contains(candidate.referrer_hash)) {
+            outcomes[candidate.index] = {Method::Referrer, {}};
+            ltf_urls.insert(hash_url(requests[candidate.index].url));
+            changed = true;
+          } else {
+            list[kept++] = candidate;
+          }
         }
+        list.resize(kept);
       }
     }
   }
 
   // ---- Stage 3: argument keywords ----------------------------------
   // Also request-local: nothing downstream reads the LTF set, so shards
-  // only write their own outcome slots.
+  // only write their own outcome slots. Keys are scanned in place in
+  // the query Url::parse would keep; a parse runs only on a keyword
+  // hit, to confirm the URL is valid.
   if (config_.enable_keyword_stage) {
     obs::ScopedSpan span(registry, "classify/stage3_keyword");
     span.set_items(requests.size());
@@ -134,22 +233,10 @@ std::vector<Outcome> Classifier::run(const browser::ExtensionDataset& dataset,
       obs::ScopedTrace trace(registry, "classify/stage3/shard", shard);
       for (std::size_t i = range.begin; i < range.end; ++i) {
         if (outcomes[i].method != Method::None) continue;
-        const auto& request = requests[i];
-        if (!url_has_arguments(request.url)) continue;
-        const auto url = net::Url::parse(request.url);
-        if (!url) continue;
-        for (const auto& [key, value] : url->arguments()) {
-          bool hit = false;
-          for (const auto& keyword : config_.keywords) {
-            if (key == keyword) {
-              hit = true;
-              break;
-            }
-          }
-          if (hit) {
-            outcomes[i] = {Method::Keyword, {}};
-            break;
-          }
+        const std::string_view url = requests[i].url;
+        if (has_keyword_key(net::query_of(url), config_.keywords) &&
+            net::Url::parse(url)) {
+          outcomes[i] = {Method::Keyword, {}};
         }
       }
     });
@@ -173,6 +260,7 @@ std::vector<Outcome> Classifier::run(const browser::ExtensionDataset& dataset,
     registry->counter("cbwt_classify_rule_hits_total").add(rule_hits);
     registry->counter("cbwt_classify_referrer_promotions_total")
         .add(referrer_promotions);
+    registry->counter("cbwt_classify_referrer_passes_total").add(referrer_passes);
     registry->counter("cbwt_classify_keyword_promotions_total").add(keyword_promotions);
     obs::record_channel_stats(registry, channel_stats);
   }

@@ -2,14 +2,22 @@
 //
 //   Stage 1 ("ABP"):   match every third-party request against the
 //                      easylist + easyprivacy engine -> LTF / NTF split.
+//                      The LTF is kept as a set of URL hashes.
 //   Stage 2 ("SEMI-referrer"): promote NTF requests whose referrer points
 //                      into the LTF *and* whose URL carries arguments —
 //                      these are the chained requests an ad blocker would
-//                      have prevented from ever firing. Runs to fixpoint
+//                      have prevented from ever firing. Stage 1 hands over
+//                      a worklist of such candidates (index + referrer
+//                      hash, in index order, one list per stage-1 shard);
+//                      each pass walks only the candidates still
+//                      unpromoted and drops the ones it promotes, until a
+//                      pass promotes nothing or max_iterations passes ran,
 //                      so deep cookie-sync cascades are caught.
 //   Stage 3 ("SEMI-keyword"): promote remaining NTF requests whose URL
 //                      has arguments and a well-known tracking keyword
-//                      (usermatch, cookiesync, rtb, ...).
+//                      (usermatch, cookiesync, rtb, ...) as a query key.
+//                      Keys are scanned in place (net::query_of); only a
+//                      hit pays for a full net::Url::parse.
 //
 // Ground truth from the world model is never consulted here; it is only
 // used by tests and ablations to score the classifier.
@@ -70,14 +78,15 @@ class Classifier {
   /// dataset.requests[i].
   ///
   /// Stages 1 and 3 are request-local and shard across `pool` (the
-  /// referrer fixpoint of stage 2 stays serial — its passes are cheap and
-  /// order-sensitive). Results are bit-identical for any pool size,
-  /// including none.
+  /// referrer fixpoint of stage 2 stays serial — its passes walk a
+  /// shrinking worklist and are order-sensitive). Results are
+  /// bit-identical for any pool size, including none.
   ///
-  /// `registry` (optional) records one span per stage plus the Table 2
-  /// breakdown counters (cbwt_classify_rule_hits_total, referrer /
-  /// keyword promotions) and the sharded stages' claim-window throughput.
-  /// Instrumentation never affects the outcomes.
+  /// `registry` (optional) records one span per stage (stage 2's item
+  /// count is its candidate count) plus the Table 2 breakdown counters
+  /// (cbwt_classify_rule_hits_total, referrer / keyword promotions),
+  /// cbwt_classify_referrer_passes_total and stage 1's claim-window
+  /// throughput. Instrumentation never affects the outcomes.
   [[nodiscard]] std::vector<Outcome> run(const browser::ExtensionDataset& dataset,
                                          runtime::ThreadPool* pool = nullptr,
                                          obs::Registry* registry = nullptr) const;

@@ -185,11 +185,14 @@ const pdns::Store& Study::pdns_store() {
 
 const classify::Classifier& Study::classifier() {
   if (!classifier_) {
+    const auto& built_world = world();
+    obs::ScopedSpan span(config_.registry, "study/filterlist");
     auto rng = stage_rng(0xF117);
-    const auto lists = filterlist::generate_lists(world(), rng);
+    const auto lists = filterlist::generate_lists(built_world, rng);
     filterlist::Engine engine;
     engine.add_list(filterlist::FilterList("easylist", lists.easylist));
     engine.add_list(filterlist::FilterList("easyprivacy", lists.easyprivacy));
+    span.set_items(engine.total_rules());
     classifier_.emplace(std::move(engine), config_.classifier);
   }
   return *classifier_;
@@ -289,8 +292,14 @@ analysis::FlowAnalyzer Study::analyzer(geoloc::Tool tool) {
 
 const whatif::LocalizationStudy& Study::localization() {
   if (!localization_) {
-    localization_.emplace(world(), geo(), geoloc::Tool::ActiveIpmap);
-    localization_->load(dataset(), outcomes());
+    const auto& built_world = world();
+    const auto& service = geo();
+    const auto& data = dataset();
+    const auto& results = outcomes();
+    obs::ScopedSpan span(config_.registry, "study/localization");
+    localization_.emplace(built_world, service, geoloc::Tool::ActiveIpmap);
+    localization_->load(data, results);
+    span.set_items(localization_->flow_count());
   }
   return *localization_;
 }

@@ -382,6 +382,14 @@ void Engine::compile() {
     }
   }
   stats_.literal_bytes = arena_.bytes_used();
+
+  token_filter_.fill(0);
+  for (const auto* index : {&token_rules_, &token_exceptions_}) {
+    for (const auto& bucket : *index) {
+      const std::uint64_t bit = bucket.first & (kTokenFilterBits - 1);
+      token_filter_[bit / 64] |= std::uint64_t{1} << (bit % 64);
+    }
+  }
 }
 
 // --- matching --------------------------------------------------------
@@ -505,6 +513,7 @@ MatchResult Engine::match(const RequestContext& request) const {
       }
     }
     scratch.for_each_token([&](std::uint64_t token) {
+      if (!may_be_indexed(token)) return true;
       if (const auto it = token_rules_.find(token); it != token_rules_.end()) {
         for (const auto index : it->second) {
           const CompiledRule& rule = compiled_[index];
@@ -524,6 +533,7 @@ MatchResult Engine::match(const RequestContext& request) const {
     if (evaluate(compiled_[index], request, scratch)) return {};
   }
   const bool no_exception = scratch.for_each_token([&](std::uint64_t token) {
+    if (!may_be_indexed(token)) return true;
     if (const auto it = token_exceptions_.find(token); it != token_exceptions_.end()) {
       for (const auto index : it->second) {
         if (evaluate(compiled_[index], request, scratch)) return false;

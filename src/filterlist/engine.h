@@ -15,7 +15,8 @@
 //     the rule can match. At match time the URL is tokenized once into a
 //     stack buffer and only the rules bucketed under one of its tokens
 //     are evaluated; rules with no boundary-safe token fall back to a
-//     (short) always-evaluated list.
+//     (short) always-evaluated list. A 64 Kbit filter of the bucket keys
+//     skips the map probes of URL tokens that no bucket can hold.
 //
 // Engine::match is allocation-free and the verdict — including *which*
 // rule wins — is bit-identical to ReferenceEngine (reference.h), the
@@ -23,6 +24,7 @@
 // pinned by property tests and the fuzz harness.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <string>
 #include <string_view>
@@ -121,7 +123,16 @@ class Engine {
 
   struct MatchScratch;  // per-call stack state; defined in engine.cpp
 
+  /// Bits in token_filter_: 64 Kbit, so the filter stays in L1.
+  static constexpr std::size_t kTokenFilterBits = std::size_t{1} << 16;
+
   void compile();
+  /// False when no token bucket can hold `token`, so match() skips the
+  /// map probes for it (most URL tokens index no rule).
+  [[nodiscard]] bool may_be_indexed(std::uint64_t token) const noexcept {
+    const std::uint64_t bit = token & (kTokenFilterBits - 1);
+    return ((token_filter_[bit / 64] >> (bit % 64)) & 1U) != 0;
+  }
   [[nodiscard]] bool evaluate(const CompiledRule& rule, const RequestContext& request,
                               MatchScratch& scratch) const;
 
@@ -139,6 +150,8 @@ class Engine {
   /// Blocking rules / exceptions keyed by their rarest safe token hash.
   std::unordered_map<std::uint64_t, std::vector<std::uint32_t>> token_rules_;
   std::unordered_map<std::uint64_t, std::vector<std::uint32_t>> token_exceptions_;
+  /// One bit per low-16-bit token hash keying either token index.
+  std::array<std::uint64_t, kTokenFilterBits / 64> token_filter_{};
   /// Rules with no boundary-safe token: always evaluated.
   std::vector<std::uint32_t> fallback_rules_;
   std::vector<std::uint32_t> fallback_exceptions_;

@@ -25,28 +25,52 @@ bool valid_host(std::string_view host) noexcept {
   return true;
 }
 
-}  // namespace
+/// A URL's text split the way Url::parse reads it, as views into it.
+struct Pieces {
+  std::size_t scheme_end = std::string_view::npos;  ///< offset of "://"
+  std::string_view authority;
+  std::string_view path;   ///< empty when the URL has none
+  std::string_view query;  ///< after the '?', empty when there is none
+};
 
-std::optional<Url> Url::parse(std::string_view text) {
-  const std::size_t scheme_end = text.find("://");
-  if (scheme_end == std::string_view::npos || scheme_end == 0) return std::nullopt;
-  Url url;
-  url.scheme_ = util::to_lower(text.substr(0, scheme_end));
-  if (url.scheme_ != "http" && url.scheme_ != "https") return std::nullopt;
-  url.port_ = url.scheme_ == "https" ? 443 : 80;
-
-  std::string_view rest = text.substr(scheme_end + 3);
+/// The one split of a URL's text, shared by Url::parse and query_of.
+Pieces split_pieces(std::string_view text) noexcept {
+  Pieces pieces;
+  pieces.scheme_end = text.find("://");
+  if (pieces.scheme_end == std::string_view::npos) return pieces;
+  std::string_view rest = text.substr(pieces.scheme_end + 3);
   const std::size_t fragment = rest.find('#');
   if (fragment != std::string_view::npos) rest = rest.substr(0, fragment);
 
   // The authority ends at the first '/' or '?': "http://a.com?x=1" is a
   // query on the root path, not a host containing '?'.
   const std::size_t path_start = rest.find_first_of("/?");
-  std::string_view authority =
-      path_start == std::string_view::npos ? rest : rest.substr(0, path_start);
-  std::string_view path_query =
-      path_start == std::string_view::npos ? std::string_view{} : rest.substr(path_start);
+  pieces.authority = rest.substr(0, path_start);
+  if (path_start == std::string_view::npos) return pieces;
+  const std::string_view path_query = rest.substr(path_start);
+  const std::size_t q = path_query.find('?');
+  pieces.path = path_query.substr(0, q);
+  if (q != std::string_view::npos) pieces.query = path_query.substr(q + 1);
+  return pieces;
+}
 
+}  // namespace
+
+std::string_view query_of(std::string_view text) noexcept {
+  return split_pieces(text).query;
+}
+
+std::optional<Url> Url::parse(std::string_view text) {
+  const Pieces pieces = split_pieces(text);
+  if (pieces.scheme_end == std::string_view::npos || pieces.scheme_end == 0) {
+    return std::nullopt;
+  }
+  Url url;
+  url.scheme_ = util::to_lower(text.substr(0, pieces.scheme_end));
+  if (url.scheme_ != "http" && url.scheme_ != "https") return std::nullopt;
+  url.port_ = url.scheme_ == "https" ? 443 : 80;
+
+  std::string_view authority = pieces.authority;
   const std::size_t colon = authority.rfind(':');
   if (colon != std::string_view::npos) {
     const auto port_text = authority.substr(colon + 1);
@@ -66,10 +90,8 @@ std::optional<Url> Url::parse(std::string_view text) {
   // Assigned from views, never from temporaries or literals: GCC 12 at
   // -O3 flags those inlined assigns as an overlapping memcpy
   // (-Werror=restrict, a false positive). path_ defaults to "/".
-  const std::size_t q = path_query.find('?');
-  if (q != std::string_view::npos) url.query_.assign(path_query.substr(q + 1));
-  const std::string_view path = path_query.substr(0, q);
-  if (!path.empty()) url.path_.assign(path);
+  url.query_.assign(pieces.query);
+  if (!pieces.path.empty()) url.path_.assign(pieces.path);
   // The accessor documentation promises these to every downstream stage
   // (classifier, filter engine); a parse that breaks them is a bug here,
   // not in the caller.

@@ -12,6 +12,13 @@
 
 namespace cbwt::net {
 
+/// The query that `Url::parse(text)` keeps, as a view into `text`: the
+/// bytes after the first '?' that follows the authority, up to any '#'.
+/// Nothing else is validated, so it is empty when there is none and
+/// equals `Url::parse(text)->query()` whenever parse accepts `text`.
+/// Allocation-free: the classifier's keyword stage scans it in place.
+[[nodiscard]] std::string_view query_of(std::string_view text) noexcept;
+
 /// Parsed URL with value semantics; construct via Url::parse.
 class Url {
  public:

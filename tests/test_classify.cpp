@@ -2,10 +2,115 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <unordered_set>
+
+#include "core/study.h"
 #include "filterlist/generate.h"
+#include "net/url.h"
+#include "runtime/thread_pool.h"
+#include "util/fnv1a.h"
+#include "util/prng.h"
 
 namespace cbwt::classify {
 namespace {
+
+// ---------------------------------------------------------------- spec
+
+/// The executable specification of Classifier::run: the serial three
+/// stages as first written, a full index-order rescan per referrer pass
+/// over a node-based hash set and a full Url::parse per keyword test.
+/// Classifier::run must return exactly these outcomes.
+std::vector<Outcome> reference_classify(const filterlist::Engine& engine,
+                                        const ClassifierConfig& config,
+                                        const browser::ExtensionDataset& dataset) {
+  const auto hash_url = [](std::string_view url) {
+    return util::mix64(util::fnv1a(url));
+  };
+  const auto host_of = [](std::string_view url) -> std::string_view {
+    const std::size_t scheme = url.find("://");
+    if (scheme == std::string_view::npos) return {};
+    const std::size_t start = scheme + 3;
+    std::size_t end = url.find('/', start);
+    if (end == std::string_view::npos) end = url.size();
+    return url.substr(start, end - start);
+  };
+  const auto url_has_arguments = [](std::string_view url) {
+    const std::size_t q = url.find('?');
+    return q != std::string_view::npos && q + 1 < url.size();
+  };
+
+  const auto& requests = dataset.requests;
+  std::vector<Outcome> outcomes(requests.size());
+  std::unordered_set<std::uint64_t> ltf_urls;
+  for (std::size_t i = 0; i < requests.size(); ++i) {
+    const auto& request = requests[i];
+    const std::string_view host = host_of(request.url);
+    filterlist::RequestContext context;
+    context.url = request.url;
+    context.host = host;
+    context.page_host = host_of(request.referrer).empty() ? host : host_of(request.referrer);
+    context.third_party = true;
+    const filterlist::MatchResult hit = engine.match(context);
+    if (hit.matched) {
+      outcomes[i] = {Method::AbpList, hit.list};
+      ltf_urls.insert(hash_url(request.url));
+    }
+  }
+  if (config.enable_referrer_stage) {
+    bool changed = true;
+    for (std::size_t pass = 0; changed && pass < config.max_iterations; ++pass) {
+      changed = false;
+      for (std::size_t i = 0; i < requests.size(); ++i) {
+        if (outcomes[i].method != Method::None) continue;
+        const auto& request = requests[i];
+        if (!url_has_arguments(request.url)) continue;
+        if (request.referrer.empty()) continue;
+        if (ltf_urls.contains(hash_url(request.referrer))) {
+          outcomes[i] = {Method::Referrer, {}};
+          ltf_urls.insert(hash_url(request.url));
+          changed = true;
+        }
+      }
+    }
+  }
+  if (config.enable_keyword_stage) {
+    for (std::size_t i = 0; i < requests.size(); ++i) {
+      if (outcomes[i].method != Method::None) continue;
+      if (!url_has_arguments(requests[i].url)) continue;
+      const auto url = net::Url::parse(requests[i].url);
+      if (!url) continue;
+      for (const auto& [key, value] : url->arguments()) {
+        bool hit = false;
+        for (const auto& keyword : config.keywords) {
+          if (key == keyword) {
+            hit = true;
+            break;
+          }
+        }
+        if (hit) {
+          outcomes[i] = {Method::Keyword, {}};
+          break;
+        }
+      }
+    }
+  }
+  return outcomes;
+}
+
+/// Asserts that `classifier` (built with `config`) returns
+/// reference_classify's outcomes, request by request.
+void expect_matches_reference(const Classifier& classifier, const ClassifierConfig& config,
+                              const browser::ExtensionDataset& dataset,
+                              runtime::ThreadPool* pool = nullptr) {
+  const auto expected = reference_classify(classifier.engine(), config, dataset);
+  const auto actual = classifier.run(dataset, pool);
+  ASSERT_EQ(actual.size(), expected.size());
+  for (std::size_t i = 0; i < actual.size(); ++i) {
+    EXPECT_EQ(actual[i].method, expected[i].method) << "request " << i;
+    EXPECT_EQ(actual[i].list, expected[i].list) << "request " << i;
+  }
+}
 
 /// Builds a tiny hand-made dataset exercising each classification stage.
 browser::ExtensionDataset hand_dataset() {
@@ -100,6 +205,210 @@ TEST(Classifier, ChainDepthBeyondTwoIsReached) {
   const auto outcomes = hand_classifier().run(dataset);
   for (std::size_t i = 1; i < 5; ++i) {
     EXPECT_EQ(outcomes[i].method, Method::Referrer) << i;
+  }
+}
+
+// ------------------------------------------------------ spec equivalence
+
+/// Appends one request; every call stores its texts anew, so equal text
+/// never shares an address unless a test reuses a view on purpose.
+void add_request(browser::ExtensionDataset& dataset, std::string_view url,
+                 std::string_view referrer) {
+  browser::ThirdPartyRequest request;
+  request.url = dataset.add_text(url);
+  request.referrer = dataset.add_text(referrer);
+  dataset.requests.push_back(request);
+}
+
+/// A referrer chain of `hops` promotable requests below a listed root,
+/// stored leaf first: request k (0-based) has depth hops - k, and the
+/// root comes last. Index-order passes then climb one level per pass.
+browser::ExtensionDataset reversed_chain(std::size_t hops) {
+  browser::ExtensionDataset dataset;
+  const auto hop_url = [](std::size_t depth) {
+    return "https://h" + std::to_string(depth) + ".com/x?d=" + std::to_string(depth);
+  };
+  for (std::size_t depth = hops; depth >= 1; --depth) {
+    add_request(dataset, hop_url(depth),
+                depth == 1 ? std::string("https://ads.known.com/t.js?v=1") : hop_url(depth - 1));
+  }
+  add_request(dataset, "https://ads.known.com/t.js?v=1", "https://pub.com/");
+  return dataset;
+}
+
+TEST(ClassifierSpec, ChildrenBeforeParentsStopAtTheIterationCap) {
+  ClassifierConfig config;
+  ASSERT_EQ(config.max_iterations, 6U);
+  const auto dataset = reversed_chain(10);
+  const auto classifier = hand_classifier(config);
+  const auto outcomes = classifier.run(dataset);
+  // Depth d is promoted in pass d, so depths 1..6 make it, 7..10 do not.
+  for (std::size_t k = 0; k < 10; ++k) {
+    const std::size_t depth = 10 - k;
+    EXPECT_EQ(outcomes[k].method, depth <= 6 ? Method::Referrer : Method::None) << depth;
+  }
+  EXPECT_EQ(outcomes[10].method, Method::AbpList);
+  expect_matches_reference(classifier, config, dataset);
+}
+
+TEST(ClassifierSpec, OnePassPromotesOnlyWhatIndexOrderReaches) {
+  ClassifierConfig config;
+  config.max_iterations = 1;
+  // A leaf-first chain, then a root-first chain: one pass climbs one
+  // level of the first but the whole of the second.
+  auto dataset = reversed_chain(4);
+  add_request(dataset, "https://a.com/x?d=1", "https://ads.known.com/t.js?v=1");
+  add_request(dataset, "https://b.com/x?d=2", "https://a.com/x?d=1");
+  add_request(dataset, "https://c.com/x?d=3", "https://b.com/x?d=2");
+  const auto classifier = hand_classifier(config);
+  const auto outcomes = classifier.run(dataset);
+  EXPECT_EQ(outcomes[0].method, Method::None);      // depth 4
+  EXPECT_EQ(outcomes[2].method, Method::None);      // depth 2
+  EXPECT_EQ(outcomes[3].method, Method::Referrer);  // depth 1
+  for (std::size_t i = 5; i < 8; ++i) EXPECT_EQ(outcomes[i].method, Method::Referrer) << i;
+  expect_matches_reference(classifier, config, dataset);
+}
+
+TEST(ClassifierSpec, UrlIdentityIsTextNotAddress) {
+  browser::ExtensionDataset dataset;
+  // Listed twice, each copy stored separately.
+  add_request(dataset, "https://ads.known.com/t.js?v=1", "https://pub.com/");
+  add_request(dataset, "https://ads.known.com/t.js?v=1", "https://pub.com/");
+  // Referrer text equal to the listed URL, stored at its own address.
+  add_request(dataset, "https://a.com/x?d=1", "https://ads.known.com/t.js?v=1");
+  // Same URL text as request 2, promoted through request 2's text.
+  add_request(dataset, "https://a.com/x?d=1", "https://a.com/x?d=1");
+  // One view shared by URL and referrer: no listed parent, no promotion.
+  browser::ThirdPartyRequest self;
+  self.url = dataset.add_text("https://z.com/x?d=9");
+  self.referrer = self.url;
+  dataset.requests.push_back(self);
+  // Near-miss text: differs from the listed URL by one byte.
+  add_request(dataset, "https://b.com/x?d=2", "https://ads.known.com/t.js?v=2");
+  const ClassifierConfig config;
+  const auto classifier = hand_classifier(config);
+  const auto outcomes = classifier.run(dataset);
+  EXPECT_EQ(outcomes[1].method, Method::AbpList);
+  EXPECT_EQ(outcomes[2].method, Method::Referrer);
+  EXPECT_EQ(outcomes[3].method, Method::Referrer);
+  EXPECT_EQ(outcomes[4].method, Method::None);
+  EXPECT_EQ(outcomes[5].method, Method::None);
+  expect_matches_reference(classifier, config, dataset);
+}
+
+TEST(ClassifierSpec, ReferrerStageReportsCandidatesAndPasses) {
+  // Root-first chain: pass 1 promotes both hops, pass 2 finds nothing
+  // left to promote and ends the fixpoint. Request 3 has no arguments
+  // and request 4 no referrer, so neither is a candidate.
+  browser::ExtensionDataset dataset;
+  add_request(dataset, "https://ads.known.com/t.js?v=1", "https://pub.com/");
+  add_request(dataset, "https://a.com/x?d=1", "https://ads.known.com/t.js?v=1");
+  add_request(dataset, "https://b.com/x?d=2", "https://a.com/x?d=1");
+  add_request(dataset, "https://c.com/x", "https://b.com/x?d=2");
+  add_request(dataset, "https://d.com/x?d=4", "");
+  add_request(dataset, "https://e.com/x?d=5", "https://nowhere.com/");
+  obs::Registry registry;
+  const auto outcomes = hand_classifier().run(dataset, nullptr, &registry);
+  EXPECT_EQ(outcomes[2].method, Method::Referrer);
+  EXPECT_EQ(registry.counter_value("cbwt_classify_referrer_promotions_total"), 2U);
+  EXPECT_EQ(registry.counter_value("cbwt_classify_referrer_passes_total"), 2U);
+  std::uint64_t candidates = 0;
+  for (const auto& span : registry.spans()) {
+    if (span.name == "classify/stage2_referrer") candidates = span.items;
+  }
+  EXPECT_EQ(candidates, 3U);
+}
+
+/// Keyword-stage edge cases: (URL, expected method).
+const std::vector<std::pair<std::string_view, Method>>& keyword_cases() {
+  static const std::vector<std::pair<std::string_view, Method>> cases = {
+      {"https://a.com/p?usermatch=1", Method::Keyword},
+      {"https://a.com/p#?usermatch=1", Method::None},       // behind '#'
+      {"https://a.com/p?x=1#&usermatch=1", Method::None},   // behind '#'
+      {"https://a.com?usermatch=1", Method::Keyword},       // '?' ends the authority
+      {"https://a.com:8443?usermatch=1", Method::Keyword},
+      {"https://a.com/p?usermatch", Method::Keyword},       // valueless key
+      {"https://a.com/p?&&usermatch=1", Method::Keyword},   // empty pairs
+      {"https://a.com/p?=1&usermatch=&", Method::Keyword},
+      {"https://a.com/p?USERMATCH=1", Method::None},        // keys are case-exact
+      {"https://a.com/p?x=usermatch", Method::None},        // a value, not a key
+      {"https://a.com/p?x=1?usermatch=1", Method::None},    // inside pair "x=1?..."
+      {"https://a.com/p?", Method::None},
+      {"ftp://a.com/p?usermatch=1", Method::None},          // Url::parse rejects
+      {"https://a b.com/p?usermatch=1", Method::None},
+      {"https://a.com:0/p?usermatch=1", Method::None},
+      {"https:///p?usermatch=1", Method::None},
+      {"a.com/p?usermatch=1", Method::None},
+  };
+  return cases;
+}
+
+TEST(ClassifierSpec, KeywordScanFollowsTheParsedQuery) {
+  browser::ExtensionDataset dataset;
+  for (const auto& [url, method] : keyword_cases()) {
+    add_request(dataset, url, "https://nowhere.com/");
+  }
+  const ClassifierConfig config;
+  const auto classifier = hand_classifier(config);
+  const auto outcomes = classifier.run(dataset);
+  for (std::size_t i = 0; i < keyword_cases().size(); ++i) {
+    EXPECT_EQ(outcomes[i].method, keyword_cases()[i].second) << keyword_cases()[i].first;
+  }
+  expect_matches_reference(classifier, config, dataset);
+}
+
+TEST(ClassifierSpec, EveryStageCombinationMatchesTheReference) {
+  auto dataset = reversed_chain(8);
+  for (const auto& [url, method] : keyword_cases()) {
+    add_request(dataset, url, "https://nowhere.com/");
+  }
+  // A keyword URL that stage 2 reaches first.
+  add_request(dataset, "https://cm.x.com/s?usermatch=1", "https://ads.known.com/t.js?v=1");
+  const auto extra = hand_dataset();
+  for (const auto& request : extra.requests) add_request(dataset, request.url, request.referrer);
+  for (const bool referrer : {false, true}) {
+    for (const bool keyword : {false, true}) {
+      ClassifierConfig config;
+      config.enable_referrer_stage = referrer;
+      config.enable_keyword_stage = keyword;
+      SCOPED_TRACE(testing::Message() << "referrer " << referrer << " keyword " << keyword);
+      expect_matches_reference(hand_classifier(config), config, dataset);
+    }
+  }
+}
+
+TEST(ClassifierSpec, StudyDatasetsMatchTheReferenceAtAnyPoolSize) {
+  auto pool2 = std::make_unique<runtime::ThreadPool>(2);
+  auto pool4 = std::make_unique<runtime::ThreadPool>(4);
+  for (const std::uint64_t seed : {4711ULL, 20180901ULL}) {
+    core::StudyConfig study_config;
+    study_config.world.seed = seed;
+    study_config.world.scale = 0.01;
+    core::Study study(study_config);
+    const auto& dataset = study.dataset();
+    ASSERT_GT(dataset.requests.size(), 1000U);
+    ClassifierConfig capped;
+    capped.max_iterations = 1;
+    ClassifierConfig no_referrer;
+    no_referrer.enable_referrer_stage = false;
+    for (const ClassifierConfig& config : {ClassifierConfig{}, capped, no_referrer}) {
+      util::Rng list_rng(seed);
+      const auto lists = filterlist::generate_lists(study.world(), list_rng);
+      filterlist::Engine engine;
+      engine.add_list(filterlist::FilterList("easylist", lists.easylist));
+      engine.add_list(filterlist::FilterList("easyprivacy", lists.easyprivacy));
+      const Classifier classifier(std::move(engine), config);
+      for (runtime::ThreadPool* pool : {static_cast<runtime::ThreadPool*>(nullptr),
+                                        pool2.get(), pool4.get()}) {
+        SCOPED_TRACE(testing::Message() << "seed " << seed << " max_iterations "
+                                        << config.max_iterations << " referrer "
+                                        << config.enable_referrer_stage << " threads "
+                                        << (pool == nullptr ? 1 : pool->size()));
+        expect_matches_reference(classifier, config, dataset, pool);
+      }
+    }
+    // The Study's own classifier, as the pipeline runs it.
+    expect_matches_reference(study.classifier(), study_config.classifier, dataset);
   }
 }
 

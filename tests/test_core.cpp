@@ -220,6 +220,7 @@ TEST(StudyRunReport, RecordsEveryStageAndStaysValidJson) {
   (void)study.analyzer().confinement(flows);
   (void)study.run_isp_snapshot(netflow::default_isps()[0],
                                netflow::default_snapshots()[0]);
+  (void)study.localization();
 
   const std::string report = study.run_report();
   EXPECT_TRUE(testing::JsonChecker::valid(report)) << report;
@@ -230,9 +231,11 @@ TEST(StudyRunReport, RecordsEveryStageAndStaysValidJson) {
         "\"classify/stage1_abp\"", "\"classify/stage2_referrer\"",
         "\"classify/stage3_keyword\"", "\"study/geoloc_panel\"",
         "\"study/border_analysis\"", "\"study/isp_snapshot\"",
+        "\"study/filterlist\"", "\"study/localization\"",
         "\"netflow/generate\"", "\"netflow/collect\"",
         // Module counters from every instrumented subsystem.
         "cbwt_classify_requests_total", "cbwt_classify_rule_hits_total",
+        "cbwt_classify_referrer_passes_total",
         "cbwt_geoloc_cache_misses_total", "cbwt_geoloc_measure_seconds",
         "cbwt_netflow_records_generated_total", "cbwt_netflow_matched_total",
         "cbwt_runtime_channel_pushed_total", "cbwt_runtime_pool_size",
@@ -266,6 +269,39 @@ TEST(StudyRunReport, RecordsEveryStageAndStaysValidJson) {
   EXPECT_EQ(refine->second, static_cast<double>(study.geo().refine_tables()));
   EXPECT_GT(refine->second, 0.0);
   EXPECT_LE(refine->second, static_cast<double>(config.mesh.probes));
+
+  // The getters without a stage of their own count what they built: the
+  // filter engine's rules, the localization study's flows, and the
+  // referrer stage's candidates (bounded by the requests left unlisted).
+  const auto span_items = [&](std::string_view name) {
+    std::uint64_t items = 0;
+    std::size_t count = 0;
+    for (const auto& span : registry.spans()) {
+      if (span.name == name) {
+        items += span.items;
+        ++count;
+      }
+    }
+    EXPECT_EQ(count, 1U) << name;
+    return items;
+  };
+  EXPECT_EQ(span_items("study/filterlist"), study.classifier().engine().total_rules());
+  EXPECT_GT(span_items("study/filterlist"), 0U);
+  EXPECT_EQ(span_items("study/localization"), study.localization().flow_count());
+  EXPECT_GT(span_items("study/localization"), 0U);
+  const std::uint64_t candidates = span_items("classify/stage2_referrer");
+  EXPECT_GT(candidates, registry.counter_value("cbwt_classify_referrer_promotions_total"));
+  EXPECT_LE(candidates, study.dataset().requests.size() -
+                            registry.counter_value("cbwt_classify_rule_hits_total"));
+  const std::uint64_t passes = registry.counter_value("cbwt_classify_referrer_passes_total");
+  EXPECT_GE(passes, 1U);
+  EXPECT_LE(passes, config.classifier.max_iterations);
+  // Neither getter runs inside another stage's span.
+  for (const auto& span : registry.spans()) {
+    if (span.name == "study/filterlist" || span.name == "study/localization") {
+      EXPECT_TRUE(span.parent.empty()) << span.name << " inside " << span.parent;
+    }
+  }
 
   // Child spans carry their parents.
   EXPECT_NE(report.find("\"name\":\"classify/stage1_abp\",\"parent\":\"study/classify\""),

@@ -175,5 +175,24 @@ TEST(UrlEdgeCases, QueryWithoutPath) {
   EXPECT_EQ(reparsed->query(), url->query());
 }
 
+TEST(UrlEdgeCases, QueryOfViewsTheParsedQuery) {
+  // query_of needs no parse: it views the text Url::parse keeps as the
+  // query, and is empty wherever the parse has none.
+  for (const std::string_view text :
+       {"https://a.com/p?k=v&x", "http://a.com?x=1", "https://a.com/p#f?k=v",
+        "https://a.com/p?k=v#f?x", "https://a.com/p?", "https://a.com/p",
+        "https://a.com:8443/?a?b=1", "HTTPS://A.COM/P?Q=1"}) {
+    const auto url = Url::parse(text);
+    ASSERT_TRUE(url.has_value()) << text;
+    EXPECT_EQ(query_of(text), url->query()) << text;
+  }
+  // A view into the input, not a copy.
+  const std::string_view text = "https://a.com/p?k=v";
+  EXPECT_EQ(query_of(text).data(), text.data() + text.find('?') + 1);
+  // Rejected URLs still split the same way; they only fail validation.
+  EXPECT_EQ(query_of("ftp://a.com/p?k=v"), "k=v");
+  EXPECT_EQ(query_of("no-scheme?k=v"), "");
+}
+
 }  // namespace
 }  // namespace cbwt::net
