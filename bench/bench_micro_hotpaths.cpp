@@ -2,7 +2,8 @@
 // matching, longest-prefix lookup, DNS server selection, pDNS
 // replication, NetFlow collection against the tracker-IP list, saving
 // and resuming a panel
-// checkpoint, and the cbwt::runtime sharded stages (classification,
+// checkpoint, the geolocated analysis tail (what-if load, confinement),
+// and the cbwt::runtime sharded stages (classification,
 // active-geolocation panels, snapshot generation) swept over pool sizes.
 //
 // Flags beyond google-benchmark's own: `--threads N` sets the largest
@@ -368,6 +369,44 @@ void BM_CheckpointLoad(benchmark::State& state) {
                           static_cast<std::int64_t>(requests));
 }
 BENCHMARK(BM_CheckpointLoad)->Unit(benchmark::kMillisecond);
+
+// --- geolocated analysis tail ------------------------------------------
+// The what-if load (Study::localization) and the EU28 confinement of
+// panel_reanalysis on the same scale-0.03 panel, with every destination's
+// active verdict cached before the timed loop: the loop times the tail's
+// own work, not measurement.
+
+void BM_LocalizationLoad(benchmark::State& state) {
+  auto& study = checkpoint_study();
+  const auto& dataset = study.dataset();
+  const auto& outcomes = study.outcomes();
+  (void)study.localization();  // measures every EU28 destination once
+  std::size_t flows = 0;
+  for (auto _ : state) {
+    whatif::LocalizationStudy localization(study.world(), study.geo(),
+                                           geoloc::Tool::ActiveIpmap);
+    localization.load(dataset, outcomes);
+    flows = localization.flow_count();
+    benchmark::DoNotOptimize(flows);
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(flows));
+}
+BENCHMARK(BM_LocalizationLoad)->Unit(benchmark::kMillisecond);
+
+void BM_FlowConfinement(benchmark::State& state) {
+  auto& study = checkpoint_study();
+  const auto eu_flows = analysis::flows_from_region(study.flows(), geo::Region::EU28);
+  const auto analyzer = study.analyzer();
+  (void)analyzer.confinement(eu_flows);  // measures every destination once
+  for (auto _ : state) {
+    const auto confinement = analyzer.confinement(eu_flows);
+    benchmark::DoNotOptimize(confinement.in_eu28);
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(eu_flows.size()));
+}
+BENCHMARK(BM_FlowConfinement)->Unit(benchmark::kMillisecond);
 
 // Each benchmark takes the pool size as its argument (1 = the serial
 // inline path, no pool object at all) and produces bit-identical results

@@ -3,7 +3,7 @@
 // redirection.
 #include "bench_common.h"
 
-void cbwt::bench::table6_cloud_migration(core::Study& study, IspRuns&, Report&) {
+void cbwt::bench::table6_cloud_migration(core::Study& study, IspRuns&, Report& report) {
   print_title("Table 6: per-country gains from PoP mirroring and cloud migration");
 
   const auto& localization = study.localization();
@@ -25,12 +25,15 @@ void cbwt::bench::table6_cloud_migration(core::Study& study, IspRuns&, Report&) 
   for (const auto& [country, gain] : ordered) {
     const auto mirror_it = mirroring_over_tld.find(country);
     const auto tld_it = migration_over_tld.find(country);
-    table.add_row({country, util::fmt_count(per_country.at(country).total),
-                   util::fmt_pct(mirror_it == mirroring_over_tld.end() ? 0.0
-                                                                       : mirror_it->second),
-                   util::fmt_pct(tld_it == migration_over_tld.end() ? 0.0
-                                                                    : tld_it->second),
-                   util::fmt_pct(gain)});
+    const auto flows = per_country.at(country).total;
+    const double mirroring = mirror_it == mirroring_over_tld.end() ? 0.0 : mirror_it->second;
+    const double migration = tld_it == migration_over_tld.end() ? 0.0 : tld_it->second;
+    report.emplace_back(country + "_flows", static_cast<double>(flows));
+    report.emplace_back(country + "_mirroring_over_tld", mirroring);
+    report.emplace_back(country + "_migration_over_tld", migration);
+    report.emplace_back(country + "_migration_over_default", gain);
+    table.add_row({country, util::fmt_count(flows), util::fmt_pct(mirroring),
+                   util::fmt_pct(migration), util::fmt_pct(gain)});
   }
   std::printf("%s", table.render().c_str());
 

@@ -30,6 +30,16 @@ struct Flow {
                                                const browser::ExtensionDataset& dataset,
                                                const std::vector<classify::Outcome>& outcomes);
 
+/// The one geolocation step of the analysis tail: locates `ips[i]` for
+/// every i under `tool`, looking each distinct IP up once. The distinct
+/// IPs (in first-appearance order) are prefetched together for the
+/// active tool, then located one by one. Entry i is the registry country
+/// of ips[i], nullptr when the tool cannot locate it; a non-empty
+/// verdict that is not a registry code is a contract failure.
+[[nodiscard]] std::vector<const geo::Country*> locate_destinations(
+    const geoloc::GeoService& service, geoloc::Tool tool,
+    std::span<const net::IpAddress> ips);
+
 /// Keeps only flows originating in `region`.
 [[nodiscard]] std::vector<Flow> flows_from_region(std::span<const Flow> flows,
                                                   geo::Region region);
@@ -78,11 +88,9 @@ class FlowAnalyzer {
   [[nodiscard]] geoloc::Tool tool() const noexcept { return tool_; }
 
  private:
-  [[nodiscard]] std::string locate(const net::IpAddress& ip) const;
-  /// Batch-measures the flows' destinations up front (active tool only):
-  /// same verdicts as on-demand lookups, but sharded across the
-  /// service's thread pool instead of serialized through the cache.
-  void warm_cache(std::span<const Flow> flows) const;
+  /// Each flow's destination country (nullptr when unlocated), every
+  /// distinct destination located once (locate_destinations).
+  [[nodiscard]] std::vector<const geo::Country*> locate(std::span<const Flow> flows) const;
 
   const geoloc::GeoService* service_;
   geoloc::Tool tool_;

@@ -229,11 +229,16 @@ const std::vector<net::IpAddress>& Study::observed_tracker_ips() {
 const std::unordered_set<std::string>& Study::tracking_registrables() {
   if (!tracking_registrables_) {
     tracking_registrables_.emplace();
+    const auto& built_world = world();
     const auto& data = dataset();
     const auto& results = outcomes();
+    std::vector<bool> visited(built_world.domains().size());
     for (std::size_t i = 0; i < data.requests.size(); ++i) {
       if (!classify::is_tracking(results[i].method)) continue;
-      tracking_registrables_->insert(world().domain(data.requests[i].domain).registrable);
+      const auto domain = data.requests[i].domain;
+      if (visited.at(domain)) continue;
+      visited[domain] = true;
+      tracking_registrables_->insert(built_world.domain(domain).registrable);
     }
   }
   return *tracking_registrables_;

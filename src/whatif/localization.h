@@ -7,15 +7,16 @@
 // the paper does.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <map>
-#include <set>
 #include <string>
 #include <vector>
 
 #include "analysis/flows.h"
 #include "browser/extension.h"
 #include "classify/classifier.h"
+#include "geo/country.h"
 #include "geoloc/service.h"
 
 namespace cbwt::whatif {
@@ -62,33 +63,48 @@ class LocalizationStudy {
   [[nodiscard]] std::size_t flow_count() const noexcept { return flows_.size(); }
 
  private:
+  /// A set of countries: bit i stands for geo::all_countries()[i].
+  using CountryMask = std::uint64_t;
+  /// StudyFlow::destination of a flow the tool could not locate.
+  static constexpr std::uint8_t kUnlocated = 0xFF;
+
   struct StudyFlow {
-    std::string origin;
-    std::string origin_continent;
-    std::string default_destination;
-    std::string default_destination_continent;
+    std::uint8_t origin = 0;                 ///< registry index of the user's country
+    std::uint8_t destination = kUnlocated;   ///< registry index of the verdict
     world::DomainId domain = 0;
+  };
+
+  /// Where a world domain's alternative destinations are kept.
+  struct DomainKeys {
+    world::DomainId fqdn = 0;       ///< find_domain(fqdn)->id: one mask per FQDN
+    std::uint32_t registrable = 0;  ///< slot in countries_by_registrable_
+    CountryMask cloud = 0;          ///< the org's cloud footprint; 0 without a cloud
   };
 
   [[nodiscard]] bool scenario_confines_to_country(const StudyFlow& flow,
                                                   Scenario scenario) const;
   [[nodiscard]] bool scenario_confines_to_continent(const StudyFlow& flow,
                                                     Scenario scenario) const;
-  /// Candidate destination countries a scenario may redirect a flow to.
-  [[nodiscard]] const std::set<std::string>* alternatives(const StudyFlow& flow,
-                                                          Scenario scenario) const;
+  /// Candidate destination countries a scenario may redirect a flow to
+  /// (for RedirectTldPlusMirroring, the registrable's and the cloud's).
+  [[nodiscard]] CountryMask alternatives(const StudyFlow& flow, Scenario scenario) const;
 
   const world::World* world_;
   const geoloc::GeoService* service_;
   geoloc::Tool tool_;
 
   std::vector<StudyFlow> flows_;
-  /// Observed destination countries per FQDN / per registrable domain.
-  std::map<std::string, std::set<std::string>> countries_by_fqdn_;
-  std::map<std::string, std::set<std::string>> countries_by_registrable_;
-  /// Published cloud footprints.
-  std::map<world::CloudId, std::set<std::string>> cloud_countries_;
-  std::set<std::string> all_cloud_countries_;
+  /// Per world domain id; fixed by the world.
+  std::vector<DomainKeys> domain_keys_;
+  /// Countries of each continent, indexed by geo::Continent.
+  std::array<CountryMask, static_cast<std::size_t>(geo::Continent::Oceania) + 1>
+      continent_countries_{};
+  /// Observed destination countries per FQDN (indexed by DomainKeys::fqdn)
+  /// and per registrable domain (by DomainKeys::registrable).
+  std::vector<CountryMask> countries_by_fqdn_;
+  std::vector<CountryMask> countries_by_registrable_;
+  /// Published footprint of every cloud.
+  CountryMask all_cloud_countries_ = 0;
 };
 
 }  // namespace cbwt::whatif

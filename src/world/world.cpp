@@ -111,6 +111,7 @@ class Builder {
     dc.name = make_datacenter_name(country.code, dc.id, owner);
     dc.prefix = w_.addresses_.allocate_server_v4(22);
     w_.datacenters_.push_back(std::move(dc));
+    pop_weights_.push_back(placement_weight(country, config_.placement_bias));
     if (cloud != kNoCloud) w_.clouds_[cloud].pops.push_back(w_.datacenters_.back().id);
   }
 
@@ -155,31 +156,28 @@ class Builder {
                                                     const std::vector<DatacenterId>& pool,
                                                     std::size_t count) const {
     std::vector<DatacenterId> chosen;
-    std::vector<std::string> used_countries;
-    std::vector<double> weights(pool.size());
-    for (std::size_t i = 0; i < pool.size(); ++i) {
-      const auto& dc = w_.datacenters_[pool[i]];
-      const geo::Country* country = geo::find_country(dc.country);
-      weights[i] = country == nullptr ? 0.0 : placement_weight(*country, config_.placement_bias);
-    }
+    std::vector<double> adjusted(pool.size());
+    for (std::size_t i = 0; i < pool.size(); ++i) adjusted[i] = pop_weights_[pool[i]];
     for (std::size_t n = 0; n < count && n < pool.size() * 2; ++n) {
-      // Temporarily damp already-used countries to spread PoPs out.
-      std::vector<double> adjusted = weights;
-      for (std::size_t i = 0; i < pool.size(); ++i) {
-        const auto& dc = w_.datacenters_[pool[i]];
-        if (std::find(used_countries.begin(), used_countries.end(), dc.country) !=
-            used_countries.end()) {
-          adjusted[i] *= 0.30;
-        }
-        if (std::find(chosen.begin(), chosen.end(), pool[i]) != chosen.end()) {
-          adjusted[i] = 0.0;
-        }
-      }
       const std::size_t idx = util::sample_discrete(rng, adjusted);
       if (adjusted[idx] <= 0.0) break;
-      chosen.push_back(pool[idx]);
-      used_countries.emplace_back(w_.datacenters_[pool[idx]].country);
+      const DatacenterId pick = pool[idx];
+      chosen.push_back(pick);
       if (chosen.size() >= count) break;
+      // Damp the picked country's other sites to spread PoPs out, and
+      // never pick the same site twice.
+      const std::string& country = w_.datacenters_[pick].country;
+      const bool first_in_country = std::none_of(
+          chosen.begin(), chosen.end() - 1,
+          [&](DatacenterId dc) { return w_.datacenters_[dc].country == country; });
+      for (std::size_t i = 0; i < pool.size(); ++i) {
+        if (pool[i] == pick) {
+          adjusted[i] = 0.0;
+        } else if (first_in_country && adjusted[i] > 0.0 &&
+                   w_.datacenters_[pool[i]].country == country) {
+          adjusted[i] = pop_weights_[pool[i]] * 0.30;
+        }
+      }
     }
     return chosen;
   }
@@ -680,6 +678,8 @@ class Builder {
   World& w_;
   const WorldConfig& config_;
   std::unordered_map<DatacenterId, std::uint64_t> server_cursor_;
+  /// PoP placement weight of each datacenter, by id.
+  std::vector<double> pop_weights_;
 };
 
 }  // namespace
