@@ -7,8 +7,11 @@
 // and re-parsed from its stored text (parse must be a fixpoint). The
 // fuzzed rule is also loaded (together with a fixed base list) into
 // both the token-indexed Engine and the naive ReferenceEngine, which
-// must agree on every context — so the fuzzer cross-checks the
-// compiled fast path against the executable spec on adversarial rules.
+// must agree on every context, through match(request) and through
+// match(request, plan_host(request.host)) — so the fuzzer cross-checks
+// the compiled fast path against the executable spec on adversarial
+// rules. The contexts' request host is the URL's host in the first URL
+// only, so the host plans' URL-host check is exercised both ways.
 #include <cstdint>
 #include <string>
 #include <string_view>
@@ -60,12 +63,14 @@ void exercise_engines(std::string_view line) {
   reference.add_list(cbwt::filterlist::FilterList("fuzz", lines));
   for (const auto url : kUrls) {
     const auto context = context_for(url);
-    const auto got = indexed.match(context);
     const auto want = reference.match(context);
-    CBWT_ASSERT(got.matched == want.matched);
-    if (want.matched) {
-      CBWT_ASSERT(got.rule->text == want.rule->text);
-      CBWT_ASSERT(got.list == want.list);
+    for (const auto& got :
+         {indexed.match(context), indexed.match(context, indexed.plan_host(context.host))}) {
+      CBWT_ASSERT(got.matched == want.matched);
+      if (want.matched) {
+        CBWT_ASSERT(got.rule->text == want.rule->text);
+        CBWT_ASSERT(got.list == want.list);
+      }
     }
   }
 }

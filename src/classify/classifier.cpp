@@ -1,5 +1,8 @@
 #include "classify/classifier.h"
 
+#include <algorithm>
+#include <bit>
+#include <cstring>
 #include <unordered_set>
 
 #include "net/domain.h"
@@ -9,17 +12,41 @@
 #include "obs/trace_buffer.h"
 #include "runtime/parallel.h"
 #include "util/contract.h"
-#include "util/fnv1a.h"
 #include "util/prng.h"
 
 namespace cbwt::classify {
 
 namespace {
 
-/// Cheap stable hash for URL-identity sets (collision odds are
-/// negligible against dataset sizes here).
+/// The in-memory identity hash of a URL (and of a request host): one
+/// multiply-xorshift per 8-byte word, the last word loaded so that it
+/// ends at the last byte (zero-padded below 8 bytes), and the length
+/// folded into a splitmix finish. Each step is a bijection of the
+/// state, so texts of one length that differ in one word never collide;
+/// other collisions are 2^-64 events against ~10^5 distinct URLs.
 std::uint64_t hash_url(std::string_view url) noexcept {
-  return util::mix64(util::fnv1a(url));
+  constexpr std::uint64_t kMultiplier = 0x9E3779B97F4A7C15ULL;
+  const auto fold = [](std::uint64_t state, std::uint64_t word) noexcept {
+    state = (state ^ word) * kMultiplier;
+    return state ^ (state >> 32);
+  };
+  const char* bytes = url.data();
+  const std::size_t size = url.size();
+  std::uint64_t state = 0;
+  std::uint64_t word = 0;
+  if (size < 8) {
+    if (size > 0) std::memcpy(&word, bytes, size);
+    state = fold(state, word);
+  } else {
+    std::size_t offset = 0;
+    for (; offset + 8 < size; offset += 8) {
+      std::memcpy(&word, bytes + offset, 8);
+      state = fold(state, word);
+    }
+    std::memcpy(&word, bytes + size - 8, 8);
+    state = fold(state, word);
+  }
+  return util::mix64(state ^ size);
 }
 
 std::string_view host_of(std::string_view url) noexcept {
@@ -56,10 +83,15 @@ bool has_keyword_key(std::string_view query,
 }
 
 /// The LTF identity set: `hash_url` values in one flat open-addressing
-/// table (power-of-two slots kept at most half full, linear probing).
-/// Slot value 0 marks an empty slot, so a real hash 0 lives in a flag.
+/// table (linear probing), sized once for at most `capacity` inserts so
+/// that it stays at most half full. Slot value 0 marks an empty slot,
+/// so a real hash 0 lives in a flag.
 class UrlHashSet {
  public:
+  explicit UrlHashSet(std::size_t capacity)
+      : capacity_(capacity),
+        slots_(std::bit_ceil(std::max<std::size_t>(2 * capacity, 1024)), 0) {}
+
   [[nodiscard]] bool contains(std::uint64_t hash) const noexcept {
     if (hash == 0) return has_zero_;
     const std::size_t mask = slots_.size() - 1;
@@ -74,34 +106,79 @@ class UrlHashSet {
       has_zero_ = true;
       return;
     }
-    if ((size_ + 1) * 2 > slots_.size()) grow();
-    if (place(slots_, hash)) ++size_;
-  }
-
- private:
-  /// Puts `hash` into `slots`; false when it was there already.
-  static bool place(std::vector<std::uint64_t>& slots, std::uint64_t hash) noexcept {
-    const std::size_t mask = slots.size() - 1;
+    CBWT_EXPECTS(inserts_ < capacity_);
+    ++inserts_;
+    const std::size_t mask = slots_.size() - 1;
     for (std::size_t index = hash & mask;; index = (index + 1) & mask) {
-      if (slots[index] == hash) return false;
-      if (slots[index] == 0) {
-        slots[index] = hash;
-        return true;
+      if (slots_[index] == hash) return;
+      if (slots_[index] == 0) {
+        slots_[index] = hash;
+        return;
       }
     }
   }
 
-  void grow() {
-    std::vector<std::uint64_t> wider(slots_.size() * 2, 0);
-    for (const std::uint64_t hash : slots_) {
-      if (hash != 0) place(wider, hash);
+ private:
+  std::size_t capacity_ = 0;
+  std::size_t inserts_ = 0;
+  std::vector<std::uint64_t> slots_;
+  bool has_zero_ = false;
+};
+
+/// Stage 1's host part: each distinct request host once, with its
+/// filter-engine plan, and every request's host slot. Built before
+/// stage 1's shards start and only read while they run.
+class HostTable {
+ public:
+  HostTable(const filterlist::Engine& engine,
+            const std::vector<browser::ThirdPartyRequest>& requests) {
+    slot_of_.reserve(requests.size());
+    for (const auto& request : requests) {
+      slot_of_.push_back(slot(engine, host_of(request.url)));
     }
-    slots_ = std::move(wider);
   }
 
-  std::vector<std::uint64_t> slots_ = std::vector<std::uint64_t>(1024, 0);
-  std::size_t size_ = 0;
-  bool has_zero_ = false;
+  [[nodiscard]] std::string_view host(std::size_t request) const noexcept {
+    return hosts_[slot_of_[request]];
+  }
+  [[nodiscard]] const filterlist::HostPlan& plan(std::size_t request) const noexcept {
+    return plans_[slot_of_[request]];
+  }
+
+ private:
+  /// The slot of `host`, which gets its plan on first sight.
+  std::uint32_t slot(const filterlist::Engine& engine, std::string_view host) {
+    const std::uint64_t hash = hash_url(host);
+    const std::size_t at = find(hash, host);
+    if (index_[at] != 0) return index_[at] - 1;
+    const auto added = static_cast<std::uint32_t>(hosts_.size());
+    hosts_.push_back(host);
+    hashes_.push_back(hash);
+    plans_.push_back(engine.plan_host(host));
+    index_[at] = added + 1;
+    if (hosts_.size() * 2 > index_.size()) {
+      index_.assign(index_.size() * 2, 0);
+      for (std::uint32_t placed = 0; placed < hosts_.size(); ++placed) {
+        index_[find(hashes_[placed], hosts_[placed])] = placed + 1;
+      }
+    }
+    return added;
+  }
+
+  /// Where `host` sits in index_, or the empty entry where it would go.
+  [[nodiscard]] std::size_t find(std::uint64_t hash, std::string_view host) const noexcept {
+    const std::size_t mask = index_.size() - 1;
+    std::size_t at = hash & mask;
+    while (index_[at] != 0 && hosts_[index_[at] - 1] != host) at = (at + 1) & mask;
+    return at;
+  }
+
+  std::vector<std::string_view> hosts_;
+  std::vector<std::uint64_t> hashes_;  ///< hash_url of each host
+  std::vector<filterlist::HostPlan> plans_;
+  std::vector<std::uint32_t> slot_of_;  ///< per request, into the vectors above
+  /// Open addressing over slot + 1 (0 = empty), kept at most half full.
+  std::vector<std::uint32_t> index_ = std::vector<std::uint32_t>(1024, 0);
 };
 
 /// A stage-2 candidate: an unlabelled request with URL arguments and a
@@ -150,14 +227,18 @@ std::vector<Outcome> Classifier::run(const browser::ExtensionDataset& dataset,
   // shards' candidate lists, read in turn, are in index order; they stay
   // one list per shard rather than one concatenated copy. LTF identity:
   // hashes of classified tracking URLs. Referrers of chained requests
-  // carry the full parent URL, so exact identity suffices.
+  // carry the full parent URL, so exact identity suffices. Each distinct
+  // host's engine plan is built once, before the shards start, so the
+  // shards only read the host table.
   const bool referrer_stage = config_.enable_referrer_stage;
-  UrlHashSet ltf_urls;
+  std::vector<std::vector<std::uint64_t>> hits;
+  std::size_t hit_count = 0;
   std::vector<std::vector<Candidate>> candidates;
   std::size_t candidate_count = 0;
   {
     obs::ScopedSpan span(registry, "classify/stage1_abp");
     span.set_items(requests.size());
+    const HostTable host_table(engine_, requests);
     runtime::ordered_stream(
         pool, requests.size(), {.channel_stats = &channel_stats},
         [&](runtime::ShardRange range, std::size_t shard) {
@@ -165,7 +246,7 @@ std::vector<Outcome> Classifier::run(const browser::ExtensionDataset& dataset,
           Stage1Part part;
           for (std::size_t i = range.begin; i < range.end; ++i) {
             const auto& request = requests[i];
-            const std::string_view host = host_of(request.url);
+            const std::string_view host = host_table.host(i);
             const std::string_view referrer_host = host_of(request.referrer);
             filterlist::RequestContext context;
             context.url = request.url;
@@ -173,7 +254,7 @@ std::vector<Outcome> Classifier::run(const browser::ExtensionDataset& dataset,
             // Defensive: collection always sets the referrer.
             context.page_host = referrer_host.empty() ? host : referrer_host;
             context.third_party = true;
-            const filterlist::MatchResult hit = engine_.match(context);
+            const filterlist::MatchResult hit = engine_.match(context, host_table.plan(i));
             if (hit.matched) {
               outcomes[i] = {Method::AbpList, hit.list};
               if (referrer_stage) part.hits.push_back(hash_url(request.url));
@@ -185,11 +266,19 @@ std::vector<Outcome> Classifier::run(const browser::ExtensionDataset& dataset,
           return part;
         },
         [&](std::size_t /*shard*/, Stage1Part&& part) {
-          for (const std::uint64_t hash : part.hits) ltf_urls.insert(hash);
+          hit_count += part.hits.size();
+          hits.push_back(std::move(part.hits));
           candidate_count += part.candidates.size();
           candidates.push_back(std::move(part.candidates));
         });
   }
+  // Every LTF insert is a stage-1 hit or a stage-2 promotion, and each
+  // candidate is promoted at most once.
+  UrlHashSet ltf_urls(hit_count + candidate_count);
+  for (const auto& part : hits) {
+    for (const std::uint64_t hash : part) ltf_urls.insert(hash);
+  }
+  hits.clear();
 
   // ---- Stage 2: referrer chaining to fixpoint ----------------------
   // Each pass walks only the candidates still unpromoted, in index

@@ -2,7 +2,9 @@
 //
 //   Stage 1 ("ABP"):   match every third-party request against the
 //                      easylist + easyprivacy engine -> LTF / NTF split.
-//                      The LTF is kept as a set of URL hashes.
+//                      The engine's host part (filterlist::HostPlan) is
+//                      worked out once per distinct request host. The
+//                      LTF is kept as a set of URL hashes.
 //   Stage 2 ("SEMI-referrer"): promote NTF requests whose referrer points
 //                      into the LTF *and* whose URL carries arguments —
 //                      these are the chained requests an ad blocker would

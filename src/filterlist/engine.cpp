@@ -6,6 +6,7 @@
 #include <span>
 
 #include "util/contract.h"
+#include "util/fnv1a.h"
 
 namespace cbwt::filterlist {
 
@@ -17,6 +18,32 @@ namespace {
 /// '%', '_', '-', '.') is a token boundary on both sides.
 [[nodiscard]] constexpr bool is_token_char(char c) noexcept {
   return (c >= 'a' && c <= 'z') || (c >= '0' && c <= '9');
+}
+
+/// Hash of the next token of `text` at/after `pos`; advances `pos` past
+/// it. Returns false when the text is exhausted.
+bool next_token(std::string_view text, std::size_t& pos, std::uint64_t& hash) noexcept {
+  while (pos < text.size() && !is_token_char(text[pos])) ++pos;
+  if (pos >= text.size()) return false;
+  std::uint64_t h = util::kFnv1aOffset;
+  while (pos < text.size() && is_token_char(text[pos])) {
+    h ^= static_cast<unsigned char>(text[pos]);
+    h *= 0x100000001B3ULL;
+    ++pos;
+  }
+  hash = h;
+  return true;
+}
+
+/// Offset of the host in `url` when the URL's host is exactly `host`
+/// (scheme://host, then '/' or the end); npos otherwise.
+std::size_t host_offset(std::string_view url, std::string_view host) noexcept {
+  const std::size_t scheme_end = url.find("://");
+  if (scheme_end == std::string_view::npos) return std::string_view::npos;
+  const std::size_t begin = scheme_end + 3;
+  if (url.substr(begin, host.size()) != host) return std::string_view::npos;
+  const std::size_t end = begin + host.size();
+  return end == url.size() || url[end] == '/' ? begin : std::string_view::npos;
 }
 
 /// True when `host` is `domain` or a subdomain of it.
@@ -173,44 +200,57 @@ struct Engine::MatchScratch {
   std::size_t token_count = 0;
   std::size_t token_resume = kNpos;  ///< URL offset of the first unbuffered token
   bool tokens_filled = false;
+  /// When set, URL bytes [host_begin, host_end) are not scanned: they are
+  /// the request host, and `host_tokens` are its tokens that may key a
+  /// bucket (the only ones a token visitor acts on).
+  bool skip_host = false;
+  std::size_t host_begin = 0;
+  std::size_t host_end = 0;
+  std::span<const std::uint64_t> host_tokens;
 
   std::array<std::uint32_t, kDomainCap> domain_ids;
   std::size_t domain_count = 0;
   bool domains_overflowed = false;
   bool domains_filled = false;
 
-  /// Hash of the next token at/after `pos`; advances `pos` past it.
-  /// Returns false when the text is exhausted.
-  static bool next_token(std::string_view text, std::size_t& pos,
-                         std::uint64_t& hash) noexcept {
-    while (pos < text.size() && !is_token_char(text[pos])) ++pos;
-    if (pos >= text.size()) return false;
-    std::uint64_t h = 0xCBF29CE484222325ULL;
-    while (pos < text.size() && is_token_char(text[pos])) {
-      h ^= static_cast<unsigned char>(text[pos]);
-      h *= 0x100000001B3ULL;
-      ++pos;
+  /// Buffers the tokens of url[pos, end); `end` must not split a token.
+  /// False, with token_resume set, when the buffer fills.
+  bool buffer_tokens(std::size_t pos, std::size_t end) noexcept {
+    const std::string_view text = request.url.substr(0, end);
+    std::uint64_t hash = 0;
+    while (next_token(text, pos, hash)) {
+      if (token_count == kTokenCap) {
+        // Rewind to the start of the token that did not fit.
+        std::size_t start = pos;
+        while (start > 0 && is_token_char(text[start - 1])) --start;
+        token_resume = start;
+        return false;
+      }
+      tokens[token_count++] = hash;
     }
-    hash = h;
     return true;
   }
 
   /// Tokenizes the URL once into the stack buffer (overflow streams).
+  /// A skipped host is bounded by "://" and by '/' or the end, so no
+  /// token crosses its edges. An overflow before its end resumes the
+  /// stream before or at the host, which then visits some tokens twice;
+  /// a repeat changes neither a minimum nor an "any".
   void fill_tokens() noexcept {
     tokens_filled = true;
-    const std::string_view url = request.url;
-    std::size_t pos = 0;
-    std::uint64_t hash = 0;
-    while (next_token(url, pos, hash)) {
+    if (!skip_host) {
+      buffer_tokens(0, request.url.size());
+      return;
+    }
+    if (!buffer_tokens(0, host_begin)) return;
+    for (const std::uint64_t hash : host_tokens) {
       if (token_count == kTokenCap) {
-        // Rewind to the start of the token that did not fit.
-        std::size_t start = pos;
-        while (start > 0 && is_token_char(url[start - 1])) --start;
-        token_resume = start;
+        token_resume = host_begin;
         return;
       }
       tokens[token_count++] = hash;
     }
+    buffer_tokens(host_end, request.url.size());
   }
 
   /// Applies `fn` to every URL token hash; `fn` returning false stops
@@ -267,6 +307,7 @@ void Engine::compile() {
   domain_names_.clear();
   domain_ids_.clear();
   compiled_.clear();
+  plan_pool_.clear();
   by_anchor_.clear();
   token_rules_.clear();
   token_exceptions_.clear();
@@ -307,6 +348,9 @@ void Engine::compile() {
     }
   };
 
+  // Domain-anchored blocking rules keyed by anchor host literal, in
+  // scan order; pass 3 lays them out as plans.
+  util::StringMap<std::vector<std::uint32_t>> buckets;
   std::size_t traversal = 0;
   std::uint32_t scan_order = 0;
   for (const auto& stored : lists_) {
@@ -348,15 +392,21 @@ void Engine::compile() {
 
       const std::string_view anchor = anchor_index_key(rule);
       if (!rule.exception && !anchor.empty()) {
+        const std::string_view literal = rule.parts.front();
+        compiled.host_decided =
+            rule.parts.size() == 1 && !rule.end_anchor && compiled.include_count == 0 &&
+            compiled.exclude_count == 0 &&
+            (literal.size() == anchor.size() ||
+             (literal.size() == anchor.size() + 1 && literal.back() == '^'));
         const auto index = static_cast<std::uint32_t>(compiled_.size());
         compiled_.push_back(compiled);
-        auto it = by_anchor_.find(anchor);
-        if (it == by_anchor_.end()) {
-          it = by_anchor_.emplace(std::string(anchor), std::vector<std::uint32_t>{})
-                   .first;
+        auto it = buckets.find(anchor);
+        if (it == buckets.end()) {
+          it = buckets.emplace(std::string(anchor), std::vector<std::uint32_t>{}).first;
         }
         it->second.push_back(index);
         ++stats_.anchored_rules;
+        if (compiled.host_decided) ++stats_.host_decided_rules;
         continue;
       }
       if (!rule.exception) compiled.order = scan_order++;
@@ -383,6 +433,24 @@ void Engine::compile() {
   }
   stats_.literal_bytes = arena_.bytes_used();
 
+  // Pass 3: each key's plan is what a suffix walk of a host whose
+  // longest keyed suffix is that key meets — its own bucket, then the
+  // bucket of every shorter keyed suffix, longest first.
+  for (const auto& [key, bucket] : buckets) {
+    const auto first = static_cast<std::uint32_t>(plan_pool_.size());
+    std::string_view suffix = key;
+    while (!suffix.empty()) {
+      if (const auto it = buckets.find(suffix); it != buckets.end()) {
+        plan_pool_.insert(plan_pool_.end(), it->second.begin(), it->second.end());
+      }
+      const std::size_t dot = suffix.find('.');
+      if (dot == std::string_view::npos) break;
+      suffix.remove_prefix(dot + 1);
+    }
+    by_anchor_.emplace(key, std::pair{first, static_cast<std::uint32_t>(
+                                                 plan_pool_.size() - first)});
+  }
+
   token_filter_.fill(0);
   for (const auto* index : {&token_rules_, &token_exceptions_}) {
     for (const auto& bucket : *index) {
@@ -398,10 +466,7 @@ bool Engine::evaluate(const CompiledRule& rule, const RequestContext& request,
                       MatchScratch& scratch) const {
   // Options first: they are one branch / a couple of id probes, and the
   // reference path (options_allow) checks them first as well.
-  if (rule.third_party != kAnyParty &&
-      (rule.third_party != 0) != request.third_party) {
-    return false;
-  }
+  if (!party_allows(rule, request)) return false;
   if (rule.include_count != 0 || rule.exclude_count != 0) {
     if (!scratch.domains_filled) scratch.fill_domains(domain_ids_);
     const auto page_under = [&](std::uint32_t id) {
@@ -473,29 +538,77 @@ bool Engine::evaluate(const CompiledRule& rule, const RequestContext& request,
   return false;
 }
 
+std::span<const std::uint32_t> Engine::anchored_candidates(std::string_view host) const {
+  // Walk host suffixes ("a.b.c.com" probes a.b.c.com, b.c.com, c.com,
+  // com) up to the first key; its plan already holds the buckets of the
+  // shorter suffixes the reference walk would go on to probe.
+  for (std::string_view suffix = host; !suffix.empty();) {
+    if (const auto it = by_anchor_.find(suffix); it != by_anchor_.end()) {
+      return std::span(plan_pool_).subspan(it->second.first, it->second.second);
+    }
+    const std::size_t dot = suffix.find('.');
+    if (dot == std::string_view::npos) break;
+    suffix.remove_prefix(dot + 1);
+  }
+  return {};
+}
+
+HostPlan Engine::plan_host(std::string_view host) const {
+  HostPlan plan;
+  plan.candidates = anchored_candidates(host);
+  // The host's tokens that may key a bucket; most hosts have none.
+  plan.host_tokens_known = true;
+  std::size_t pos = 0;
+  std::uint64_t hash = 0;
+  while (next_token(host, pos, hash)) {
+    if (!may_be_indexed(hash)) continue;
+    if (plan.host_token_count == HostPlan::kHostTokenCap) {
+      plan.host_tokens_known = false;
+      break;
+    }
+    plan.host_tokens[plan.host_token_count++] = hash;
+  }
+  return plan;
+}
+
 MatchResult Engine::match(const RequestContext& request) const {
+  // A plan for one request: collecting the host's tokens pays only when
+  // a plan serves many requests, so this one leaves them to the URL scan.
+  HostPlan plan;
+  plan.candidates = anchored_candidates(request.host);
+  return match(request, plan);
+}
+
+MatchResult Engine::match(const RequestContext& request, const HostPlan& plan) const {
   // The host must be a bare host name (no scheme, no path): the anchor
   // index keys on host suffixes and would silently miss otherwise.
   CBWT_EXPECTS(request.host.find('/') == std::string_view::npos);
   MatchScratch scratch(request);
+  // The plan's shortcuts hold only when the URL's host is the request
+  // host; otherwise every candidate is evaluated and every byte tokenized.
+  const std::size_t host_begin = host_offset(request.url, request.host);
+  const bool url_host_is_request_host = host_begin != std::string_view::npos;
+  if (url_host_is_request_host && plan.host_tokens_known) {
+    scratch.skip_host = true;
+    scratch.host_begin = host_begin;
+    scratch.host_end = host_begin + request.host.size();
+    scratch.host_tokens = std::span(plan.host_tokens).first(plan.host_token_count);
+  }
 
-  // 1. Anchored rules: walk host suffixes ("a.b.c.com" probes
-  //    a.b.c.com, b.c.com, c.com, com); first bucket hit wins, exactly
-  //    like the reference walk.
+  // 1. Anchored rules in plan order; the first hit wins, exactly like
+  //    the reference walk. A host-decided rule's literal is a label
+  //    suffix of the request host, so on a URL with that host the
+  //    literal matches at that suffix and only $third-party is left.
   const CompiledRule* hit = nullptr;
-  std::string_view host = request.host;
-  while (hit == nullptr && !host.empty()) {
-    if (const auto it = by_anchor_.find(host); it != by_anchor_.end()) {
-      for (const auto index : it->second) {
-        if (evaluate(compiled_[index], request, scratch)) {
-          hit = &compiled_[index];
-          break;
-        }
-      }
+  for (const auto index : plan.candidates) {
+    const CompiledRule& rule = compiled_[index];
+    const bool matched = rule.host_decided && url_host_is_request_host
+                             ? party_allows(rule, request)
+                             : evaluate(rule, request, scratch);
+    if (matched) {
+      hit = &rule;
+      break;
     }
-    const std::size_t dot = host.find('.');
-    if (dot == std::string_view::npos) break;
-    host.remove_prefix(dot + 1);
   }
 
   // 2. The reference engine's linear-scan bucket, collapsed to token

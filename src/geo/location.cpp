@@ -1,5 +1,6 @@
 #include "geo/location.h"
 
+#include <algorithm>
 #include <cmath>
 #include <numbers>
 
@@ -13,20 +14,28 @@ constexpr double kFibreSpeedKmPerMs = 299.792458 * 2.0 / 3.0;
 double radians(double degrees) noexcept { return degrees * std::numbers::pi / 180.0; }
 }  // namespace
 
-double distance_km(const LatLon& a, const LatLon& b) noexcept {
-  const double phi1 = radians(a.lat);
-  const double phi2 = radians(b.lat);
-  const double dphi = radians(b.lat - a.lat);
-  const double dlambda = radians(b.lon - a.lon);
+Site::Site(const LatLon& point) noexcept
+    : location(point), cos_lat(std::cos(radians(point.lat))) {}
+
+double distance_km(const Site& a, const Site& b) noexcept {
+  const double dphi = radians(b.location.lat - a.location.lat);
+  const double dlambda = radians(b.location.lon - a.location.lon);
   const double sin_dphi = std::sin(dphi / 2.0);
   const double sin_dlambda = std::sin(dlambda / 2.0);
-  const double h =
-      sin_dphi * sin_dphi + std::cos(phi1) * std::cos(phi2) * sin_dlambda * sin_dlambda;
+  const double h = sin_dphi * sin_dphi + a.cos_lat * b.cos_lat * sin_dlambda * sin_dlambda;
   return 2.0 * kEarthRadiusKm * std::asin(std::min(1.0, std::sqrt(h)));
 }
 
-double propagation_delay_ms(const LatLon& a, const LatLon& b, double path_stretch) noexcept {
+double distance_km(const LatLon& a, const LatLon& b) noexcept {
+  return distance_km(Site(a), Site(b));
+}
+
+double propagation_delay_ms(const Site& a, const Site& b, double path_stretch) noexcept {
   return distance_km(a, b) * path_stretch / kFibreSpeedKmPerMs;
+}
+
+double propagation_delay_ms(const LatLon& a, const LatLon& b, double path_stretch) noexcept {
+  return propagation_delay_ms(Site(a), Site(b), path_stretch);
 }
 
 }  // namespace cbwt::geo

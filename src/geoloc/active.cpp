@@ -45,6 +45,8 @@ ActiveGeolocator::ActiveGeolocator(const world::World& world, const ProbeMesh& m
   // refinement round samples around; a smaller panel has none.
   CBWT_EXPECTS(std::min<std::size_t>(options.probes_per_measurement, mesh.probes().size()) >=
                3);
+  sites_.reserve(mesh.probes().size());
+  for (const Probe& probe : mesh.probes()) sites_.emplace_back(probe.location);
 }
 
 ActiveGeolocator::~ActiveGeolocator() {
@@ -62,11 +64,10 @@ std::size_t ActiveGeolocator::refine_tables() const noexcept {
 }
 
 std::vector<double> ActiveGeolocator::refine_weights(std::size_t focus) const {
-  const auto& probes = mesh_->probes();
-  const geo::LatLon& center = probes[focus].location;
-  std::vector<double> weights(probes.size());
-  for (std::size_t i = 0; i < probes.size(); ++i) {
-    const double km = geo::distance_km(probes[i].location, center);
+  const geo::Site& center = sites_[focus];
+  std::vector<double> weights(sites_.size());
+  for (std::size_t i = 0; i < sites_.size(); ++i) {
+    const double km = geo::distance_km(sites_[i], center);
     weights[i] = 1.0 / ((km + 50.0) * (km + 50.0));
   }
   return weights;
@@ -87,9 +88,9 @@ const util::DiscreteSampler& ActiveGeolocator::refine_table(std::size_t focus) c
   return *published;
 }
 
-double ActiveGeolocator::measure_rtt(const Probe& probe, const geo::LatLon& target,
+double ActiveGeolocator::measure_rtt(const geo::Site& probe, const geo::Site& target,
                                      util::Rng& rng) const {
-  const double propagation = 2.0 * geo::propagation_delay_ms(probe.location, target);
+  const double propagation = 2.0 * geo::propagation_delay_ms(probe, target);
   const double last_mile =
       rng.next_double_in(options_.last_mile_ms_min, options_.last_mile_ms_max);
   const double queueing = rng.next_exponential(options_.queue_noise_rate);
@@ -100,7 +101,7 @@ GeoEstimate ActiveGeolocator::locate(const net::IpAddress& ip, util::Rng& rng,
                                      const fault::FaultPlan* fault_plan) const {
   const world::Server* server = world_->find_server(ip);
   if (server == nullptr) return {};
-  const auto& dc = world_->datacenter(server->datacenter);
+  const geo::Site target(world_->datacenter(server->datacenter).location);
 
   // Two measurement rounds, as the IPmap engine runs them: a worldwide
   // scouting panel first, then a panel concentrated around the scouting
@@ -116,8 +117,8 @@ GeoEstimate ActiveGeolocator::locate(const net::IpAddress& ip, util::Rng& rng,
   std::vector<Sample> samples;
   samples.reserve(panel_size);
   for (std::size_t i = 0; i < scout_size; ++i) {
-    const auto& probe = probes[static_cast<std::size_t>(rng.next_below(probes.size()))];
-    samples.push_back({measure_rtt(probe, dc.location, rng), &probe});
+    const auto index = static_cast<std::size_t>(rng.next_below(probes.size()));
+    samples.push_back({measure_rtt(sites_[index], target, rng), &probes[index]});
   }
   const auto best_scout =
       std::min_element(samples.begin(), samples.end(),
@@ -128,8 +129,8 @@ GeoEstimate ActiveGeolocator::locate(const net::IpAddress& ip, util::Rng& rng,
   const util::DiscreteSampler& refine = refine_table(focus);
   const auto weights = [&] { return refine_weights(focus); };
   for (std::size_t i = scout_size; i < panel_size; ++i) {
-    const auto& probe = probes[refine.sample(rng, weights)];
-    samples.push_back({measure_rtt(probe, dc.location, rng), &probe});
+    const std::size_t index = refine.sample(rng, weights);
+    samples.push_back({measure_rtt(sites_[index], target, rng), &probes[index]});
   }
   GeoEstimate estimate;
   const auto probe_site =

@@ -111,18 +111,23 @@ class ActiveGeolocator {
   /// Refinement tables built so far (at most one per mesh probe).
   [[nodiscard]] std::size_t refine_tables() const noexcept;
 
- private:
-  [[nodiscard]] double measure_rtt(const Probe& probe, const geo::LatLon& target,
-                                   util::Rng& rng) const;
   /// The refinement weights around mesh probe `focus`: 1 / (km + 50)^2
-  /// in each probe's distance from it.
+  /// in each probe's distance from it. Its table draws as
+  /// sample_discrete over these.
   [[nodiscard]] std::vector<double> refine_weights(std::size_t focus) const;
+
+ private:
+  [[nodiscard]] double measure_rtt(const geo::Site& probe, const geo::Site& target,
+                                   util::Rng& rng) const;
   /// The refinement table of mesh probe `focus`, built on first use.
   [[nodiscard]] const util::DiscreteSampler& refine_table(std::size_t focus) const;
 
   const world::World* world_;
   const ProbeMesh* mesh_;
   ActiveGeolocatorOptions options_;
+  /// Each mesh probe's location with its latitude's cosine, computed
+  /// once for every refinement table and RTT that measures from it.
+  std::vector<geo::Site> sites_;
   /// One slot per mesh probe: null until that focus's table is published
   /// by a single compare_exchange. Owned.
   std::unique_ptr<std::atomic<const util::DiscreteSampler*>[]> refine_tables_;

@@ -136,6 +136,8 @@ void GeoService::prefetch(std::span<const net::IpAddress> ips) const {
   if (batches_ != nullptr) {
     batches_->add(1);
     batch_ips_->add(missing.size());
+    // Each IP measured here missed the cache, as a lookup would have.
+    cache_misses_->add(missing.size());
   }
   std::vector<std::string> countries(missing.size());
   runtime::parallel_for(pool_, missing.size(), {.min_shard_items = 8},

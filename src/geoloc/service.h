@@ -69,8 +69,9 @@ class GeoService {
   [[nodiscard]] std::string locate(const net::IpAddress& ip, Tool tool) const;
 
   /// Measures every not-yet-cached IP of `ips` with the active tool,
-  /// sharded across the pool. Results are identical to looking each IP
-  /// up on demand — this is purely a throughput lever.
+  /// sharded across the pool, and counts each one as a cache miss.
+  /// Results are identical to looking each IP up on demand — this is
+  /// purely a throughput lever.
   void prefetch(std::span<const net::IpAddress> ips) const;
 
   /// Continent/region helpers driven by locate().

@@ -1,9 +1,11 @@
 // FNV-1a 64: the one stable byte hash. Two of its uses are on disk, so
 // its values must never change: store superblock checksums, and the
 // fault-site hashes folded into a join manifest's fault signature (which
-// also fix which records a fault plan drops). URL-identity hashes and
-// string-keyed containers use it too, but live only in memory; they
-// need it to be deterministic, not stable across versions.
+// also fix which records a fault plan drops). String-keyed containers
+// (util::StringHash) and the filter engine's token index use it too, but
+// live only in memory; they need it to be deterministic, not stable
+// across versions. The classifier's URL-identity hash is not FNV: it is
+// a word-at-a-time hash local to src/classify.
 #pragma once
 
 #include <cstddef>

@@ -7,6 +7,7 @@
 
 #include "core/study.h"
 #include "filterlist/generate.h"
+#include "filterlist/reference.h"
 #include "net/url.h"
 #include "runtime/thread_pool.h"
 #include "util/fnv1a.h"
@@ -20,8 +21,11 @@ namespace {
 /// The executable specification of Classifier::run: the serial three
 /// stages as first written, a full index-order rescan per referrer pass
 /// over a node-based hash set and a full Url::parse per keyword test.
-/// Classifier::run must return exactly these outcomes.
-std::vector<Outcome> reference_classify(const filterlist::Engine& engine,
+/// Classifier::run must return exactly these outcomes. `engine` is the
+/// classifier's own Engine or a filterlist::ReferenceEngine over the
+/// same lists, the matcher's own spec.
+template <typename Matcher>
+std::vector<Outcome> reference_classify(const Matcher& engine,
                                         const ClassifierConfig& config,
                                         const browser::ExtensionDataset& dataset) {
   const auto hash_url = [](std::string_view url) {
@@ -99,11 +103,15 @@ std::vector<Outcome> reference_classify(const filterlist::Engine& engine,
 }
 
 /// Asserts that `classifier` (built with `config`) returns
-/// reference_classify's outcomes, request by request.
+/// reference_classify's outcomes, request by request; matched by
+/// `spec_engine` when given, by the classifier's engine otherwise.
 void expect_matches_reference(const Classifier& classifier, const ClassifierConfig& config,
                               const browser::ExtensionDataset& dataset,
-                              runtime::ThreadPool* pool = nullptr) {
-  const auto expected = reference_classify(classifier.engine(), config, dataset);
+                              runtime::ThreadPool* pool = nullptr,
+                              const filterlist::ReferenceEngine* spec_engine = nullptr) {
+  const auto expected = spec_engine != nullptr
+                            ? reference_classify(*spec_engine, config, dataset)
+                            : reference_classify(classifier.engine(), config, dataset);
   const auto actual = classifier.run(dataset, pool);
   ASSERT_EQ(actual.size(), expected.size());
   for (std::size_t i = 0; i < actual.size(); ++i) {
@@ -395,8 +403,11 @@ TEST(ClassifierSpec, StudyDatasetsMatchTheReferenceAtAnyPoolSize) {
       util::Rng list_rng(seed);
       const auto lists = filterlist::generate_lists(study.world(), list_rng);
       filterlist::Engine engine;
+      filterlist::ReferenceEngine spec_engine;
       engine.add_list(filterlist::FilterList("easylist", lists.easylist));
       engine.add_list(filterlist::FilterList("easyprivacy", lists.easyprivacy));
+      spec_engine.add_list(filterlist::FilterList("easylist", lists.easylist));
+      spec_engine.add_list(filterlist::FilterList("easyprivacy", lists.easyprivacy));
       const Classifier classifier(std::move(engine), config);
       for (runtime::ThreadPool* pool : {static_cast<runtime::ThreadPool*>(nullptr),
                                         pool2.get(), pool4.get()}) {
@@ -404,7 +415,7 @@ TEST(ClassifierSpec, StudyDatasetsMatchTheReferenceAtAnyPoolSize) {
                                         << config.max_iterations << " referrer "
                                         << config.enable_referrer_stage << " threads "
                                         << (pool == nullptr ? 1 : pool->size()));
-        expect_matches_reference(classifier, config, dataset, pool);
+        expect_matches_reference(classifier, config, dataset, pool, &spec_engine);
       }
     }
     // The Study's own classifier, as the pipeline runs it.

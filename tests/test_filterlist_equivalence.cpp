@@ -153,18 +153,23 @@ struct EnginePair {
   }
 
   /// Asserts both verdicts are identical (match bit, winning rule text,
-  /// winning list) for one request.
+  /// winning list) for one request, through match(request) and through
+  /// match(request, plan_host(request.host)).
   void expect_agree(const RequestContext& context) const {
-    const MatchResult got = indexed.match(context);
     const MatchResult want = reference.match(context);
-    ASSERT_EQ(got.matched, want.matched)
-        << "url=" << context.url << " page=" << context.page_host
-        << " 3p=" << context.third_party
-        << (want.matched ? " reference rule: " + want.rule->text
-                         : " reference: no match, indexed rule: " + got.rule->text);
-    if (want.matched) {
-      ASSERT_EQ(got.rule->text, want.rule->text) << "url=" << context.url;
-      ASSERT_EQ(got.list, want.list) << "url=" << context.url;
+    const HostPlan plan = indexed.plan_host(context.host);
+    for (const bool planned : {false, true}) {
+      const MatchResult got = planned ? indexed.match(context, plan) : indexed.match(context);
+      ASSERT_EQ(got.matched, want.matched)
+          << "planned=" << planned << " url=" << context.url << " host=" << context.host
+          << " page=" << context.page_host << " 3p=" << context.third_party
+          << (want.matched ? " reference rule: " + want.rule->text
+                           : " reference: no match, indexed rule: " + got.rule->text);
+      if (want.matched) {
+        ASSERT_EQ(got.rule->text, want.rule->text)
+            << "planned=" << planned << " url=" << context.url;
+        ASSERT_EQ(got.list, want.list) << "planned=" << planned << " url=" << context.url;
+      }
     }
   }
 };
@@ -183,6 +188,9 @@ TEST(EngineEquivalence, RandomCorpusAgreesWithReference) {
   engines.add("easyprivacy", easyprivacy);
   ASSERT_EQ(engines.indexed.total_rules(), engines.reference.total_rules());
 
+  // Variants from their own stream, so the base corpus stays as it was:
+  // a request host other than the URL's, and a URL host with a port.
+  util::Rng variant_rng(0x9A7E5ULL);
   std::size_t matched = 0;
   for (std::size_t i = 0; i < kRequestCount; ++i) {
     const RequestStorage request = random_request(rng);
@@ -190,6 +198,14 @@ TEST(EngineEquivalence, RandomCorpusAgreesWithReference) {
                                                 request.page_host, request.third_party);
     engines.expect_agree(context);
     if (engines.indexed.match(context).matched) ++matched;
+
+    const std::string other_host = pick(variant_rng, hosts());
+    engines.expect_agree(make_context(request.url, other_host, request.page_host,
+                                      request.third_party));
+    std::string ported = request.url;
+    ported.insert(std::string_view("https://").size() + request.host.size(), ":8443");
+    engines.expect_agree(make_context(ported, request.host, request.page_host,
+                                      request.third_party));
   }
   // The corpus must actually exercise both verdicts; an all-miss (or
   // all-hit) run would vacuously pass.
@@ -234,6 +250,149 @@ TEST(EngineEquivalence, HandPickedEdgeCases) {
   for (const auto& request : requests) {
     engines.expect_agree(make_context(request.url, request.host, request.page_host,
                                       request.third_party));
+  }
+}
+
+/// The host plan's shortcut: a host-decided rule (||K or ||K^, no end
+/// anchor, no $domain=) is trusted only when the URL's host is the
+/// request host; every other shape, and every URL that fails that check,
+/// is evaluated in full.
+TEST(EngineEquivalence, HostPlansAgreeWithReference) {
+  EnginePair engines;
+  engines.add("plans", {
+                           "||tracker.io^$third-party",
+                           "||tracker.io/px^",
+                           "||sync.tracker.io^$~third-party",
+                           "||pixel.tracker.io^|",
+                           "||www.stats.net/",
+                           "||stats.net",
+                           "||beacon.stats.net^$domain=news.org",
+                           "||cdn.example.net^*ad",
+                           "||example.com^*track",
+                           "||a.b.c.example.com^",
+                       });
+  engines.add("plans-exceptions", {
+                                      "||example.com^",
+                                      "@@||ads.example.com^$domain=allowed.org",
+                                      "@@||example.com/optout",
+                                  });
+  const std::vector<RequestStorage> requests = {
+      // request.host differs from the URL's host: the fallback.
+      {"https://other.net/x", "sync.tracker.io", "news.org", true},
+      {"https://other.net/x", "sync.tracker.io", "news.org", false},
+      {"https://tracker.io.evil.net/", "tracker.io", "news.org", true},
+      {"https://tracker.iox/", "tracker.io", "news.org", true},
+      {"no-scheme/tracker.io", "tracker.io", "news.org", true},
+      // A URL with no path.
+      {"https://sync.tracker.io", "sync.tracker.io", "news.org", true},
+      {"https://sync.tracker.io", "sync.tracker.io", "news.org", false},
+      {"https://pixel.tracker.io", "pixel.tracker.io", "news.org", false},
+      // host:port, as the request host and beside it.
+      {"https://sync.tracker.io:8443/p", "sync.tracker.io", "news.org", true},
+      {"https://sync.tracker.io:8443/p", "sync.tracker.io:8443", "news.org", true},
+      // ||K with no ^, and a host that only extends its last label.
+      {"https://www.stats.net/", "www.stats.net", "news.org", true},
+      {"https://www.stats.net", "www.stats.net", "news.org", true},
+      // One literal that goes on past the host: ||K/... is not decided.
+      {"https://tracker.io/x", "tracker.io", "news.org", false},
+      {"https://tracker.io/px?a=1", "tracker.io", "news.org", false},
+      {"https://stats.netx/", "stats.netx", "news.org", true},
+      // ||K^| (end anchor): only the bare host URL can match.
+      {"https://pixel.tracker.io/", "pixel.tracker.io", "news.org", false},
+      {"https://pixel.tracker.io/a", "pixel.tracker.io", "news.org", false},
+      // ||K^$domain=.
+      {"https://beacon.stats.net/b", "beacon.stats.net", "news.org", true},
+      {"https://beacon.stats.net/b", "beacon.stats.net", "other.org", true},
+      // ||K^*ad.
+      {"https://cdn.example.net/lib/ad.js", "cdn.example.net", "news.org", true},
+      {"https://cdn.example.net/lib/x.js", "cdn.example.net", "news.org", true},
+      {"https://cdn.example.net/lib/x.js", "cdn.example.net", "news.org", false},
+      // An anchored exception under the host.
+      {"https://ads.example.com/a", "ads.example.com", "allowed.org", true},
+      {"https://ads.example.com/a", "ads.example.com", "news.org", true},
+      {"https://x.example.com/optout", "x.example.com", "news.org", true},
+      // A plan spanning several suffix buckets.
+      {"https://a.b.c.example.com/p", "a.b.c.example.com", "news.org", true},
+      {"https://z.a.b.c.example.com/p?track=1", "z.a.b.c.example.com", "news.org", true},
+      {"https://z.a.b.c.example.com/p?track=1", "z.a.b.c.example.com", "news.org", false},
+      {"https://x.sync.tracker.io/", "x.sync.tracker.io", "news.org", true},
+      {"https://x.sync.tracker.io/", "x.sync.tracker.io", "news.org", false},
+      // A host no rule is keyed under.
+      {"https://unlisted.org/", "unlisted.org", "news.org", true},
+  };
+  for (const auto& request : requests) {
+    engines.expect_agree(make_context(request.url, request.host, request.page_host,
+                                      request.third_party));
+  }
+
+  // Plans hold the walk's buckets, longest suffix first: the host's
+  // own key, then example.com's two rules; sync.tracker.io's rule, then
+  // tracker.io's two.
+  const HostPlan deep = engines.indexed.plan_host("z.a.b.c.example.com");
+  EXPECT_EQ(deep.candidates.size(), 3U);
+  EXPECT_EQ(engines.indexed.plan_host("x.sync.tracker.io").candidates.size(), 3U);
+  EXPECT_TRUE(engines.indexed.plan_host("unlisted.org").candidates.empty());
+  EXPECT_TRUE(engines.indexed.plan_host("").candidates.empty());
+  // ||tracker.io^, ||sync.tracker.io^, ||stats.net, ||a.b.c.example.com^
+  // and ||example.com^ are decided by the host; the other six are not.
+  EXPECT_EQ(engines.indexed.index_stats().anchored_rules, 11U);
+  EXPECT_EQ(engines.indexed.index_stats().host_decided_rules, 5U);
+}
+
+/// The host plan's tokens: a URL whose host is the request host is
+/// tokenized only outside the host, and the plan stands in with the
+/// host's tokens that may key a bucket — unless there are more of them
+/// than the plan holds, when the whole URL is tokenized.
+TEST(EngineEquivalence, HostTokensAgreeWithReference) {
+  EnginePair engines;
+  engines.add("tokens", {
+                            ".t1.",
+                            ".t2.$third-party",
+                            ".t4.",
+                            ".t5.",
+                            "@@.t3.$domain=allowed.org",
+                            "@@.t2.*optout",
+                        });
+  const std::string five = "a.t1.t2.t3.t4.t5.example.com";
+  const std::string four = "a.t1.t2.t3.t4.example.com";
+  const std::string two = "a.t1.t3.example.com";
+  EXPECT_FALSE(engines.indexed.plan_host(five).host_tokens_known);
+  ASSERT_EQ(HostPlan::kHostTokenCap, 4U);
+  EXPECT_TRUE(engines.indexed.plan_host(four).host_tokens_known);
+  EXPECT_EQ(engines.indexed.plan_host(four).host_token_count, 4U);
+  EXPECT_EQ(engines.indexed.plan_host(two).host_token_count, 2U);
+  EXPECT_EQ(engines.indexed.plan_host("plain.example.com").host_token_count, 0U);
+
+  std::vector<RequestStorage> requests;
+  for (const std::string& host : {five, four, two, std::string("plain.example.com")}) {
+    for (const std::string path : {"/", "/x/optout", "/p.t5.q"}) {
+      for (const std::string page : {"news.org", "allowed.org"}) {
+        for (const bool third_party : {true, false}) {
+          requests.push_back({"https://" + host + path, host, page, third_party});
+          requests.push_back({"https://" + host, host, page, third_party});
+        }
+      }
+    }
+  }
+  for (const auto& request : requests) {
+    engines.expect_agree(make_context(request.url, request.host, request.page_host,
+                                      request.third_party));
+  }
+
+  // Schemes that fill the 128-token stack buffer before, at and inside
+  // the skipped host's tokens: the stream resumes before or at the host
+  // and revisits it.
+  for (const int scheme_tokens : {125, 126, 127, 128, 200}) {
+    std::string scheme;
+    for (int i = 1; i < scheme_tokens; ++i) scheme += "s" + std::to_string(i) + ".";
+    scheme += "x";
+    for (const std::string& host : {two, four}) {
+      for (const std::string path : {"/", "/x/optout", "/p.t5.q"}) {
+        const std::string url = scheme + "://" + host + path;
+        engines.expect_agree(make_context(url, host, "news.org", true));
+        engines.expect_agree(make_context(url, host, "allowed.org", true));
+      }
+    }
   }
 }
 

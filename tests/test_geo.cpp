@@ -3,7 +3,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cmath>
+#include <cstdint>
+#include <numbers>
 #include <set>
+#include <vector>
+
+#include "util/prng.h"
 
 namespace cbwt::geo {
 namespace {
@@ -43,6 +51,46 @@ TEST(Location, PropagationDelayScalesWithDistance) {
   const LatLon x{0.0, 0.0};
   const LatLon y{0.0, 8.9932};  // ~1000 km on the equator
   EXPECT_NEAR(propagation_delay_ms(x, y), 8.0, 0.5);
+}
+
+/// The haversine as first written, both cosines taken per call: the
+/// spec that distance_km over Sites must reproduce bit for bit.
+double haversine_km(const LatLon& a, const LatLon& b) {
+  const auto radians = [](double degrees) { return degrees * std::numbers::pi / 180.0; };
+  const double phi1 = radians(a.lat);
+  const double phi2 = radians(b.lat);
+  const double dphi = radians(b.lat - a.lat);
+  const double dlambda = radians(b.lon - a.lon);
+  const double sin_dphi = std::sin(dphi / 2.0);
+  const double sin_dlambda = std::sin(dlambda / 2.0);
+  const double h =
+      sin_dphi * sin_dphi + std::cos(phi1) * std::cos(phi2) * sin_dlambda * sin_dlambda;
+  return 2.0 * 6371.0 * std::asin(std::min(1.0, std::sqrt(h)));
+}
+
+TEST(Location, SiteDistanceIsTheHaversineBitForBit) {
+  std::vector<std::pair<LatLon, LatLon>> pairs = {
+      {{90.0, 0.0}, {-90.0, 0.0}},      // pole to pole
+      {{90.0, 10.0}, {90.0, -170.0}},   // one pole, two longitudes
+      {{-90.0, 0.0}, {12.5, 40.0}},
+      {{0.0, 0.0}, {0.0, 180.0}},       // antipodes on the equator
+      {{45.0, 30.0}, {-45.0, -150.0}},  // antipodes off it
+      {{52.52, 13.40}, {52.52, 13.40}}, // the same point
+      {{0.0, -179.9}, {0.0, 179.9}},    // across the date line
+  };
+  util::Rng rng(0x6E0ULL);
+  for (int i = 0; i < 20000; ++i) {
+    pairs.push_back({{rng.next_double_in(-90.0, 90.0), rng.next_double_in(-180.0, 180.0)},
+                     {rng.next_double_in(-90.0, 90.0), rng.next_double_in(-180.0, 180.0)}});
+  }
+  for (const auto& [a, b] : pairs) {
+    const auto want = std::bit_cast<std::uint64_t>(haversine_km(a, b));
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(distance_km(Site(a), Site(b))), want)
+        << a.lat << "," << a.lon << " " << b.lat << "," << b.lon;
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(distance_km(a, b)), want);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(propagation_delay_ms(Site(a), Site(b))),
+              std::bit_cast<std::uint64_t>(propagation_delay_ms(a, b)));
+  }
 }
 
 TEST(Countries, RegistryIsUsable) {

@@ -8,6 +8,7 @@
 #include <bit>
 #include <cmath>
 #include <map>
+#include <numbers>
 
 #include "fault/fault.h"
 #include "fault/retry.h"
@@ -17,6 +18,33 @@
 
 namespace cbwt::geoloc {
 namespace {
+
+/// The haversine as first written, both cosines taken per call: the
+/// distance the refinement weights were built from before each probe's
+/// cosine was kept.
+double haversine_km(const geo::LatLon& a, const geo::LatLon& b) {
+  const auto radians = [](double degrees) { return degrees * std::numbers::pi / 180.0; };
+  const double phi1 = radians(a.lat);
+  const double phi2 = radians(b.lat);
+  const double dphi = radians(b.lat - a.lat);
+  const double dlambda = radians(b.lon - a.lon);
+  const double sin_dphi = std::sin(dphi / 2.0);
+  const double sin_dlambda = std::sin(dlambda / 2.0);
+  const double h =
+      sin_dphi * sin_dphi + std::cos(phi1) * std::cos(phi2) * sin_dlambda * sin_dlambda;
+  return 2.0 * 6371.0 * std::asin(std::min(1.0, std::sqrt(h)));
+}
+
+/// The refinement weights around `focus`, through haversine_km.
+std::vector<double> reference_refine_weights(const ProbeMesh& mesh, const geo::LatLon& focus) {
+  const auto& probes = mesh.probes();
+  std::vector<double> weights(probes.size());
+  for (std::size_t i = 0; i < probes.size(); ++i) {
+    const double km = haversine_km(probes[i].location, focus);
+    weights[i] = 1.0 / ((km + 50.0) * (km + 50.0));
+  }
+  return weights;
+}
 
 /// The uncached locate: the executable spec of ActiveGeolocator::locate,
 /// which builds each focus probe's refinement table once. Every call
@@ -54,12 +82,7 @@ GeoEstimate reference_locate(const world::World& world, const ProbeMesh& mesh,
   const auto best_scout =
       std::min_element(samples.begin(), samples.end(),
                        [](const Sample& a, const Sample& b) { return a.rtt < b.rtt; });
-  const geo::LatLon focus = best_scout->probe->location;
-  std::vector<double> refine_weights(probes.size());
-  for (std::size_t i = 0; i < probes.size(); ++i) {
-    const double km = geo::distance_km(probes[i].location, focus);
-    refine_weights[i] = 1.0 / ((km + 50.0) * (km + 50.0));
-  }
+  const auto refine_weights = reference_refine_weights(mesh, best_scout->probe->location);
   for (std::size_t i = scout_size; i < panel_size; ++i) {
     const auto& probe = probes[util::sample_discrete(rng, refine_weights)];
     samples.push_back({measure_rtt(probe), &probe});
@@ -366,7 +389,9 @@ TEST_F(GeolocTest, PrefetchUnderFaultsCountsEachMissOnce) {
   EXPECT_GT(degraded, 0u);
   EXPECT_EQ(registry.counter_value("cbwt_geoloc_unlocated_total"), degraded);
 
+  // The prefetch measured every IP, so each one missed the cache once.
   const auto misses = registry.counter_value("cbwt_geoloc_cache_misses_total");
+  EXPECT_EQ(misses, ips.size());
   const auto batches = registry.counter_value("cbwt_geoloc_probe_batches_total");
   service.prefetch(ips);
   for (const auto& ip : ips) (void)service.locate(ip, Tool::ActiveIpmap);
@@ -415,6 +440,23 @@ TEST_F(GeolocTest, LocateMatchesTheUncachedReference) {
   // Tables exist only for probes that won a scouting round.
   EXPECT_GT(locator.refine_tables(), 0U);
   EXPECT_LT(locator.refine_tables(), mesh_->probes().size());
+}
+
+TEST_F(GeolocTest, EveryRefinementTableIsTheHaversineOne) {
+  // Every focus of the 1,100-probe mesh, not only those a fixture server
+  // reaches: the weights from the probes' kept cosines are the per-call
+  // haversine's, bit for bit, so each table draws as before.
+  ASSERT_EQ(mesh_->probes().size(), MeshConfig{}.probes);
+  const ActiveGeolocator locator(*world_, *mesh_);
+  for (std::size_t focus = 0; focus < mesh_->probes().size(); ++focus) {
+    const auto got = locator.refine_weights(focus);
+    const auto want = reference_refine_weights(*mesh_, mesh_->probes()[focus].location);
+    ASSERT_EQ(got.size(), want.size());
+    for (std::size_t i = 0; i < got.size(); ++i) {
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(got[i]), std::bit_cast<std::uint64_t>(want[i]))
+          << "focus " << focus << " probe " << i;
+    }
+  }
 }
 
 TEST_F(GeolocTest, PanelWithoutAScoutIsRejected) {
